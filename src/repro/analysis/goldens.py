@@ -1,23 +1,27 @@
-"""Golden-value regression suite for the paper's figures.
+"""Golden-value regression suite: every pinned payload, one code path.
 
 The figures in this repository are deterministic functions of the traffic
-and search code, so their numbers can be pinned as JSON "goldens" and any
+and search code, so their payloads can be pinned as JSON "goldens" and any
 code change that moves a figure becomes a visible test failure instead of a
-silent regression.  Per workload the golden file pins:
+silent regression.  Each experiment declares its pinned files on its
+registry entry (:attr:`~repro.orchestration.experiments.Experiment.pins`):
+a pinned payload is exactly what a unit of that experiment computes on the
+pinned workload with the pinned params.  :func:`declared_pins` collects
+them all, and this module computes, writes and checks every one the same
+way.  The ``goldens`` experiment registered here is the paper's bundle per
+CNN -- fig13 memory-sweep totals at a capacity subset that includes the two
+capacities later figures use (66.5 and 173.5 KB), fig14 per-layer traffic at
+66.5 KB and the Table III Eyeriss summary -- pinned for VGG-16, AlexNet and
+ResNet-18.
 
-* ``fig13`` -- memory-sweep DRAM totals at a capacity subset that includes
-  the two capacities used by later figures (66.5 and 173.5 KB);
-* ``fig14`` -- per-layer DRAM traffic at 66.5 KB;
-* ``table3`` -- the Eyeriss-comparison summary at 173.5 KB.
+Re-pin every file after an *intentional* model change with::
 
-Regenerate after an *intentional* model change with::
-
-    python -m repro.cli goldens --write
+    repro-experiments goldens --write
 
 and review the JSON diff like any other code change.  The default directory
 is ``tests/goldens`` relative to the repository root (override with
-``--goldens-dir``); :mod:`tests.test_goldens` replays every pinned figure
-against the current engine output.
+``--goldens-dir``); ``repro-experiments goldens`` checks every pin, and
+``merge --diff-goldens`` diffs every merged unit that reproduces one.
 """
 
 from __future__ import annotations
@@ -25,14 +29,19 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 
 from repro.analysis.eyeriss_compare import eyeriss_comparison
 from repro.analysis.sweep import memory_sweep, per_layer_dram
 from repro.engine import get_default_engine
-from repro.orchestration.experiments import Experiment, register_experiment
-
-#: Workloads whose figures are pinned (the paper's three evaluation CNNs).
-GOLDEN_WORKLOADS = ("vgg16", "alexnet", "resnet18")
+from repro.orchestration.experiments import (
+    Experiment,
+    ExperimentContext,
+    experiment_names,
+    get_experiment,
+    register_experiment,
+)
+from repro.workloads.registry import get_workload_spec
 
 #: Fig. 13 capacity subset: the sweep extremes plus the capacities that
 #: fig14 (66.5 KB) and table3 (173.5 KB) reuse from the engine cache.
@@ -56,26 +65,6 @@ def default_goldens_dir() -> str:
     if os.path.isdir(os.path.dirname(candidate)):
         return candidate
     return os.path.join("tests", "goldens")
-
-
-def golden_path(directory: str, workload: str) -> str:
-    return os.path.join(directory, f"{workload}.json")
-
-
-def compute_goldens(workload: str, engine=None) -> dict:
-    """Current engine output for every pinned figure of one workload."""
-    if engine is None:
-        engine = get_default_engine()
-    return {
-        "workload": workload,
-        "fig13": memory_sweep(
-            capacities_kib=list(FIG13_CAPACITIES_KIB), layers=workload, engine=engine
-        ),
-        "fig14": per_layer_dram(
-            capacity_kib=FIG14_CAPACITY_KIB, layers=workload, engine=engine
-        ),
-        "table3": eyeriss_comparison(layers=workload, engine=engine),
-    }
 
 
 def _sanitize(value):
@@ -102,27 +91,6 @@ def sanitize_payload(value):
     byte-compatible (and strict-JSON parseable) everywhere.
     """
     return _sanitize(value)
-
-
-def write_goldens(directory: str, workloads=None, engine=None) -> list:
-    """Write one golden JSON per workload; returns the file paths."""
-    if workloads is None:
-        workloads = GOLDEN_WORKLOADS
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for workload in workloads:
-        payload = _sanitize(compute_goldens(workload, engine=engine))
-        path = golden_path(directory, workload)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
-            handle.write("\n")
-        paths.append(path)
-    return paths
-
-
-def load_golden(directory: str, workload: str) -> dict:
-    with open(golden_path(directory, workload)) as handle:
-        return json.load(handle)
 
 
 def diff_goldens(expected, actual, rel_tol: float = 1e-9, path: str = "$") -> list:
@@ -170,33 +138,99 @@ def _diff(expected, actual, rel_tol: float, path: str) -> list:
     return []
 
 
-def check_goldens(directory: str, workloads=None, engine=None) -> dict:
-    """Diff every pinned workload against current output.
+# ---------------------------------------------------------------------- pins
 
-    Returns ``{workload: [problems]}``; a missing golden file is reported as
-    one problem pointing at the regeneration command.
+#: One pinned file: a unit of ``experiment`` on ``workload`` with
+#: ``overrides`` merged over the experiment's ``default_params``.
+Pin = namedtuple("Pin", "experiment workload overrides filename")
+
+
+def declared_pins() -> list:
+    """Every pin the experiment registry declares, in experiment-name order."""
+    return [Pin(name, *pin) for name in experiment_names() for pin in get_experiment(name).pins]
+
+
+def pin_params(pin: Pin) -> dict:
+    """The params a unit must carry to reproduce ``pin`` (JSON-normalised)."""
+    return json.loads(json.dumps(dict(get_experiment(pin.experiment).default_params, **pin.overrides)))
+
+
+def pin_key(pin: Pin) -> str:
+    """Report key of a pin: the workload for the ``goldens`` bundle,
+    ``experiment:workload`` for every other experiment."""
+    return pin.workload if pin.experiment == "goldens" else f"{pin.experiment}:{pin.workload}"
+
+
+def compute_pin(pin: Pin, engine=None) -> dict:
+    """The pin's current payload, built exactly as an orchestrated unit's."""
+    experiment = get_experiment(pin.experiment)
+    if not experiment.uses_search:
+        engine = None
+    elif engine is None:
+        engine = get_default_engine()
+    context = ExperimentContext(
+        workload=pin.workload,
+        layers=get_workload_spec(pin.workload),
+        engine=engine,
+        params=pin_params(pin),
+    )
+    return experiment.build(context)
+
+
+def write_pin(directory: str, pin: Pin, payload) -> str:
+    """Write one pinned file (strict JSON, sorted keys); returns its path."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, pin.filename)
+    with open(path, "w") as handle:
+        json.dump(_sanitize(payload), handle, indent=2, sort_keys=True, allow_nan=False)
+        handle.write("\n")
+    return path
+
+
+def diff_pin(directory: str, pin: Pin, payload) -> list:
+    """Problems of ``payload`` against the pin's file; each names the file."""
+    path = os.path.join(directory, pin.filename)
+    if not os.path.exists(path):
+        return [f"no pinned golden file at {path} (missing); regenerate with `repro-experiments goldens --write`"]
+    try:
+        with open(path) as handle:
+            expected = json.load(handle)
+    except ValueError as error:
+        return [f"pinned file {path} is not valid JSON: {error}"]
+    return diff_goldens(expected, payload, path=f"{pin.filename}:$")
+
+
+def write_pins(directory: str, pins=None, engine=None) -> list:
+    """Re-pin every declared pin (or ``pins``); returns the paths written."""
+    pins = declared_pins() if pins is None else pins
+    return [write_pin(directory, pin, compute_pin(pin, engine)) for pin in pins]
+
+
+def check_pins(directory: str, pins=None, engine=None) -> dict:
+    """Diff every declared pin (or ``pins``) against its file.
+
+    Returns ``{pin key: [problems]}``; a missing file is one problem that
+    points at the regeneration command.
     """
-    if workloads is None:
-        workloads = GOLDEN_WORKLOADS
-    report = {}
-    for workload in workloads:
-        path = golden_path(directory, workload)
-        if not os.path.exists(path):
-            report[workload] = [
-                f"{path} is missing; regenerate with `python -m repro.cli goldens --write`"
-            ]
-            continue
-        expected = load_golden(directory, workload)
-        actual = compute_goldens(workload, engine=engine)
-        report[workload] = diff_goldens(expected, actual)
-    return report
+    pins = declared_pins() if pins is None else pins
+    return {pin_key(pin): diff_pin(directory, pin, compute_pin(pin, engine)) for pin in pins}
 
 
 # ------------------------------------------------------- experiment registry
 
 
 def _build_goldens(ctx):
-    return compute_goldens(ctx.workload, engine=ctx.engine)
+    workload, engine = ctx.workload, ctx.engine
+    return {
+        "workload": workload,
+        "fig13": memory_sweep(
+            capacities_kib=list(FIG13_CAPACITIES_KIB), layers=workload, engine=engine
+        ),
+        "fig14": per_layer_dram(
+            capacity_kib=FIG14_CAPACITY_KIB, layers=workload, engine=engine
+        ),
+        "table3": eyeriss_comparison(layers=workload, engine=engine),
+    }
 
 
 def _render_goldens(payload, params):
@@ -211,5 +245,6 @@ register_experiment(
         build=_build_goldens,
         render=_render_goldens,
         uses_search=True,
+        pins=tuple((workload, {}, f"{workload}.json") for workload in ("vgg16", "alexnet", "resnet18")),
     )
 )

@@ -19,7 +19,7 @@ from repro.core.traffic import BYTES_PER_WORD
 from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow
 from repro.engine import get_default_engine
 from repro.eyeriss.model import EyerissModel
-from repro.orchestration.experiments import Experiment, register_experiment
+from repro.orchestration.experiments import Experiment, Param, register_experiment
 from repro.workloads.registry import resolve_layers
 
 MB = 1024.0 * 1024.0
@@ -321,6 +321,9 @@ register_experiment(
         render=_render_fig13,
         uses_search=True,
         default_params={"capacities_kib": list(FIG13_DEFAULT_CAPACITIES_KIB)},
+        params=(
+            Param("capacities_kib", "--capacities", float, "+", help="on-chip memory sizes in KB (default: 7 points)"),
+        ),
     )
 )
 register_experiment(
@@ -335,6 +338,7 @@ register_experiment(
         render=_render_fig14,
         uses_search=True,
         default_params={"capacity_kib": FIG14_DEFAULT_CAPACITY_KIB},
+        params=(Param("capacity_kib", "--capacity", float, help="on-chip memory size in KB (default 66.5)"),),
     )
 )
 register_experiment(

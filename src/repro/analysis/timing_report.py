@@ -8,23 +8,18 @@ reports the per-buffer stall split (IGBuf/WGBuf fill, IGBuf/WGBuf steady
 state, output drain), the PE-array utilization, the achieved DRAM
 bandwidth, and power priced over the stall-lengthened runtime.
 
-The sweep is deterministic, so a 3-point VGG-16 sweep is pinned as a
-golden (``tests/goldens/timing_vgg16.json``, 1e-9 relative tolerance);
-regenerate after an *intentional* model change with::
-
-    repro-experiments timing --write
-
-and review the JSON diff like any other code change.
+The sweep is deterministic, so the default 3-point VGG-16 sweep is pinned
+on the experiment's registry entry (``tests/goldens/timing_vgg16.json``,
+1e-9 relative tolerance); re-pin every golden after an *intentional* model
+change with ``repro-experiments goldens --write`` and review the JSON diff
+like any other code change.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.arch.config import PAPER_IMPLEMENTATIONS, paper_implementation
 from repro.arch.performance import simulate_network, throughput_macs_per_second
-from repro.orchestration.experiments import Experiment, register_experiment
+from repro.orchestration.experiments import Experiment, Param, register_experiment
 from repro.workloads.registry import resolve_layers
 
 #: Default sweep points in GB/s: half, exactly, and twice the paper's
@@ -119,58 +114,7 @@ def bandwidth_utilization_sweep(
     }
 
 
-# ------------------------------------------------------------------- goldens
-
-#: Pinned parameters of the timing golden (``tests/goldens/timing_vgg16.json``):
-#: the default 3-point bandwidth sweep over all five implementations.
-TIMING_GOLDEN_PARAMS = {
-    "bandwidths_gbps": list(DEFAULT_BANDWIDTHS_GBPS),
-    "implementations": None,
-}
-
-TIMING_GOLDEN_WORKLOAD = "vgg16"
-
-
-def compute_timing_golden() -> dict:
-    """The golden sweep payload under the pinned parameters."""
-    return bandwidth_utilization_sweep(
-        layers=TIMING_GOLDEN_WORKLOAD,
-        bandwidths_gbps=TIMING_GOLDEN_PARAMS["bandwidths_gbps"],
-        implementations=TIMING_GOLDEN_PARAMS["implementations"],
-    )
-
-
-def timing_golden_path(directory: str = None) -> str:
-    from repro.analysis.goldens import default_goldens_dir
-
-    return os.path.join(
-        directory or default_goldens_dir(), f"timing_{TIMING_GOLDEN_WORKLOAD}.json"
-    )
-
-
-def write_timing_golden(path: str = None) -> str:
-    """Re-pin the timing golden file; returns the path written."""
-    from repro.analysis.goldens import sanitize_payload
-
-    path = path or timing_golden_path()
-    payload = sanitize_payload(compute_timing_golden())
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
-    return path
-
-
 # ------------------------------------------------------- experiment registry
-
-
-def _build_timing(ctx):
-    params = ctx.params
-    return bandwidth_utilization_sweep(
-        layers=ctx.layers,
-        bandwidths_gbps=params["bandwidths_gbps"],
-        implementations=params.get("implementations"),
-    )
 
 
 def _render_timing(payload, params):
@@ -200,12 +144,16 @@ register_experiment(
     Experiment(
         name="timing",
         title="Timing: stall-accurate bandwidth sweep",
-        build=_build_timing,
+        build=lambda ctx: bandwidth_utilization_sweep(layers=ctx.layers, **ctx.params),
         render=_render_timing,
         uses_search=False,
         default_params={
             "bandwidths_gbps": list(DEFAULT_BANDWIDTHS_GBPS),
             "implementations": None,
         },
+        params=(
+            Param("bandwidths_gbps", "--bandwidths", float, "+", help="DRAM bandwidths in GB/s (default 3.2 6.4 12.8)"),
+        ),
+        pins=(("vgg16", {}, "timing_vgg16.json"),),
     )
 )

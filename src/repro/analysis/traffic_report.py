@@ -15,19 +15,16 @@ answers millions of per-step layer executions with a few hundred exhaustive
 searches (one candidate-grid evaluation per (dataflow, shape) pair on the
 NumPy backend).  Everything downstream of the trace is a weighted sum of
 search results in a fixed order, so the payload is byte-identical across
-scalar and NumPy backends and is pinned as a golden
-(``tests/goldens/traffic_llama_decode_32.json``, 1e-9 tolerance);
-regenerate after an *intentional* model change with::
-
-    repro-experiments traffic --write
-
-and review the JSON diff like any other code change.
+scalar and NumPy backends.  The module also registers ``llm_decode``, the
+single-workload view of one decode model.  Both experiments pin their
+default ``llama_decode:32`` payload on their registry entries
+(``tests/goldens/traffic_llama_decode_32.json`` and
+``llm_llama_decode_32.json``, 1e-9 tolerance); re-pin every golden after an
+*intentional* model change with ``repro-experiments goldens --write`` and
+review the JSON diff like any other code change.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 from repro.core.layer import kib_to_words
 from repro.core.lower_bound import practical_lower_bound
@@ -35,7 +32,7 @@ from repro.core.traffic import classified_traffic
 from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow
 from repro.engine import get_default_engine
 from repro.engine.cache import layer_signature
-from repro.orchestration.experiments import Experiment, register_experiment
+from repro.orchestration.experiments import Experiment, Param, register_experiment
 from repro.workloads.registry import get_workload_spec
 from repro.workloads.traffic import (
     TrafficMixSpec,
@@ -334,102 +331,7 @@ def llm_decode_report(
     }
 
 
-# ------------------------------------------------------------------- goldens
-
-#: Pinned parameters of the traffic golden
-#: (``tests/goldens/traffic_llama_decode_32.json``): the default two-model
-#: mix, 32 requests, seed 0, at the Table I capacity points.
-TRAFFIC_GOLDEN_PARAMS = {
-    "extra_models": list(DEFAULT_EXTRA_MODELS),
-    "requests": 32,
-    "seed": 0,
-    "arrival_rate_per_s": 8.0,
-    "zipf_alpha": 1.0,
-    "prompt_exponents": [7, 11],
-    "decode_exponents": [5, 9],
-    "capacities_kib": list(DEFAULT_TRAFFIC_CAPACITIES_KIB),
-    "dataflow_names": None,
-    "model_params": None,
-}
-
-TRAFFIC_GOLDEN_WORKLOAD = "llama_decode:32"
-
-
-#: The llama_decode golden pins the single-workload view of the same model
-#: (``tests/goldens/llm_llama_decode_32.json``).
-LLM_GOLDEN_WORKLOAD = "llama_decode:32"
-
-
-def compute_traffic_golden(engine=None) -> dict:
-    """The golden traffic-mix payload under the pinned parameters."""
-    return traffic_mix_report(
-        model=TRAFFIC_GOLDEN_WORKLOAD, engine=engine, **TRAFFIC_GOLDEN_PARAMS
-    )
-
-
-def compute_llm_golden(engine=None) -> dict:
-    """The golden ``llama_decode`` single-workload payload."""
-    return llm_decode_report(workload=LLM_GOLDEN_WORKLOAD, engine=engine)
-
-
-def traffic_golden_path(directory: str = None) -> str:
-    from repro.analysis.goldens import default_goldens_dir
-
-    slug = TRAFFIC_GOLDEN_WORKLOAD.replace(":", "_")
-    return os.path.join(directory or default_goldens_dir(), f"traffic_{slug}.json")
-
-
-def llm_golden_path(directory: str = None) -> str:
-    from repro.analysis.goldens import default_goldens_dir
-
-    slug = LLM_GOLDEN_WORKLOAD.replace(":", "_")
-    return os.path.join(directory or default_goldens_dir(), f"llm_{slug}.json")
-
-
-def _write_golden_file(path: str, payload: dict) -> str:
-    from repro.analysis.goldens import sanitize_payload
-
-    payload = sanitize_payload(payload)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
-    return path
-
-
-def write_traffic_golden(path: str = None, engine=None) -> str:
-    """Re-pin the traffic-mix golden file; returns the path written."""
-    return _write_golden_file(
-        path or traffic_golden_path(), compute_traffic_golden(engine=engine)
-    )
-
-
-def write_llm_golden(path: str = None, engine=None) -> str:
-    """Re-pin the llama_decode golden file; returns the path written."""
-    return _write_golden_file(
-        path or llm_golden_path(), compute_llm_golden(engine=engine)
-    )
-
-
 # ------------------------------------------------------- experiment registry
-
-
-def _build_traffic(ctx):
-    params = ctx.params
-    return traffic_mix_report(
-        model=ctx.workload,
-        extra_models=params.get("extra_models", DEFAULT_EXTRA_MODELS),
-        requests=params["requests"],
-        seed=params["seed"],
-        arrival_rate_per_s=params["arrival_rate_per_s"],
-        zipf_alpha=params["zipf_alpha"],
-        prompt_exponents=params["prompt_exponents"],
-        decode_exponents=params["decode_exponents"],
-        capacities_kib=params.get("capacities_kib"),
-        dataflow_names=params.get("dataflow_names"),
-        model_params=params.get("model_params"),
-        engine=ctx.engine,
-    )
 
 
 def _render_traffic(payload, params):
@@ -474,12 +376,64 @@ register_experiment(
     Experiment(
         name="traffic",
         title="Traffic: LLM serving-mix optimal-dataflow search",
-        build=_build_traffic,
+        # The params are traffic_mix_report's keyword arguments, one for one.
+        build=lambda ctx: traffic_mix_report(model=ctx.workload, engine=ctx.engine, **ctx.params),
         render=_render_traffic,
         uses_search=True,
-        # The defaults ARE the golden parameters, so the default nightly
+        # The default two-model mix: 32 requests, seed 0, at the Table I
+        # capacity points.  The pin uses these defaults, so the nightly
         # reproduce-all unit is exactly the pinned payload.
-        default_params=dict(TRAFFIC_GOLDEN_PARAMS),
-        workloads=(TRAFFIC_GOLDEN_WORKLOAD,),
+        default_params={
+            "extra_models": list(DEFAULT_EXTRA_MODELS),
+            "requests": 32,
+            "seed": 0,
+            "arrival_rate_per_s": 8.0,
+            "zipf_alpha": 1.0,
+            "prompt_exponents": [7, 11],
+            "decode_exponents": [5, 9],
+            "capacities_kib": list(DEFAULT_TRAFFIC_CAPACITIES_KIB),
+            "dataflow_names": None,
+            "model_params": None,
+        },
+        workloads=("llama_decode:32",),
+        params=(
+            Param("seed", "--seed", int, help="RNG seed of the request trace (default 0)"),
+            Param("requests", "--requests", int, help="requests in the trace (default 32)"),
+        ),
+        pins=(("llama_decode:32", {}, "traffic_llama_decode_32.json"),),
+    )
+)
+
+
+def _render_llm_decode(payload, params):
+    from repro.analysis.report import format_dict_rows
+
+    header = (
+        f"LLM decode: {payload['workload']} | {payload['layers']} layers -> "
+        f"{payload['unique_shapes']} unique shapes, KV floor "
+        f"{payload['kv_cache_floor_words'] / 1e9:.3f} Gwords"
+    )
+    return header + "\n" + format_dict_rows(
+        payload["optimal"],
+        columns=[
+            "capacity_kib",
+            "best_dataflow",
+            "found_min_words",
+            "practical_bound_words",
+            "kv_cache_reads",
+            "kv_fraction",
+        ],
+    )
+
+
+register_experiment(
+    Experiment(
+        name="llm_decode",
+        title="LLM decode: per-capacity traffic with KV-cache attribution",
+        build=lambda ctx: llm_decode_report(workload=ctx.workload, engine=ctx.engine),
+        render=_render_llm_decode,
+        uses_search=True,
+        workloads=("llama_decode:32",),
+        pins=(("llama_decode:32", {}, "llm_llama_decode_32.json"),),
     )
 )

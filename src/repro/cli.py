@@ -7,7 +7,7 @@ Examples::
     repro-experiments fig14 --workload resnet18   # any registered network
     repro-experiments fig13 --workload mobilenet_v1 --capacities 66.5
     repro-experiments workloads                   # list the registry
-    repro-experiments goldens --write             # re-pin the golden figures
+    repro-experiments goldens --write             # re-pin every pinned payload
     repro-experiments timing --bandwidths 3.2 6.4 # stall-accurate sweep
     repro-experiments table3 --no-cache           # force cold searches
     repro-experiments all --cache-file /tmp/repro-cache.pkl
@@ -54,23 +54,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.goldens import (
-    check_goldens,
-    default_goldens_dir,
-    write_goldens,
-)
-from repro.analysis.sweep import (
-    FIG13_DEFAULT_CAPACITIES_KIB,
-    FIG14_DEFAULT_CAPACITY_KIB,
-)
+from repro.analysis.goldens import check_pins, default_goldens_dir, write_pins
 from repro.core.layer import total_macs
-from repro.dse.smart import EXPLORERS
 from repro.engine import SearchEngine, set_default_engine
 from repro.orchestration.experiments import (
     EXPERIMENT_ALIASES,
     PAPER_EXPERIMENTS,
     ExperimentContext,
+    add_experiment_flags,
     experiment_names,
+    flag_overrides,
     get_experiment,
     resolve_experiment_name,
 )
@@ -149,75 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered workload to run the figures on (see the "
         "'workloads' subcommand; default vgg16, the paper's network)",
     )
-    parser.add_argument(
-        "--capacities",
-        type=float,
-        nargs="+",
-        default=list(FIG13_DEFAULT_CAPACITIES_KIB),
-        help="effective on-chip memory sizes in KB for fig13",
-    )
-    parser.add_argument(
-        "--capacity",
-        type=float,
-        default=FIG14_DEFAULT_CAPACITY_KIB,
-        help="effective on-chip memory size in KB for fig14 (default 66.5)",
-    )
-    parser.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="KIB",
-        help="dse: effective on-chip memory budget in KiB for the candidate "
-        "configs (default 140, just above Table I's implementation 5)",
-    )
-    parser.add_argument(
-        "--objectives",
-        nargs="+",
-        choices=["dram", "energy", "time", "stall_time"],
-        default=None,
-        help="dse: objectives the Pareto frontier minimises (default: "
-        "dram/energy/time; 'stall_time' adds the tile-level simulator's "
-        "stall-aware latency)",
-    )
-    parser.add_argument(
-        "--bandwidths",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="GBPS",
-        help="timing: DRAM bandwidth sweep points in GB/s "
-        "(default 3.2 6.4 12.8; the paper's interface is 6.4)",
-    )
-    parser.add_argument(
-        "--explorer",
-        choices=list(EXPLORERS),
-        default=None,
-        help="dse: frontier explorer -- 'exhaustive' (default) scores every "
-        "candidate config; 'halving', 'local' and 'evolution' evaluate a "
-        "subset and attach a trust-region exactness certificate to the "
-        "payload (seeded by --seed, default 0)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="traffic: RNG seed of the request-trace generator (default 0); "
-        "with --traffic-mix, the seed of the DSE objective's mix; with a "
-        "smart --explorer, the explorer's RNG seed",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        help="traffic: number of requests in the generated trace (default 32)",
-    )
-    parser.add_argument(
-        "--traffic-mix",
-        default=None,
-        metavar="NAME[:batch]",
-        help="dse: weight the objectives by a serving-traffic mix over this "
-        "LLM decode model (opt-in; e.g. --traffic-mix llama_decode:32)",
-    )
+    add_experiment_flags(parser)
     parser.add_argument(
         "--workers",
         type=int,
@@ -251,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write",
         action="store_true",
-        help="with 'goldens' (or 'timing'): re-pin the golden JSON files "
-        "instead of checking/printing them",
+        help="with 'goldens': re-pin every pinned JSON file instead of "
+        "checking it",
     )
     parser.add_argument(
         "--goldens-dir",
@@ -277,22 +202,32 @@ def build_engine(args) -> SearchEngine:
 def _run_goldens(args, engine) -> int:
     directory = args.goldens_dir or default_goldens_dir()
     if args.write:
-        for path in write_goldens(directory, engine=engine):
+        for path in write_pins(directory, engine=engine):
             print(f"wrote {path}")
         return 0
-    report = check_goldens(directory, engine=engine)
+    report = check_pins(directory, engine=engine)
     failures = 0
-    for workload, problems in report.items():
+    for key, problems in report.items():
         status = "ok" if not problems else f"{len(problems)} mismatches"
-        print(f"goldens[{workload}]: {status}")
+        print(f"goldens[{key}]: {status}")
         for problem in problems[:20]:
             print(f"  {problem}")
         failures += len(problems)
     if failures:
         print(f"{failures} golden mismatches; if intentional, re-pin with "
-              "`python -m repro.cli goldens --write`", file=sys.stderr)
+              "`repro-experiments goldens --write`", file=sys.stderr)
         return 1
     return 0
+
+
+def _flat_experiments(name: str) -> list:
+    """The registered experiments one flat subcommand runs."""
+    if name == "all":
+        # The canonical paper order; 'goldens' keeps its own subcommand.
+        return [experiment for experiment in PAPER_EXPERIMENTS if experiment != "goldens"]
+    if name in ("goldens", "workloads"):
+        return []
+    return [resolve_experiment_name(name)]
 
 
 def main(argv: list = None) -> int:
@@ -312,10 +247,14 @@ def main(argv: list = None) -> int:
         return serve_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
+        if args.write and args.experiment != "goldens":
+            raise ValueError("--write re-pins the golden files; use it with 'goldens'")
         engine = build_engine(args)
-        # Resolve the workload up front so a bad name/batch fails fast with a
-        # clear message instead of mid-way through a long run.
+        # Resolve the workload and the flags up front so a bad name/batch or
+        # a flag for another experiment fails fast with a clear message
+        # instead of mid-way through a long run.
         layers = get_workload_spec(args.workload)
+        overrides = flag_overrides(vars(args), _flat_experiments(args.experiment))
     except (UnknownWorkloadError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -328,48 +267,13 @@ def main(argv: list = None) -> int:
         status = 0
         if args.experiment == "goldens":
             status = _run_goldens(args, engine)
-        elif args.experiment == "timing" and args.write:
-            # Re-pin the timing golden (the dedicated 3-point VGG-16 sweep),
-            # mirroring `goldens --write`.
-            from repro.analysis.timing_report import (
-                timing_golden_path,
-                write_timing_golden,
-            )
-
-            path = write_timing_golden(
-                timing_golden_path(args.goldens_dir) if args.goldens_dir else None
-            )
-            print(f"wrote {path}")
-        elif args.experiment == "traffic" and args.write:
-            # Re-pin both LLM-serving goldens: the traffic-mix payload and
-            # the llama_decode single-workload payload.
-            from repro.analysis.traffic_report import (
-                llm_golden_path,
-                traffic_golden_path,
-                write_llm_golden,
-                write_traffic_golden,
-            )
-
-            directory = args.goldens_dir
-            for path in (
-                write_traffic_golden(
-                    traffic_golden_path(directory) if directory else None, engine=engine
-                ),
-                write_llm_golden(
-                    llm_golden_path(directory) if directory else None, engine=engine
-                ),
-            ):
-                print(f"wrote {path}")
-        elif args.experiment == "all":
-            # The canonical paper order from the registry; 'goldens' keeps
-            # its dedicated subcommand instead of riding along here.
-            for name in PAPER_EXPERIMENTS:
-                if name == "goldens":
-                    continue
-                _dispatch(name, args, layers, engine)
-                print()
+        elif args.experiment == "workloads":
+            _print_workloads(layers, engine)
         else:
-            _dispatch(args.experiment, args, layers, engine)
+            for name in _flat_experiments(args.experiment):
+                _dispatch(name, args.workload, layers, engine, overrides.get(name, {}))
+                if args.experiment == "all":
+                    print()
         if args.cache_file:
             engine.save()
         if args.stats:
@@ -386,50 +290,23 @@ def main(argv: list = None) -> int:
         set_default_engine(previous_engine)
 
 
-def _dispatch(name: str, args, layers, engine) -> None:
+def _dispatch(name: str, workload: str, layers, engine, overrides) -> None:
     """Compute and print one experiment through the shared registry.
 
     The same :class:`~repro.orchestration.experiments.Experiment` entries
     drive the orchestrated runs, so the printed figures and the archived
-    JSON artifacts can never diverge.
+    JSON artifacts can never diverge.  ``overrides`` is what
+    :func:`~repro.orchestration.experiments.flag_overrides` built for this
+    experiment: one dict, or a list of them (``--dse-slices``) printed in
+    turn.
     """
-    if name == "workloads":
-        _print_workloads(layers, engine)
-        return
-    experiment = get_experiment(resolve_experiment_name(name))
-    params = dict(experiment.default_params)
-    if name == "fig13":
-        params["capacities_kib"] = list(args.capacities)
-    elif name == "fig14":
-        params["capacity_kib"] = args.capacity
-    elif name == "dse":
-        if args.budget is not None:
-            params["budget_kib"] = args.budget
-        if args.objectives:
-            params["objectives"] = list(args.objectives)
-        if args.traffic_mix:
-            mix = {"model": args.traffic_mix}
-            if args.seed is not None:
-                mix["seed"] = args.seed
-            if args.requests is not None:
-                mix["requests"] = args.requests
-            params["mix"] = mix
-        if args.explorer:
-            params["explorer"] = args.explorer
-            if args.seed is not None:
-                params["seed"] = args.seed
-    elif name == "timing":
-        if args.bandwidths:
-            params["bandwidths_gbps"] = list(args.bandwidths)
-    elif name == "traffic":
-        if args.seed is not None:
-            params["seed"] = args.seed
-        if args.requests is not None:
-            params["requests"] = args.requests
-    context = ExperimentContext(
-        workload=args.workload, layers=layers, engine=engine, params=params
-    )
-    print(experiment.render(experiment.build(context), params))
+    experiment = get_experiment(name)
+    for variant in overrides if isinstance(overrides, list) else [overrides]:
+        params = dict(experiment.default_params, **variant)
+        context = ExperimentContext(
+            workload=workload, layers=layers, engine=engine, params=params
+        )
+        print(experiment.render(experiment.build(context), params))
 
 
 if __name__ == "__main__":

@@ -21,11 +21,7 @@ the Fig. 19 performance model, and emits the Pareto frontier.
 
 from __future__ import annotations
 
-from repro.dse.explore import (
-    DEFAULT_BUDGET_KIB,
-    design_space_exploration,
-    write_dse_golden,
-)
+from repro.dse.explore import DEFAULT_BUDGET_KIB, design_space_exploration
 from repro.dse.objectives import config_objectives
 from repro.dse.pareto import (
     OBJECTIVE_KEYS,
@@ -45,5 +41,4 @@ __all__ = [
     "enumerate_configs",
     "merge_frontiers",
     "pareto_frontier",
-    "write_dse_golden",
 ]

@@ -22,28 +22,29 @@ frontiers merge associatively to the unsharded frontier
 (:func:`repro.dse.pareto.merge_frontiers`).  The ``dse`` experiment
 registered here exposes exactly that through the run orchestrator; the
 ``frontier`` CLI subcommand performs the merge over archived artifacts.
+Its registry entry also pins one complete sweep over a trimmed space
+(``tests/goldens/dse_vgg16.json``); re-pin every golden after an
+intentional model change with ``repro-experiments goldens --write``.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 from repro.core.layer import kib_to_words, total_macs
 from repro.dataflows.registry import BASELINE_DATAFLOWS
 from repro.dataflows.ours import OptimalDataflow
 from repro.dse.objectives import config_objectives
-from repro.dse.pareto import pareto_frontier, validate_objectives
+from repro.dse.pareto import ALL_OBJECTIVE_KEYS, pareto_frontier, validate_objectives
 from repro.dse.smart import (
     DEFAULT_CERTIFICATE_REGION,
     DEFAULT_EXPLORER,
+    EXPLORERS,
     run_smart_explorer,
     validate_explorer,
     validate_seed,
 )
 from repro.dse.space import CandidateSpace, build_config, count_splits, enumerate_configs
 from repro.engine import get_default_engine, validate_shard
-from repro.orchestration.experiments import Experiment, register_experiment
+from repro.orchestration.experiments import Experiment, Param, register_experiment
 from repro.workloads.registry import resolve_layers
 
 #: Default sweep budget in KiB of effective on-chip memory: a little above
@@ -359,63 +360,6 @@ def design_space_exploration(
     return header
 
 
-# ------------------------------------------------------------------- goldens
-
-#: Pinned parameters of the DSE golden sweep (``tests/goldens/dse_vgg16.json``).
-#: A trimmed space keeps the pinned sweep fast while still spanning PE count,
-#: LReg depth and both Table I buffer sizes; regenerate after an intentional
-#: model change with::
-#:
-#:     PYTHONPATH=src python -c "from repro.dse.explore import write_dse_golden; write_dse_golden()"
-DSE_GOLDEN_PARAMS = {
-    "budget_kib": 140.0,
-    "objectives": ["dram", "energy", "time"],
-    "slice": [1, 1],
-    "max_configs": None,
-    "space": {
-        "pe_dims": [16, 32, 64],
-        "lreg_words": [32, 64, 128],
-        "igbuf_words": [1024, 1536],
-        "wgbuf_words": [256, 320],
-    },
-}
-
-DSE_GOLDEN_WORKLOAD = "vgg16"
-
-
-def compute_dse_golden(engine=None) -> dict:
-    """The golden sweep payload under the pinned parameters."""
-    params = DSE_GOLDEN_PARAMS
-    return design_space_exploration(
-        budget_kib=params["budget_kib"],
-        layers=DSE_GOLDEN_WORKLOAD,
-        engine=engine,
-        objectives=tuple(params["objectives"]),
-        space=CandidateSpace.from_dict(params["space"]),
-        slice_spec=tuple(params["slice"]),
-        max_configs=params["max_configs"],
-    )
-
-
-def dse_golden_path(directory: str = None) -> str:
-    from repro.analysis.goldens import default_goldens_dir
-
-    return os.path.join(directory or default_goldens_dir(), f"dse_{DSE_GOLDEN_WORKLOAD}.json")
-
-
-def write_dse_golden(path: str = None, engine=None) -> str:
-    """Re-pin the DSE golden file; returns the path written."""
-    from repro.analysis.goldens import sanitize_payload
-
-    path = path or dse_golden_path()
-    payload = sanitize_payload(compute_dse_golden(engine=engine))
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
-    return path
-
-
 # ------------------------------------------------------- experiment registry
 
 
@@ -481,5 +425,40 @@ register_experiment(
             "mix": None,
         },
         validate_params=_validate_dse_params,
+        params=(
+            Param("budget_kib", "--budget", float, help="on-chip memory budget in KiB (default 140)"),
+            Param(
+                "objectives",
+                "--objectives",
+                nargs="+",
+                choices=ALL_OBJECTIVE_KEYS,
+                help="Pareto objectives (default dram energy time; stall_time adds stall-aware latency)",
+            ),
+            Param(
+                "explorer",
+                "--explorer",
+                choices=EXPLORERS,
+                help="frontier explorer; the smart ones score a subset and certify it (default exhaustive)",
+            ),
+            Param("seed", "--seed", int, help="RNG seed of a smart --explorer and of the --traffic-mix (default 0)"),
+            Param("mix", "--traffic-mix", help="score on a serving mix of this LLM decode model (takes --requests)"),
+            Param("slice", "--dse-slices", int, help="split the config space into N units (merge with 'frontier')"),
+        ),
+        # One complete sweep over a trimmed space that still spans PE count,
+        # LReg depth and both Table I buffer sizes.
+        pins=(
+            (
+                "vgg16",
+                {
+                    "space": {
+                        "pe_dims": [16, 32, 64],
+                        "lreg_words": [32, 64, 128],
+                        "igbuf_words": [1024, 1536],
+                        "wgbuf_words": [256, 320],
+                    }
+                },
+                "dse_vgg16.json",
+            ),
+        ),
     )
 )

@@ -33,7 +33,9 @@ import sys
 
 from repro.orchestration.experiments import (
     PAPER_EXPERIMENTS,
+    add_experiment_flags,
     experiment_names,
+    flag_overrides,
     get_experiment,
     resolve_experiment_name,
 )
@@ -98,71 +100,7 @@ def build_orchestration_parser() -> argparse.ArgumentParser:
         help="search backends to cross search-based experiments over "
         "(default: auto; pass 'numpy python' to archive both, bit-identical)",
     )
-    spec_parent.add_argument(
-        "--capacities",
-        type=float,
-        nargs="+",
-        default=None,
-        help="fig13 capacity grid override (KB)",
-    )
-    spec_parent.add_argument(
-        "--capacity",
-        type=float,
-        default=None,
-        help="fig14 on-chip capacity override (KB)",
-    )
-    spec_parent.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="KIB",
-        help="dse on-chip memory budget override (KiB)",
-    )
-    spec_parent.add_argument(
-        "--objectives",
-        nargs="+",
-        choices=["dram", "energy", "time", "stall_time"],
-        default=None,
-        help="dse Pareto objectives override (default: dram/energy/time; "
-        "'stall_time' adds the tile-level simulator's stall-aware latency)",
-    )
-    spec_parent.add_argument(
-        "--bandwidths",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="GBPS",
-        help="timing experiment bandwidth sweep override (GB/s)",
-    )
-    spec_parent.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="traffic experiment trace seed override",
-    )
-    spec_parent.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        metavar="N",
-        help="traffic experiment request-count override",
-    )
-    spec_parent.add_argument(
-        "--explorer",
-        choices=["exhaustive", "halving", "local", "evolution"],
-        default=None,
-        help="dse frontier explorer override (smart explorers attach a "
-        "trust-region exactness certificate and take --seed; with "
-        "--dse-slices, each slice becomes a seed island)",
-    )
-    spec_parent.add_argument(
-        "--dse-slices",
-        type=int,
-        default=None,
-        metavar="N",
-        help="split the dse config space into N units (one slice each); "
-        "their frontiers merge associatively via 'frontier'",
-    )
+    add_experiment_flags(spec_parent)
     spec_parent.add_argument(
         "--shard",
         default="1/1",
@@ -185,10 +123,10 @@ def build_orchestration_parser() -> argparse.ArgumentParser:
     spec_parent.add_argument(
         "--cache-store",
         choices=["pickle", "sqlite"],
-        default="pickle",
-        help="persistence backend for the per-shard search caches "
-        "(sqlite is concurrency-safe and shareable with a running "
-        "'serve' daemon; default pickle)",
+        default="sqlite",
+        help="persistence backend for the search caches (default sqlite: "
+        "concurrency-safe, shared by fleet workers and shareable with a "
+        "running 'serve' daemon; pickle is a single-process file)",
     )
     spec_parent.add_argument(
         "--force",
@@ -225,9 +163,6 @@ def build_orchestration_parser() -> argparse.ArgumentParser:
         "work queue (lease-based work stealing beats static shards on "
         "stragglers and crashes)",
     )
-    # Fleet workers share one SQLite search cache; the pickle store would
-    # silently drop peers' entries on every checkpoint.
-    fleet.set_defaults(cache_store="sqlite")
     fleet.add_argument(
         "--fleet-workers",
         type=int,
@@ -309,9 +244,8 @@ def build_orchestration_parser() -> argparse.ArgumentParser:
         "--cache-store",
         choices=["pickle", "sqlite"],
         default=None,
-        help="persistence backend for the search caches (default: what "
-        "the original run recorded -- fleet runs record sqlite; static "
-        "runs default to pickle)",
+        help="persistence backend for the search caches (default: the one "
+        "the original run recorded, or sqlite when it recorded none)",
     )
     resume.add_argument(
         "--fleet-workers",
@@ -387,74 +321,12 @@ def _build_spec(args) -> ManifestSpec:
         resolve_backend(backend)
     # Accept the flat CLI's fig15/table3 aliases here too (dedup keeps the
     # pair a single unit when both are named).
-    experiments = []
-    for name in args.experiments:
-        resolved = resolve_experiment_name(name)
-        if resolved not in experiments:
-            experiments.append(resolved)
-    params = {}
-    if args.capacities is not None:
-        params["fig13"] = {"capacities_kib": list(args.capacities)}
-    if args.capacity is not None:
-        params["fig14"] = {"capacity_kib": args.capacity}
-    if args.bandwidths is not None:
-        if "timing" not in experiments:
-            raise ValueError(
-                "--bandwidths configures the 'timing' experiment, which is "
-                "not in this run's --experiments list; add 'timing' to "
-                "--experiments"
-            )
-        params["timing"] = {"bandwidths_gbps": list(args.bandwidths)}
-    dse_overrides = {}
-    if args.budget is not None:
-        dse_overrides["budget_kib"] = args.budget
-    if args.objectives:
-        dse_overrides["objectives"] = list(args.objectives)
-    if args.explorer is not None:
-        dse_overrides["explorer"] = args.explorer
-        if args.seed is not None and args.explorer != "exhaustive":
-            dse_overrides["seed"] = args.seed
-    if (dse_overrides or args.dse_slices is not None) and "dse" not in experiments:
-        # Silently dropping the options would run a "sweep" with no dse
-        # units in it; fail fast instead.
-        raise ValueError(
-            "--budget/--objectives/--explorer/--dse-slices configure the "
-            "'dse' experiment, which is not in this run's --experiments "
-            "list; add 'dse' to --experiments"
-        )
-    traffic_overrides = {}
-    if args.seed is not None:
-        traffic_overrides["seed"] = args.seed
-    if args.requests is not None:
-        traffic_overrides["requests"] = args.requests
-    if traffic_overrides:
-        if "traffic" in experiments:
-            params["traffic"] = traffic_overrides
-        elif args.requests is not None or "seed" not in dse_overrides:
-            # --seed alone is also meaningful as a smart dse explorer seed;
-            # anything else still needs the traffic experiment in the run.
-            raise ValueError(
-                "--seed/--requests configure the 'traffic' experiment, which "
-                "is not in this run's --experiments list; add 'traffic' to "
-                "--experiments (or pass a smart --explorer for --seed to "
-                "configure the 'dse' explorer instead)"
-            )
-    if args.dse_slices is not None:
-        if args.dse_slices < 1:
-            raise ValueError(f"--dse-slices must be >= 1, got {args.dse_slices}")
-        # One unit per slice of the config space; every slice carries the
-        # same overrides so the manifest stays a pure spec expansion.
-        params["dse"] = [
-            dict(dse_overrides, slice=[index, args.dse_slices])
-            for index in range(1, args.dse_slices + 1)
-        ]
-    elif dse_overrides:
-        params["dse"] = dse_overrides
+    experiments = list(dict.fromkeys(resolve_experiment_name(name) for name in args.experiments))
     return ManifestSpec(
         workloads=tuple(args.workloads),
         experiments=tuple(experiments),
         backends=tuple(args.backends),
-        params=params,
+        params=flag_overrides(vars(args), experiments),
     )
 
 
@@ -618,7 +490,7 @@ def _cmd_resume(args) -> int:
         manifest,
         args.out_dir,
         workers=workers,
-        cache_store=args.cache_store or "pickle",
+        cache_store=args.cache_store or metadata.get("cache_store", "sqlite"),
     )
     report = runner.run(shard=shard, resume=True, max_units=args.max_units)
     _emit_report(report, args.json)

@@ -36,6 +36,29 @@ class ExperimentContext:
     params: dict
 
 
+@dataclass(frozen=True)
+class Param:
+    """One experiment parameter that a CLI flag sets.
+
+    ``key`` is the params key the flag writes and ``flag`` its option
+    string; ``type``, ``nargs`` and ``choices`` go to ``argparse`` as they
+    are.  Defaults stay in :attr:`Experiment.default_params`, because unit
+    ids hash the expanded params.
+    """
+
+    key: str
+    flag: str
+    type: object = None
+    nargs: object = None
+    choices: tuple = None
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        """The argparse attribute the flag parses into."""
+        return self.flag.lstrip("-").replace("-", "_")
+
+
 @dataclass
 class Experiment:
     """One registered figure/table driver.
@@ -57,6 +80,15 @@ class Experiment:
     raises ``ValueError`` on params no unit could run.  The run manifest
     calls it per variant at expansion time, so a hand-edited spec fails
     fast with one exit-2 message instead of N failed units mid-run.
+
+    ``params`` declares each :class:`Param` a CLI flag can set; both CLIs
+    derive their experiment flags from them, and the run manifest rejects
+    any override key that is neither a ``default_params`` key nor declared
+    here.  ``pins`` declares the payloads pinned under ``tests/goldens/``,
+    one ``(workload, overrides, filename)`` triple per file: the pinned
+    payload is what a unit of this experiment on that workload computes
+    with ``overrides`` merged over ``default_params``
+    (:mod:`repro.analysis.goldens` checks, re-pins and diffs them all).
     """
 
     name: str
@@ -67,6 +99,8 @@ class Experiment:
     default_params: dict = field(default_factory=dict)
     workloads: tuple = None
     validate_params: object = field(default=None, repr=False)
+    params: tuple = ()
+    pins: tuple = ()
 
 
 _REGISTRY = {}
@@ -132,6 +166,81 @@ def experiment_names() -> list:
     """Sorted names of every registered experiment."""
     load_experiments()
     return sorted(_REGISTRY)
+
+
+def _declared_params() -> list:
+    """``(experiment name, Param)`` for every declaration, in name order."""
+    return [(name, param) for name in experiment_names() for param in _REGISTRY[name].params]
+
+
+def add_experiment_flags(parser) -> None:
+    """Add every declared experiment flag to ``parser``, once per flag.
+
+    A flag that several experiments declare (``--seed``) is parsed as its
+    first declaration says, and its help lists what it sets in each.
+    """
+    declared = {}
+    for name, param in _declared_params():
+        declared.setdefault(param.flag, []).append((name, param))
+    for flag, uses in declared.items():
+        param = uses[0][1]
+        parser.add_argument(
+            flag,
+            type=param.type,
+            nargs=param.nargs,
+            choices=param.choices,
+            default=None,
+            help="; ".join(f"{name}: {use.help}" for name, use in uses),
+        )
+
+
+def flag_overrides(values: dict, experiments) -> dict:
+    """Per-experiment param overrides from the parsed experiment flags.
+
+    ``values`` maps each :attr:`Param.dest` to its parsed value (``None``
+    when the flag was not passed), e.g. ``vars()`` of an argparse
+    namespace; ``experiments`` are the run's resolved names.  A passed flag
+    sets its key on every experiment of the run that declares it.  Both
+    CLIs call this, so a flag means the same in both, and unit ids hash
+    what it returns.  A passed flag that sets nothing in the run raises
+    the one-line ``ValueError`` the CLIs turn into exit 2.
+    """
+    declared = _declared_params()
+    params = {}
+    for name, param in declared:
+        if name in experiments and values.get(param.dest) is not None:
+            params.setdefault(name, {})[param.key] = values[param.dest]
+    # dse: --seed seeds only a smart --explorer (the exhaustive sweep has no
+    # RNG), and --traffic-mix nests the trace's --seed/--requests.
+    dse = params.get("dse", {})
+    if dse.get("explorer", "exhaustive") == "exhaustive":
+        dse.pop("seed", None)
+    used = {param.flag for name, param in declared if param.key in params.get(name, ())}
+    if "mix" in dse:
+        dse["mix"] = {"model": dse["mix"]}
+        for key in ("seed", "requests"):
+            if values.get(key) is not None:
+                dse["mix"][key] = values[key]
+                used.add(f"--{key}")
+    for _, param in declared:
+        if values.get(param.dest) is not None and param.flag not in used:
+            owners = {name: use for name, use in declared if use.flag == param.flag}
+            missing = [name for name in owners if name not in experiments] or list(owners)
+            names = " or ".join(repr(name) for name in missing)
+            notes = "".join(
+                f" (for {name!r}: {use.help})" for name, use in owners.items() if name in experiments
+            )
+            raise ValueError(
+                f"{param.flag} configures the {names} experiment, which is not in "
+                f"this run; add {names} to --experiments{notes}"
+            )
+    slices = dse.pop("slice", None)
+    if slices is not None:
+        if slices < 1:
+            raise ValueError(f"--dse-slices must be >= 1, got {slices}")
+        # One unit per slice of the config space, each with the same overrides.
+        params["dse"] = [dict(dse, slice=[index, slices]) for index in range(1, slices + 1)]
+    return {name: overrides for name, overrides in params.items() if overrides}
 
 
 #: Canonical full-paper order used by ``reproduce-all`` (and ``repro all``).

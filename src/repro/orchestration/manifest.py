@@ -105,7 +105,8 @@ class ManifestSpec:
     [16, 66.5]}}``).  A value may also be a *list* of override dicts, which
     expands that experiment into one unit per variant -- how a design-space
     sweep shards its config space across units (``{"dse": [{"slice": [1, 2]},
-    {"slice": [2, 2]}]}``).
+    {"slice": [2, 2]}]}``).  Every override key must be one of the
+    experiment's ``default_params`` keys or declared ``params``.
     """
 
     workloads: tuple = DEFAULT_WORKLOADS
@@ -162,7 +163,16 @@ class RunManifest:
                     f"params for experiment {experiment_name!r} is an empty "
                     "variant list; omit the key or provide at least one dict"
                 )
+            # A misspelled key would otherwise expand into a unit that
+            # silently runs the defaults.
+            known = set(experiment.default_params) | {param.key for param in experiment.params}
             for variant in variants:
+                unknown = sorted(set(variant) - known)
+                if unknown:
+                    raise ValueError(
+                        f"params for experiment {experiment_name!r} have unknown "
+                        f"keys {unknown}; known keys: {sorted(known)}"
+                    )
                 params = dict(experiment.default_params)
                 params.update(variant)
                 # Round-trip through JSON so tuples/ints normalise exactly

@@ -9,8 +9,9 @@ manifest's unit list.  Engine statistics from every shard report are
 aggregated with :meth:`repro.engine.CacheStats.merge` so the merged report
 shows the whole run's hit/miss/grid accounting.
 
-``diff_merged_goldens`` replays the merged ``goldens`` units against the
-pinned ``tests/goldens`` files -- the CI merge job's pass/fail signal.
+``diff_merged_goldens`` diffs every merged unit that reproduces a pinned
+payload against its ``tests/goldens`` file -- the CI merge job's pass/fail
+signal.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 import glob
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.analysis.goldens import diff_goldens, golden_path
+from repro.analysis.goldens import declared_pins, diff_pin, pin_key, pin_params
 from repro.analysis.report import format_markdown_table
 from repro.engine import CacheStats
 from repro.orchestration.runner import (
@@ -223,165 +225,58 @@ def _aggregate_shard_reports(shard_dirs: list) -> tuple:
 
 
 def diff_merged_goldens(merged_dir: str, goldens_dir: str) -> dict:
-    """Diff every merged ``goldens`` unit against its pinned JSON file.
+    """Diff every merged unit that reproduces a declared pin against its file.
 
-    Returns ``{workload: [problems]}`` (empty list means the workload
-    matches); a manifest ``goldens`` unit with no artifact or no pinned file
-    is itself a problem.  Merged ``timing`` units whose workload and
-    parameters match the pinned timing golden are diffed too (reported
-    under ``"timing:<workload>"``), so the nightly full reproduction also
-    gates the tile-level timing simulator's numbers.
+    A unit reproduces a pin when its experiment, workload and params all
+    match it (:func:`repro.analysis.goldens.declared_pins`); other units
+    (custom grids, other workloads) pass through undiffed.  Returns
+    ``{key: [problems]}`` keyed like ``repro-experiments goldens`` (the
+    workload for the ``goldens`` bundle, ``experiment:workload`` for the
+    rest); an empty list means the payload matches.  A pinned unit with no
+    artifact, or a missing pinned file, is itself a problem.
     """
-    manifest_path = os.path.join(merged_dir, MANIFEST_FILENAME)
-    with open(manifest_path) as handle:
-        manifest_document = json.load(handle)
-    golden_units = [
-        unit for unit in manifest_document["units"] if unit["experiment"] == "goldens"
+    with open(os.path.join(merged_dir, MANIFEST_FILENAME)) as handle:
+        units = json.load(handle)["units"]
+    pins = declared_pins()
+    pinned = [
+        (unit, pin)
+        for unit in units
+        for pin in pins
+        if (unit["experiment"], unit["workload"]) == (pin.experiment, pin.workload)
+        and unit["params"] == pin_params(pin)
     ]
-    if not golden_units:
+    if not any(pin.experiment == "goldens" for _, pin in pinned):
         # A vacuous pass would read as "goldens verified" when nothing was
-        # checked -- a trimmed --experiments list must not silently disable
-        # the nightly pass/fail signal.
+        # checked -- a trimmed spec must not silently disable the nightly
+        # pass/fail signal.
         raise ValueError(
-            "the merged manifest contains no 'goldens' units to diff; "
-            "include the 'goldens' experiment in the run spec"
+            "the merged manifest contains no 'goldens' units on a pinned "
+            "workload to diff; include the 'goldens' experiment and one of "
+            "its pinned workloads in the run spec"
         )
-    # A workload can carry several goldens units (one per backend): every
-    # unit is diffed and the problem lists *accumulate*, so one matching
-    # backend can never mask a mismatch in another.
-    unit_count = {}
-    for unit in golden_units:
-        unit_count[unit["workload"]] = unit_count.get(unit["workload"], 0) + 1
+    # A key can carry several units (one per backend): every unit is diffed
+    # and the problem lists *accumulate*, so one matching backend can never
+    # mask a mismatch in another.
+    unit_count = Counter(pin_key(pin) for _, pin in pinned)
     report = {}
-    for unit in golden_units:
-        workload = unit["workload"]
-        prefix = f"[{unit['backend']}] " if unit_count[workload] > 1 else ""
-        problems = report.setdefault(workload, [])
+    for unit, pin in pinned:
+        key = pin_key(pin)
+        prefix = f"[{unit['backend']}] " if unit_count[key] > 1 else ""
+        problems = report.setdefault(key, [])
         artifact_path = os.path.join(merged_dir, UNITS_DIRNAME, unit["unit_id"] + ".json")
         if not os.path.exists(artifact_path):
-            problems.append(f"{prefix}goldens unit {unit['unit_id']} was never computed")
-            continue
-        pinned_path = golden_path(goldens_dir, workload)
-        if not os.path.exists(pinned_path):
-            problems.append(f"{prefix}no pinned golden file at {pinned_path}")
+            problems.append(f"{prefix}{pin.experiment} unit {unit['unit_id']} was never computed")
             continue
         # A corrupt artifact (or pinned file) is a diff problem for this
-        # workload, not a crash: the other workloads' verdicts still matter.
+        # key, not a crash: the other keys' verdicts still matter.
         try:
             with open(artifact_path) as handle:
                 actual = json.load(handle)["payload"]
         except (ValueError, KeyError) as error:
-            problems.append(
-                f"{prefix}artifact {unit['unit_id']}.json is unreadable: {error!r}"
-            )
+            problems.append(f"{prefix}artifact {unit['unit_id']}.json is unreadable: {error!r}")
             continue
-        try:
-            with open(pinned_path) as handle:
-                expected = json.load(handle)
-        except ValueError as error:
-            problems.append(f"{prefix}pinned file {pinned_path} is not valid JSON: {error}")
-            continue
-        problems.extend(prefix + problem for problem in diff_goldens(expected, actual))
-    _diff_timing_units(manifest_document, merged_dir, goldens_dir, report)
-    _diff_traffic_units(manifest_document, merged_dir, goldens_dir, report)
+        problems.extend(prefix + problem for problem in diff_pin(goldens_dir, pin, actual))
     return report
-
-
-def _diff_timing_units(manifest_document, merged_dir, goldens_dir, report) -> None:
-    """Diff merged ``timing`` units against the pinned timing golden.
-
-    Only units whose workload *and* parameters match the pinned sweep are
-    comparable; other timing units (custom bandwidth grids, other
-    workloads) are not pinned and pass through undiffed.  Unlike the
-    ``goldens`` experiment, absence is not an error: the timing experiment
-    is optional in trimmed run specs.
-    """
-    from repro.analysis.timing_report import (
-        TIMING_GOLDEN_PARAMS,
-        TIMING_GOLDEN_WORKLOAD,
-        timing_golden_path,
-    )
-
-    _diff_pinned_units(
-        manifest_document,
-        merged_dir,
-        report,
-        experiment="timing",
-        workload=TIMING_GOLDEN_WORKLOAD,
-        pinned_params=TIMING_GOLDEN_PARAMS,
-        pinned_path=timing_golden_path(goldens_dir),
-    )
-
-
-def _diff_traffic_units(manifest_document, merged_dir, goldens_dir, report) -> None:
-    """Diff merged ``traffic`` units against the pinned traffic-mix golden.
-
-    Same contract as :func:`_diff_timing_units`: only the unit matching the
-    pinned workload and parameters is comparable, and absence is not an
-    error (the traffic experiment is optional in trimmed run specs).
-    """
-    from repro.analysis.traffic_report import (
-        TRAFFIC_GOLDEN_PARAMS,
-        TRAFFIC_GOLDEN_WORKLOAD,
-        traffic_golden_path,
-    )
-
-    _diff_pinned_units(
-        manifest_document,
-        merged_dir,
-        report,
-        experiment="traffic",
-        workload=TRAFFIC_GOLDEN_WORKLOAD,
-        pinned_params=TRAFFIC_GOLDEN_PARAMS,
-        pinned_path=traffic_golden_path(goldens_dir),
-    )
-
-
-def _diff_pinned_units(
-    manifest_document,
-    merged_dir,
-    report,
-    experiment: str,
-    workload: str,
-    pinned_params: dict,
-    pinned_path: str,
-) -> None:
-    """Diff every merged unit matching one pinned (experiment, workload,
-    params) triple against its golden file, accumulating under the report
-    key ``"<experiment>:<workload>"``."""
-    pinned_params = json.loads(json.dumps(pinned_params))
-    units = [
-        unit
-        for unit in manifest_document["units"]
-        if unit["experiment"] == experiment
-        and unit["workload"] == workload
-        and unit["params"] == pinned_params
-    ]
-    if not units:
-        return
-    key = f"{experiment}:{workload}"
-    problems = report.setdefault(key, [])
-    for unit in units:
-        artifact_path = os.path.join(merged_dir, UNITS_DIRNAME, unit["unit_id"] + ".json")
-        if not os.path.exists(artifact_path):
-            problems.append(f"{experiment} unit {unit['unit_id']} was never computed")
-            continue
-        if not os.path.exists(pinned_path):
-            problems.append(f"no pinned {experiment} golden at {pinned_path}")
-            continue
-        try:
-            with open(artifact_path) as handle:
-                actual = json.load(handle)["payload"]
-        except (ValueError, KeyError) as error:
-            problems.append(f"artifact {unit['unit_id']}.json is unreadable: {error!r}")
-            continue
-        try:
-            with open(pinned_path) as handle:
-                expected = json.load(handle)
-        except ValueError as error:
-            problems.append(f"pinned file {pinned_path} is not valid JSON: {error}")
-            continue
-        problems.extend(diff_goldens(expected, actual))
 
 
 # ------------------------------------------------------------------- summary

@@ -405,7 +405,11 @@ class Runner:
         units = self.manifest.shard(index, count)
         write_manifest(self.manifest, self.out_dir)
         write_run_metadata(
-            self.out_dir, self.manifest.spec.as_dict(), shard, self.workers
+            self.out_dir,
+            self.manifest.spec.as_dict(),
+            shard,
+            self.workers,
+            extra={"cache_store": self.cache_store},
         )
         report = RunReport(shard=(index, count), units_total=len(units))
         executor = UnitExecutor(

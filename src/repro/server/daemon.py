@@ -437,7 +437,7 @@ class SearchDaemon:
         metadata = load_run_metadata(out_dir)
         manifest = RunManifest.from_spec(ManifestSpec.from_dict(metadata["spec"]))
         workers = int(document.get("workers", metadata.get("workers", 1)))
-        cache_store = document.get("cache_store", "sqlite")
+        cache_store = document.get("cache_store", metadata.get("cache_store", "sqlite"))
         runner = Runner(manifest, out_dir, workers=workers, cache_store=cache_store)
         shard = tuple(metadata["shard"])
         await self._stream_runner(

@@ -59,3 +59,44 @@ def impl1():
 def capacity_66k():
     """66.5 KB of effective on-chip memory, in 16-bit words."""
     return int(66.5 * 1024) // 2
+
+
+@pytest.fixture(scope="session")
+def pin_payload():
+    """``pin_payload(pin, backend="auto")``: a pinned payload, computed once.
+
+    The golden tests of every family (write, replay, tamper) share one
+    computation per pin and backend, and one engine per backend, for the
+    whole session.
+    """
+    from repro.analysis.goldens import compute_pin
+    from repro.engine import SearchEngine, resolve_backend
+
+    engines, payloads = {}, {}
+
+    def payload(pin, backend="auto"):
+        backend = resolve_backend(backend)
+        key = (pin.experiment, pin.workload, pin.filename, backend)
+        if key not in payloads:
+            engine = engines.setdefault(backend, SearchEngine(backend=backend))
+            payloads[key] = compute_pin(pin, engine=engine)
+        return payloads[key]
+
+    return payload
+
+
+@pytest.fixture
+def restrict_pins(monkeypatch):
+    """``restrict_pins(*pins)``: make the registry declare only ``pins``.
+
+    Tests of the CLI and merge paths pin the cheap ``tiny`` workload this
+    way instead of recomputing every real golden.
+    """
+    from repro.orchestration.experiments import experiment_names, get_experiment
+
+    def restrict(*pins):
+        for name in experiment_names():
+            declared = tuple(tuple(pin[1:]) for pin in pins if pin.experiment == name)
+            monkeypatch.setattr(get_experiment(name), "pins", declared)
+
+    return restrict

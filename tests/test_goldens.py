@@ -1,10 +1,13 @@
-"""Golden-value regression suite: the pinned figure numbers must not move.
+"""Golden-value regression suite: the pinned payloads must not move.
 
-Every JSON file under ``tests/goldens/`` pins the fig13 memory-sweep totals,
-the fig14 per-layer DRAM traffic and the Table III Eyeriss comparison for
-one workload.  Any engine/traffic-model change that shifts a figure fails
-here with the exact path of the moved value; if the shift is intentional,
-re-pin with ``python -m repro.cli goldens --write`` and review the JSON diff.
+Every JSON file under ``tests/goldens/`` is declared as a pin on its
+experiment's registry entry.  The ``goldens`` experiment pins the fig13
+memory-sweep totals, the fig14 per-layer DRAM traffic and the Table III
+Eyeriss comparison per CNN; the other pins hold the timing, traffic, LLM
+decode and DSE payloads.  Any engine/traffic-model change that shifts a
+pinned value fails here with the file and JSON path of the moved value; if
+the shift is intentional, re-pin with ``repro-experiments goldens --write``
+and review the JSON diff.
 """
 
 import json
@@ -14,39 +17,59 @@ import pytest
 
 from repro.analysis.goldens import (
     FIG13_CAPACITIES_KIB,
-    GOLDEN_WORKLOADS,
-    check_goldens,
-    compute_goldens,
+    Pin,
+    check_pins,
+    declared_pins,
     diff_goldens,
-    golden_path,
-    load_golden,
-    write_goldens,
+    diff_pin,
+    write_pin,
+    write_pins,
 )
 from repro.engine import SearchEngine
 
 GOLDENS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens")
 
-REGEN_HINT = "regenerate with `python -m repro.cli goldens --write`"
+REGEN_HINT = "regenerate with `repro-experiments goldens --write`"
+
+PINS = declared_pins()
+
+#: The ``goldens`` experiment's per-CNN bundles, by workload.
+BUNDLES = {pin.workload: pin for pin in PINS if pin.experiment == "goldens"}
+
+TINY_PIN = Pin("goldens", "tiny", {}, "tiny.json")
 
 
-@pytest.fixture(scope="module")
-def golden_engine():
-    """One engine for the whole suite so the three figures share searches."""
-    return SearchEngine()
+def load_pinned(pin: Pin) -> dict:
+    with open(os.path.join(GOLDENS_DIR, pin.filename)) as handle:
+        return json.load(handle)
+
+
+def first_number_path(value, path=()):
+    """Path to the first nonzero number in a payload (for the x2 tamper)."""
+    if isinstance(value, dict):
+        items = sorted(value.items())
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return path if is_number and value else None
+    for key, item in items:
+        found = first_number_path(item, path + (key,))
+        if found is not None:
+            return found
+    return None
 
 
 class TestGoldenFiles:
-    @pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
+    @pytest.mark.parametrize("workload", BUNDLES)
     def test_golden_file_exists(self, workload):
-        assert os.path.exists(golden_path(GOLDENS_DIR, workload)), (
+        assert os.path.exists(os.path.join(GOLDENS_DIR, BUNDLES[workload].filename)), (
             f"missing golden for {workload!r}; {REGEN_HINT}"
         )
 
-    @pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
-    def test_figures_match_pinned_values(self, workload, golden_engine):
-        expected = load_golden(GOLDENS_DIR, workload)
-        actual = compute_goldens(workload, engine=golden_engine)
-        problems = diff_goldens(expected, actual)
+    @pytest.mark.parametrize("workload", BUNDLES)
+    def test_figures_match_pinned_values(self, workload, pin_payload):
+        problems = diff_pin(GOLDENS_DIR, BUNDLES[workload], pin_payload(BUNDLES[workload]))
         assert not problems, (
             f"{workload}: {len(problems)} pinned figures moved "
             f"(first: {problems[0]}); if intentional, {REGEN_HINT}"
@@ -58,10 +81,10 @@ class TestGoldenFiles:
         assert 66.5 in FIG13_CAPACITIES_KIB
         assert 173.5 in FIG13_CAPACITIES_KIB
 
-    @pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
+    @pytest.mark.parametrize("workload", BUNDLES)
     def test_goldens_are_internally_consistent(self, workload):
         """Sanity relations of the pinned numbers themselves (no searches)."""
-        golden = load_golden(GOLDENS_DIR, workload)
+        golden = load_pinned(BUNDLES[workload])
         series = golden["fig13"]["series"]
         for index in range(len(golden["fig13"]["capacities_kib"])):
             bound = series["Lower bound"][index]
@@ -97,40 +120,75 @@ class TestGoldensAcrossBackends:
     module's default-engine tests above already cover the scalar fallback.
     """
 
-    @pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
-    def test_numpy_backend_reproduces_pinned_figures(self, workload):
+    @pytest.mark.parametrize("workload", BUNDLES)
+    def test_numpy_backend_reproduces_pinned_figures(self, workload, pin_payload):
         pytest.importorskip("numpy")
-        expected = load_golden(GOLDENS_DIR, workload)
-        actual = compute_goldens(workload, engine=SearchEngine(backend="numpy"))
-        problems = diff_goldens(expected, actual)
+        problems = diff_pin(GOLDENS_DIR, BUNDLES[workload], pin_payload(BUNDLES[workload], "numpy"))
         assert not problems, (
             f"{workload}: {len(problems)} pinned figures moved under the "
             f"numpy backend (first: {problems[0]})"
         )
 
 
+class TestEveryPin:
+    """The shared write/check path, over every pin the registry declares."""
+
+    def test_every_golden_file_is_declared(self):
+        assert sorted(pin.filename for pin in PINS) == sorted(os.listdir(GOLDENS_DIR))
+
+    @pytest.mark.parametrize("pin", PINS, ids=lambda pin: pin.filename)
+    def test_write_reproduces_the_pinned_bytes(self, pin, pin_payload, tmp_path):
+        # Byte identity implies the 1e-9 replay; the diff explains a failure.
+        payload = pin_payload(pin)
+        path = write_pin(str(tmp_path), pin, payload)
+        with open(path, "rb") as written, open(os.path.join(GOLDENS_DIR, pin.filename), "rb") as pinned:
+            assert written.read() == pinned.read(), diff_pin(GOLDENS_DIR, pin, payload)[:5]
+
+    @pytest.mark.parametrize("pin", PINS, ids=lambda pin: pin.filename)
+    def test_doubled_value_is_reported_with_its_file(self, pin, pin_payload, tmp_path):
+        golden = load_pinned(pin)
+        path = first_number_path(golden)
+        container = golden
+        for key in path[:-1]:
+            container = container[key]
+        container[path[-1]] *= 2  # well past the 1e-9 tolerance
+        (tmp_path / pin.filename).write_text(json.dumps(golden))
+        problems = diff_pin(str(tmp_path), pin, pin_payload(pin))
+        assert problems and all(problem.startswith(pin.filename) for problem in problems)
+
+    @pytest.mark.parametrize("pin", PINS, ids=lambda pin: pin.filename)
+    def test_missing_file_points_at_goldens_write(self, pin, tmp_path):
+        (problem,) = diff_pin(str(tmp_path), pin, {})
+        assert pin.filename in problem and "repro-experiments goldens --write" in problem
+
+
 class TestGoldenTooling:
     def test_write_and_check_roundtrip(self, tmp_path):
         engine = SearchEngine()
-        paths = write_goldens(str(tmp_path), workloads=("tiny",), engine=engine)
+        paths = write_pins(str(tmp_path), pins=[TINY_PIN], engine=engine)
         assert paths == [str(tmp_path / "tiny.json")]
-        report = check_goldens(str(tmp_path), workloads=("tiny",), engine=engine)
+        report = check_pins(str(tmp_path), pins=[TINY_PIN], engine=engine)
         assert report == {"tiny": []}
 
     def test_check_reports_missing_file(self, tmp_path):
-        report = check_goldens(str(tmp_path), workloads=("tiny",))
+        report = check_pins(str(tmp_path), pins=[TINY_PIN])
         assert len(report["tiny"]) == 1
         assert "missing" in report["tiny"][0]
 
     def test_check_flags_moved_value(self, tmp_path):
         engine = SearchEngine()
-        write_goldens(str(tmp_path), workloads=("tiny",), engine=engine)
+        write_pins(str(tmp_path), pins=[TINY_PIN], engine=engine)
         path = tmp_path / "tiny.json"
         payload = json.loads(path.read_text())
         payload["fig13"]["series"]["Ours"][0] *= 1.5
         path.write_text(json.dumps(payload))
-        report = check_goldens(str(tmp_path), workloads=("tiny",), engine=engine)
+        report = check_pins(str(tmp_path), pins=[TINY_PIN], engine=engine)
         assert any("Ours" in problem for problem in report["tiny"])
+
+    def test_corrupt_pinned_file_is_a_problem_not_a_crash(self, tmp_path):
+        (tmp_path / "tiny.json").write_text("{broken")
+        (problem,) = diff_pin(str(tmp_path), TINY_PIN, {})
+        assert "not valid JSON" in problem
 
     def test_diff_treats_nan_as_equal(self):
         assert diff_goldens({"a": float("nan")}, {"a": float("nan")}) == []

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from repro.analysis.goldens import write_goldens
+from repro.analysis.goldens import Pin, declared_pins, write_pins
 from repro.cli import main
 from repro.engine import CacheStats, shard_cache_filename
 from repro.orchestration.experiments import (
@@ -47,6 +47,11 @@ TINY_SPEC = dict(
     experiments=("fig13", "fig14", "fig16", "table4", "goldens"),
     params={"fig13": {"capacities_kib": [8, 16]}, "fig14": {"capacity_kib": 4}},
 )
+
+
+#: The goldens bundle of the tiny workload, pinned in place of the real CNN
+#: bundles so merge tests stay cheap.
+TINY_PIN = Pin("goldens", "tiny", {}, "tiny.json")
 
 
 def tiny_manifest() -> RunManifest:
@@ -362,9 +367,10 @@ class TestMerge:
 
 
 class TestGoldensDiff:
-    def test_merged_goldens_diff_clean_against_pinned_files(self, tmp_path):
+    def test_merged_goldens_diff_clean_against_pinned_files(self, tmp_path, restrict_pins):
         goldens_dir = str(tmp_path / "goldens")
-        write_goldens(goldens_dir, workloads=("tiny",))
+        restrict_pins(TINY_PIN)
+        write_pins(goldens_dir, pins=[TINY_PIN])
         out_dir = str(tmp_path / "run")
         manifest = RunManifest.from_spec(
             ManifestSpec(workloads=("tiny",), experiments=("goldens",))
@@ -377,10 +383,11 @@ class TestGoldensDiff:
         markdown = summary_markdown(report, diff)
         assert "| tiny |" in markdown and "✅" in markdown
 
-    def test_multi_backend_mismatch_is_never_masked(self, tmp_path):
+    def test_multi_backend_mismatch_is_never_masked(self, tmp_path, restrict_pins):
         pytest.importorskip("numpy")
         goldens_dir = str(tmp_path / "goldens")
-        write_goldens(goldens_dir, workloads=("tiny",))
+        restrict_pins(TINY_PIN)
+        write_pins(goldens_dir, pins=[TINY_PIN])
         out_dir = str(tmp_path / "run")
         manifest = RunManifest.from_spec(
             ManifestSpec(
@@ -417,9 +424,10 @@ class TestGoldensDiff:
         with pytest.raises(ValueError, match="no 'goldens' units"):
             diff_merged_goldens(merged_dir, str(tmp_path / "goldens"))
 
-    def test_merge_json_stdout_is_parseable_with_diff_goldens(self, tmp_path, capsys):
+    def test_merge_json_stdout_is_parseable_with_diff_goldens(self, tmp_path, capsys, restrict_pins):
         goldens_dir = str(tmp_path / "goldens")
-        write_goldens(goldens_dir, workloads=("tiny",))
+        restrict_pins(TINY_PIN)
+        write_pins(goldens_dir, pins=[TINY_PIN])
         out_dir = str(tmp_path / "run")
         manifest = RunManifest.from_spec(
             ManifestSpec(workloads=("tiny",), experiments=("goldens",))
@@ -433,7 +441,35 @@ class TestGoldensDiff:
         document = json.loads(capsys.readouterr().out)  # whole stdout is JSON
         assert document["goldens"] == {"tiny": []}
 
-    def test_missing_pin_is_reported(self, tmp_path):
+    def test_merge_diffs_a_dse_unit_matching_the_dse_pin(self, tmp_path, restrict_pins):
+        pytest.importorskip("numpy")
+        (dse_pin,) = [pin for pin in declared_pins() if pin.experiment == "dse"]
+        # The declared pin's params, on the tiny workload (a vgg16 run would
+        # also compute the expensive vgg16 goldens bundle).
+        tiny_dse_pin = dse_pin._replace(workload="tiny", filename="dse_tiny.json")
+        restrict_pins(TINY_PIN, tiny_dse_pin)
+        goldens_dir = str(tmp_path / "goldens")
+        write_pins(goldens_dir, pins=[TINY_PIN, tiny_dse_pin])
+        spec = ManifestSpec(
+            workloads=("tiny",), experiments=("goldens", "dse"), params={"dse": dse_pin.overrides}
+        )
+        out_dir = str(tmp_path / "run")
+        assert Runner(RunManifest.from_spec(spec), out_dir).run().complete
+        merged_dir = str(tmp_path / "merged")
+        merge_runs([out_dir], merged_dir)
+        assert diff_merged_goldens(merged_dir, goldens_dir) == {"tiny": [], "dse:tiny": []}
+
+        path = os.path.join(goldens_dir, "dse_tiny.json")
+        with open(path) as handle:
+            golden = json.load(handle)
+        golden["budget_kib"] *= 2
+        with open(path, "w") as handle:
+            json.dump(golden, handle)
+        problems = diff_merged_goldens(merged_dir, goldens_dir)["dse:tiny"]
+        assert problems == ["dse_tiny.json:$.budget_kib: 140.0 != pinned 280.0"]
+
+    def test_missing_pin_is_reported(self, tmp_path, restrict_pins):
+        restrict_pins(TINY_PIN)
         out_dir = str(tmp_path / "run")
         manifest = RunManifest.from_spec(
             ManifestSpec(workloads=("tiny",), experiments=("goldens",))
@@ -702,9 +738,10 @@ class TestMergeErrorPaths:
         assert report.engine_stats["python-old"]["misses"] == 0
         assert report.engine_stats["python-old"]["grid_evaluations"] == 0
 
-    def test_corrupt_goldens_artifact_is_a_diff_problem_not_a_crash(self, tmp_path):
+    def test_corrupt_goldens_artifact_is_a_diff_problem_not_a_crash(self, tmp_path, restrict_pins):
         goldens_dir = str(tmp_path / "goldens")
-        write_goldens(goldens_dir, workloads=("tiny",))
+        restrict_pins(TINY_PIN)
+        write_pins(goldens_dir, pins=[TINY_PIN])
         out_dir = str(tmp_path / "run")
         manifest = RunManifest.from_spec(
             ManifestSpec(workloads=("tiny",), experiments=("goldens",))
@@ -718,9 +755,10 @@ class TestMergeErrorPaths:
         diff = diff_merged_goldens(merged_dir, goldens_dir)
         assert any("is unreadable" in problem for problem in diff["tiny"])
 
-    def test_artifact_without_payload_is_a_diff_problem(self, tmp_path):
+    def test_artifact_without_payload_is_a_diff_problem(self, tmp_path, restrict_pins):
         goldens_dir = str(tmp_path / "goldens")
-        write_goldens(goldens_dir, workloads=("tiny",))
+        restrict_pins(TINY_PIN)
+        write_pins(goldens_dir, pins=[TINY_PIN])
         out_dir = str(tmp_path / "run")
         manifest = RunManifest.from_spec(
             ManifestSpec(workloads=("tiny",), experiments=("goldens",))
@@ -734,9 +772,10 @@ class TestMergeErrorPaths:
         diff = diff_merged_goldens(merged_dir, goldens_dir)
         assert any("is unreadable" in problem for problem in diff["tiny"])
 
-    def test_corrupt_pinned_golden_is_a_diff_problem(self, tmp_path):
+    def test_corrupt_pinned_golden_is_a_diff_problem(self, tmp_path, restrict_pins):
         goldens_dir = str(tmp_path / "goldens")
-        write_goldens(goldens_dir, workloads=("tiny",))
+        restrict_pins(TINY_PIN)
+        write_pins(goldens_dir, pins=[TINY_PIN])
         out_dir = str(tmp_path / "run")
         manifest = RunManifest.from_spec(
             ManifestSpec(workloads=("tiny",), experiments=("goldens",))
@@ -953,6 +992,76 @@ class TestTruncatedArtifacts:
         with open(unit_status_path(out_dir, unit_id), "w") as handle:
             handle.write("{not json")
         assert not Runner(manifest, out_dir).is_completed(unit_id)
+
+
+class TestRecordedCacheStore:
+    """Regression: ``fleet``'s ``set_defaults`` used to rewrite the shared
+    ``--cache-store`` action, so ``run`` silently defaulted to SQLite while
+    a static ``resume`` fell back to pickle and started cold next to the
+    orphaned SQLite cache."""
+
+    def test_every_spec_command_defaults_to_sqlite(self):
+        from repro.orchestration.cli import build_orchestration_parser
+
+        parser = build_orchestration_parser()
+        for command in ("run", "reproduce-all", "fleet"):
+            assert parser.parse_args([command]).cache_store == "sqlite"
+
+    @pytest.mark.parametrize("store, other", [("sqlite", ".pkl"), ("pickle", ".sqlite")])
+    def test_static_resume_reuses_the_recorded_store(self, tmp_path, capsys, store, other):
+        out_dir = str(tmp_path / "run")
+        assert main([
+            "run", "--out-dir", out_dir, "--workloads", "tiny",
+            "--experiments", "fig13", "fig14", "--capacities", "66.5",
+            "--cache-store", store, "--max-units", "1",
+        ]) == 0
+        with open(os.path.join(out_dir, "run.json")) as handle:
+            assert json.load(handle)["cache_store"] == store
+        capsys.readouterr()
+        assert main(["resume", "--out-dir", out_dir, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["units_completed"] == 1
+        # fig13 and fig14 share their 66.5 KB searches: the resumed unit
+        # starts from the first unit's cache instead of a cold one.
+        assert sum(stats["hits"] for stats in report["engine_stats"].values()) > 0
+        cache_files = os.listdir(os.path.join(out_dir, "cache"))
+        assert cache_files and not [name for name in cache_files if name.endswith(other)]
+
+    def test_resume_of_a_run_json_without_a_store_uses_sqlite(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "run")
+        assert main([
+            "run", "--out-dir", out_dir, "--workloads", "tiny",
+            "--experiments", "fig13", "fig14", "--capacities", "66.5", "--max-units", "1",
+        ]) == 0
+        path = os.path.join(out_dir, "run.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        del document["cache_store"]
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        capsys.readouterr()
+        assert main(["resume", "--out-dir", out_dir, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sum(stats["hits"] for stats in report["engine_stats"].values()) > 0
+        assert not [name for name in os.listdir(os.path.join(out_dir, "cache")) if name.endswith(".pkl")]
+
+    def test_resume_with_a_misspelled_param_key_exits_2(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "run")
+        assert main([
+            "run", "--out-dir", out_dir, "--workloads", "tiny",
+            "--experiments", "fig13", "--capacities", "16",
+        ]) == 0
+        path = os.path.join(out_dir, "run.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document["spec"]["params"] = {"fig13": {"capacites_kib": [16]}}
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        capsys.readouterr()
+        assert main(["resume", "--out-dir", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "capacites_kib" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestRunMetadataValidation:

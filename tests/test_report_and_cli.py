@@ -1,7 +1,10 @@
 """Tests for the text report helpers and the CLI."""
 
+import json
+
 import pytest
 
+from repro.analysis.goldens import Pin
 from repro.analysis.report import (
     format_dict_rows,
     format_energy_report,
@@ -219,25 +222,47 @@ class TestCliErrorPaths:
         assert "Traceback" not in err
 
 
-class TestCliGoldens:
-    def test_goldens_write_then_check(self, tmp_path, capsys, monkeypatch):
-        import repro.analysis.goldens as goldens_module
+TINY_PIN = Pin("goldens", "tiny", {}, "tiny.json")
 
-        monkeypatch.setattr(goldens_module, "GOLDEN_WORKLOADS", ("tiny",))
+
+class TestCliGoldens:
+    def test_goldens_write_then_check(self, tmp_path, capsys, restrict_pins):
+        restrict_pins(TINY_PIN)
         directory = str(tmp_path / "goldens")
         assert main(["goldens", "--write", "--goldens-dir", directory]) == 0
         assert "wrote" in capsys.readouterr().out
         assert main(["goldens", "--goldens-dir", directory]) == 0
         assert "goldens[tiny]: ok" in capsys.readouterr().out
 
-    def test_goldens_check_fails_on_missing_dir(self, tmp_path, capsys, monkeypatch):
-        import repro.analysis.goldens as goldens_module
-
-        monkeypatch.setattr(goldens_module, "GOLDEN_WORKLOADS", ("tiny",))
+    def test_goldens_check_fails_on_missing_dir(self, tmp_path, capsys, restrict_pins):
+        restrict_pins(TINY_PIN)
         assert main(["goldens", "--goldens-dir", str(tmp_path / "empty")]) == 1
         captured = capsys.readouterr()
         assert "missing" in captured.out
+        assert "repro-experiments goldens --write" in captured.out
         assert "goldens --write" in captured.err
+
+    def test_goldens_check_names_a_doubled_file(self, tmp_path, capsys, restrict_pins):
+        restrict_pins(TINY_PIN, Pin("timing", "tiny", {}, "timing_tiny.json"))
+        directory = tmp_path / "goldens"
+        assert main(["goldens", "--write", "--goldens-dir", str(directory)]) == 0
+        path = directory / "timing_tiny.json"
+        golden = json.loads(path.read_text())
+        golden["rows"][0]["total_cycles"] *= 2
+        path.write_text(json.dumps(golden))
+        capsys.readouterr()
+        assert main(["goldens", "--goldens-dir", str(directory)]) == 1
+        out = capsys.readouterr().out
+        assert "goldens[tiny]: ok" in out
+        assert "goldens[timing:tiny]: 1 mismatches" in out
+        assert "timing_tiny.json:$.rows[0].total_cycles" in out
+
+    @pytest.mark.parametrize("experiment", ["timing", "traffic", "fig13"])
+    def test_write_needs_the_goldens_subcommand(self, experiment, capsys):
+        assert main([experiment, "--write"]) == 2
+        err = capsys.readouterr().err
+        assert "use it with 'goldens'" in err
+        assert "Traceback" not in err
 
 
 class TestCliTiming:

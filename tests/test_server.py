@@ -307,6 +307,20 @@ class TestDaemon:
         assert events[-1]["report"]["units_skipped"] >= 1
         assert any(event.get("state") == "skipped" for event in events)
 
+    def test_misspelled_param_key_is_rejected(self, daemon):
+        with SearchClient(port=daemon.port) as client:
+            with pytest.raises(ServerError) as error:
+                list(
+                    client.run_experiments(
+                        ["fig13"],
+                        out_dir="typo-run",
+                        workloads=["tiny"],
+                        params={"fig13": {"capacites_kib": [16]}},
+                    )
+                )
+        assert error.value.status == 400
+        assert "capacites_kib" in error.value.message
+
     def test_out_dir_escape_is_rejected(self, daemon):
         with SearchClient(port=daemon.port) as client:
             with pytest.raises(ServerError) as error:

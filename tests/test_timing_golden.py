@@ -3,11 +3,12 @@
 ``tests/goldens/timing_vgg16.json`` pins the default 3-point bandwidth
 sweep (3.2 / 6.4 / 12.8 GB/s, all five Table I implementations, VGG-16):
 every per-buffer stall count, utilization, achieved bandwidth and power
-number, at 1e-9 relative tolerance.  Any change that moves a timing number
+number, at 1e-9 relative tolerance.  The pin is declared on the ``timing``
+experiment's registry entry.  Any change that moves a timing number
 becomes a visible diff; after an *intentional* model change regenerate
 with::
 
-    PYTHONPATH=src python -m repro.cli timing --write
+    repro-experiments goldens --write
 
 and review the JSON diff like any other code change.  The integer cycle
 fields are compared exactly (``diff_goldens`` only tolerates float noise),
@@ -22,41 +23,40 @@ import os
 
 import pytest
 
-from repro.analysis.goldens import diff_goldens
+from repro.analysis.goldens import declared_pins, diff_pin, pin_params, write_pin
 from repro.analysis.timing_report import (
     DEFAULT_BANDWIDTHS_GBPS,
-    TIMING_GOLDEN_PARAMS,
-    TIMING_GOLDEN_WORKLOAD,
     bandwidth_utilization_sweep,
-    compute_timing_golden,
-    timing_golden_path,
-    write_timing_golden,
 )
 from repro.arch.config import PAPER_IMPLEMENTATIONS
 
+GOLDENS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens")
+
+(TIMING_PIN,) = [pin for pin in declared_pins() if pin.experiment == "timing"]
+
+PINNED_PATH = os.path.join(GOLDENS_DIR, TIMING_PIN.filename)
+
 
 def test_pinned_file_exists():
-    assert os.path.exists(timing_golden_path()), (
-        "regenerate with: PYTHONPATH=src python -m repro.cli timing --write"
+    assert os.path.exists(PINNED_PATH), (
+        "regenerate with: repro-experiments goldens --write"
     )
 
 
-def test_timing_sweep_matches_pinned_golden():
-    with open(timing_golden_path()) as handle:
-        expected = json.load(handle)
-    actual = compute_timing_golden()
-    problems = diff_goldens(expected, actual)
+def test_timing_sweep_matches_pinned_golden(pin_payload):
+    problems = diff_pin(GOLDENS_DIR, TIMING_PIN, pin_payload(TIMING_PIN))
     assert problems == [], "\n".join(problems[:20])
 
 
 def test_golden_parameters_pin_the_paper_neighbourhood():
     """The pinned sweep must keep bracketing the paper's 6.4 GB/s interface
     and covering every Table I implementation."""
-    assert TIMING_GOLDEN_PARAMS["bandwidths_gbps"] == list(DEFAULT_BANDWIDTHS_GBPS)
-    assert 6.4 in TIMING_GOLDEN_PARAMS["bandwidths_gbps"]
-    assert TIMING_GOLDEN_PARAMS["implementations"] is None
-    assert TIMING_GOLDEN_WORKLOAD == "vgg16"
-    with open(timing_golden_path()) as handle:
+    params = pin_params(TIMING_PIN)
+    assert params["bandwidths_gbps"] == list(DEFAULT_BANDWIDTHS_GBPS)
+    assert 6.4 in params["bandwidths_gbps"]
+    assert params["implementations"] is None
+    assert TIMING_PIN.workload == "vgg16"
+    with open(PINNED_PATH) as handle:
         pinned = json.load(handle)
     assert pinned["implementations"] == [
         config.name for config in PAPER_IMPLEMENTATIONS
@@ -66,11 +66,10 @@ def test_golden_parameters_pin_the_paper_neighbourhood():
     )
 
 
-def test_write_golden_round_trips(tmp_path):
-    path = write_timing_golden(str(tmp_path / "timing_vgg16.json"))
-    with open(path) as handle:
-        written = json.load(handle)
-    assert diff_goldens(written, compute_timing_golden()) == []
+def test_write_golden_round_trips(tmp_path, pin_payload):
+    path = write_pin(str(tmp_path), TIMING_PIN, pin_payload(TIMING_PIN))
+    with open(path) as written, open(PINNED_PATH) as pinned:
+        assert written.read() == pinned.read()
 
 
 def test_sweep_rejects_nonpositive_bandwidths():

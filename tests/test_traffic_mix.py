@@ -3,7 +3,8 @@
 The trace generator must be a pure function of its spec (integer-only
 sampling, fixed draw order), the aggregation must conserve work (every
 decode token of every request lands in exactly one bucketed batch), and the
-pinned traffic/llm goldens must replay bit-for-bit through the nightly
+pinned traffic/llm goldens (declared on the ``traffic`` and ``llm_decode``
+registry entries) must replay bit-for-bit through the nightly
 ``merge --diff-goldens`` path.
 """
 
@@ -16,16 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.goldens import diff_goldens, sanitize_payload
-from repro.analysis.traffic_report import (
-    TRAFFIC_GOLDEN_PARAMS,
-    TRAFFIC_GOLDEN_WORKLOAD,
-    compute_llm_golden,
-    compute_traffic_golden,
-    llm_golden_path,
-    traffic_golden_path,
-    write_llm_golden,
-    write_traffic_golden,
+from repro.analysis.goldens import (
+    Pin,
+    compute_pin,
+    declared_pins,
+    diff_pin,
+    pin_params,
+    sanitize_payload,
+    write_pin,
+    write_pins,
 )
 from repro.core.layer import total_macs
 from repro.orchestration.experiments import PAPER_EXPERIMENTS
@@ -181,41 +181,38 @@ class TestValidation:
             tiny_mix(arrival_rate_per_s=0.0)
 
 
+GOLDENS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens")
+
+(TRAFFIC_PIN,) = [pin for pin in declared_pins() if pin.experiment == "traffic"]
+(LLM_PIN,) = [pin for pin in declared_pins() if pin.experiment == "llm_decode"]
+
+
 class TestPinnedGoldens:
     """The two pinned serving goldens replay bit-for-bit on the numpy backend."""
 
     def test_pinned_files_exist(self):
-        for path in (traffic_golden_path(), llm_golden_path()):
+        for pin in (TRAFFIC_PIN, LLM_PIN):
+            path = os.path.join(GOLDENS_DIR, pin.filename)
             assert os.path.exists(path), (
-                f"missing {path}; regenerate with: repro-experiments traffic --write"
+                f"missing {path}; regenerate with: repro-experiments goldens --write"
             )
 
-    def test_traffic_golden_replays(self):
+    def test_traffic_golden_replays(self, pin_payload):
         pytest.importorskip("numpy")
-        from repro.engine import SearchEngine
-
-        with open(traffic_golden_path()) as handle:
-            expected = json.load(handle)
-        actual = compute_traffic_golden(engine=SearchEngine(backend="numpy"))
-        problems = diff_goldens(expected, actual)
+        problems = diff_pin(GOLDENS_DIR, TRAFFIC_PIN, pin_payload(TRAFFIC_PIN, "numpy"))
         assert problems == [], "\n".join(problems[:20])
 
-    def test_llm_golden_replays(self):
+    def test_llm_golden_replays(self, pin_payload):
         pytest.importorskip("numpy")
-        from repro.engine import SearchEngine
-
-        with open(llm_golden_path()) as handle:
-            expected = json.load(handle)
-        actual = compute_llm_golden(engine=SearchEngine(backend="numpy"))
-        problems = diff_goldens(expected, actual)
+        problems = diff_pin(GOLDENS_DIR, LLM_PIN, pin_payload(LLM_PIN, "numpy"))
         assert problems == [], "\n".join(problems[:20])
 
-    def test_backends_agree_byte_for_byte(self):
+    def test_backends_agree_byte_for_byte(self, pin_payload):
         pytest.importorskip("numpy")
         from repro.engine import SearchEngine
 
-        scalar = compute_traffic_golden(engine=SearchEngine(backend="python"))
-        vectorized = compute_traffic_golden(engine=SearchEngine(backend="numpy"))
+        scalar = compute_pin(TRAFFIC_PIN, engine=SearchEngine(backend="python"))
+        vectorized = pin_payload(TRAFFIC_PIN, "numpy")
         assert canonical_json(sanitize_payload(scalar)) == canonical_json(
             sanitize_payload(vectorized)
         )
@@ -231,22 +228,24 @@ class TestOrchestration:
         )
         assert len(manifest.units) == 1
         unit = manifest.units[0]
-        assert unit.workload == TRAFFIC_GOLDEN_WORKLOAD
-        assert unit.params == json.loads(canonical_json(TRAFFIC_GOLDEN_PARAMS))
+        assert unit.workload == TRAFFIC_PIN.workload
+        assert unit.params == pin_params(TRAFFIC_PIN)
 
-    def test_merge_diffs_the_traffic_unit_against_the_pinned_golden(self, tmp_path):
+    def test_merge_diffs_the_traffic_unit_against_the_pinned_golden(
+        self, tmp_path, pin_payload, restrict_pins
+    ):
         pytest.importorskip("numpy")
         from repro.orchestration.merge import diff_merged_goldens, merge_runs
         from repro.orchestration.runner import Runner
 
-        from repro.analysis.goldens import write_goldens
-
-        # diff_merged_goldens refuses a run with no 'goldens' units (a
+        # diff_merged_goldens refuses a run with no pinned 'goldens' units (a
         # vacuous pass must not read as verified), so ride along on the
         # cheap tiny workload.
+        tiny_pin = Pin("goldens", "tiny", {}, "tiny.json")
+        restrict_pins(tiny_pin, TRAFFIC_PIN)
         goldens_dir = str(tmp_path / "goldens")
-        write_goldens(goldens_dir, workloads=("tiny",))
-        write_traffic_golden(traffic_golden_path(goldens_dir))
+        write_pins(goldens_dir, pins=[tiny_pin])
+        traffic_path = write_pin(goldens_dir, TRAFFIC_PIN, pin_payload(TRAFFIC_PIN, "numpy"))
         manifest = RunManifest.from_spec(
             ManifestSpec(
                 workloads=("tiny",),
@@ -258,22 +257,22 @@ class TestOrchestration:
         assert Runner(manifest, out_dir).run().complete
         merged_dir = str(tmp_path / "merged")
         merge_runs([out_dir], merged_dir)
-        key = f"traffic:{TRAFFIC_GOLDEN_WORKLOAD}"
+        key = f"traffic:{TRAFFIC_PIN.workload}"
         diff = diff_merged_goldens(merged_dir, goldens_dir)
-        assert diff[key] == []
+        assert diff == {"tiny": [], key: []}
 
-        # A drifted pinned value must surface as a diff problem.
-        with open(traffic_golden_path(goldens_dir)) as handle:
+        # A drifted pinned value must surface as a diff problem naming its file.
+        with open(traffic_path) as handle:
             golden = json.load(handle)
         golden["macs"] = golden["macs"] * 2  # well past the 1e-9 tolerance
-        with open(traffic_golden_path(goldens_dir), "w") as handle:
+        with open(traffic_path, "w") as handle:
             json.dump(golden, handle)
         diff = diff_merged_goldens(merged_dir, goldens_dir)
-        assert diff[key] != []
+        assert diff[key] and all(TRAFFIC_PIN.filename in problem for problem in diff[key])
 
-    def test_write_goldens_round_trip(self, tmp_path):
+    def test_write_goldens_round_trip(self, tmp_path, pin_payload):
         pytest.importorskip("numpy")
-        path = write_llm_golden(str(tmp_path / "llm.json"))
+        path = write_pin(str(tmp_path), LLM_PIN, pin_payload(LLM_PIN, "numpy"))
         with open(path) as handle:
             written = json.load(handle)
         assert written["format"] == "repro-llm-decode-v1"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Documentation checks: dead relative links and undocumented subcommands.
+"""Documentation checks: dead relative links, undocumented subcommands and flags.
 
 Run by CI's docs job (and runnable locally)::
 
@@ -13,9 +13,11 @@ Two checks, both against the working tree:
    existence check). Docs that rot into 404s are worse than no docs.
 2. **CLI coverage.** Every user-facing ``repro-experiments`` subcommand --
    the flat experiment choices (derived live from the experiment
-   registry), the orchestration commands and ``serve`` -- must be
-   mentioned in at least one checked document. A subcommand nobody can
-   discover might as well not exist; adding one means documenting it.
+   registry), the orchestration commands and ``serve`` -- and every
+   experiment flag (read from the registry's ``Param`` declarations) must
+   be mentioned in at least one checked document. A subcommand or flag
+   nobody can discover might as well not exist; adding one means
+   documenting it.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
@@ -72,7 +74,14 @@ def documented_subcommands() -> set:
     )
 
 
-def check_subcommand_coverage(paths: list) -> list:
+def documented_flags() -> set:
+    """Every experiment flag, read from the registry's Param declarations."""
+    from repro.orchestration.experiments import experiment_names, get_experiment
+
+    return {param.flag for name in experiment_names() for param in get_experiment(name).params}
+
+
+def check_cli_coverage(paths: list) -> list:
     corpus = ""
     for path in paths:
         with open(path) as handle:
@@ -84,17 +93,24 @@ def check_subcommand_coverage(paths: list) -> list:
                 f"subcommand {command!r} is not mentioned in any checked document "
                 "(README.md, EXPERIMENTS.md, docs/)"
             )
+    for flag in sorted(documented_flags()):
+        # Whole-flag match: '--capacity' must not pass on '--capacities'.
+        if not re.search(re.escape(flag) + r"(?![\w-])", corpus):
+            problems.append(
+                f"flag {flag!r} is not mentioned in any checked document "
+                "(README.md, EXPERIMENTS.md, docs/)"
+            )
     return problems
 
 
 def main() -> int:
     paths = documentation_files()
-    problems = check_links(paths) + check_subcommand_coverage(paths)
+    problems = check_links(paths) + check_cli_coverage(paths)
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     if problems:
         return 1
-    print(f"docs check: {len(paths)} files, all links live, all subcommands covered")
+    print(f"docs check: {len(paths)} files, all links live, all subcommands and flags covered")
     return 0
 
 
