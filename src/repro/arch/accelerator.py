@@ -12,14 +12,16 @@ quantity the paper reports is a sum over tiles; the functional simulator
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.arch.config import AcceleratorConfig
-from repro.arch.mapping import BlockShape, IterationCost, PEMapping, iteration_cost, map_block
+from repro.arch.mapping import BlockShape, IterationCost, PEMapping, iteration_cost, map_block, map_block_grid
 from repro.core.layer import ConvLayer, ceil_div
-from repro.core.optimal_dataflow import choose_tiling, dataflow_traffic
+from repro.core.optimal_dataflow import choose_tiling, choose_tiling_grid, dataflow_traffic, exact_traffic_grid
 from repro.core.tiling import Tiling
 from repro.core.traffic import BYTES_PER_WORD, TrafficBreakdown
+from repro.engine.cache import layer_signature, signature_layer
 
 
 @dataclass(frozen=True)
@@ -137,14 +139,27 @@ class AcceleratorModel:
         (``z`` words) the WGBuf.  Candidate tilings are aligned to the PE
         array where possible (``z`` a multiple of the column count, the
         spatial tile divisible by the row grid) so edge waste stays small,
-        exactly as the paper's implementations do; among the candidates the
-        one with the least DRAM traffic wins, ties broken by PE waste.
-        """
-        cache_key = (self.config, layer)
-        cached = _TILING_CACHE.get(cache_key)
-        if cached is not None:
-            return cached
+        exactly as the paper's implementations do.  Selection takes two
+        passes: every candidate within 2% of the least DRAM traffic is kept,
+        and among those the one that wastes the least PE work wins (ties to
+        the smaller traffic, then to the earlier candidate).
 
+        The choice depends only on the configuration and the layer's shape,
+        so it is memoized per ``(config, layer_signature(layer))`` in the
+        bounded :func:`shape_tiling` memo, and computed by
+        :meth:`_choose_tiling_grid` when NumPy is importable, by the scalar
+        reference :meth:`_choose_tiling_scalar` otherwise.
+        """
+        tiling = shape_tiling(self.config, layer_signature(layer))
+        if tiling is None:
+            raise ValueError(
+                f"{self.config.name}: no tiling of layer {layer.name!r} fits the "
+                "on-chip memories"
+            )
+        return tiling
+
+    def _choose_tiling_scalar(self, layer: ConvLayer):
+        """The tiling choice as a candidate loop; ``None`` when nothing fits."""
         candidates = []
         for tiling in self._candidate_tilings(layer):
             tiling = tiling.clip(layer)
@@ -153,10 +168,7 @@ class AcceleratorModel:
             traffic = dataflow_traffic(layer, tiling).total
             candidates.append((traffic, tiling))
         if not candidates:
-            raise ValueError(
-                f"{self.config.name}: no tiling of layer {layer.name!r} fits the "
-                "on-chip memories"
-            )
+            return None
         # Two-pass selection: among the tilings within 2% of the minimum DRAM
         # traffic, keep the one that wastes the least PE work and LReg space
         # (the implementations trade a hair of traffic for full PE rows).
@@ -166,12 +178,96 @@ class AcceleratorModel:
             for traffic, tiling in candidates
             if traffic <= 1.02 * min_traffic
         ]
-        best = min(
+        return min(
             near_optimal,
             key=lambda item: (self._waste(layer, item[1]), item[0]),
         )[1]
-        _TILING_CACHE[cache_key] = best
-        return best
+
+    def _choose_tiling_grid(self, layer: ConvLayer):
+        """NumPy form of :meth:`_choose_tiling_scalar`, bit-identical to it.
+
+        The candidates are the scalar ones in emission order (duplicates
+        kept: a repeat ties with its first occurrence, which wins).  The
+        free-split seed comes from ``choose_tiling_grid``; the capacity
+        checks of :meth:`_fits` (with :func:`~repro.arch.mapping.
+        map_block_grid` for the per-PE LReg check), the exact Eq. (14)
+        totals and the waste of :meth:`_waste` are arrays over the
+        candidates, and the two-pass selection compares them exactly as the
+        scalar loop does.
+        """
+        from repro.dataflows.grid import lexicographic_argmin, require_numpy
+
+        np = require_numpy()
+        config = self.config
+        seed = choose_tiling_grid(
+            layer,
+            config.effective_on_chip_words,
+            psum_words=config.psum_words,
+            input_buffer_words=config.igbuf_words,
+            weight_buffer_words=config.wgbuf_words,
+        ).tiling.clip(layer)
+        b, z, y, x = (
+            np.concatenate(([seed_size], sizes))
+            for seed_size, sizes in zip((seed.b, seed.z, seed.y, seed.x), self._aligned_candidate_arrays(layer))
+        )
+
+        rows = (y - 1) * layer.stride + layer.kernel_height
+        cols = (x - 1) * layer.stride + layer.kernel_width
+        outputs = b * z * y * x
+        psums_per_pe, used_pes = map_block_grid(layer, b, z, y, x, config)
+        fits = (
+            (outputs <= config.psum_words)
+            & (b * rows * cols <= config.igbuf_words)
+            & (z <= config.wgbuf_words)
+            & (psums_per_pe <= config.lreg_words_per_pe)
+        )
+        if not fits.any():
+            return None
+        _, _, totals = exact_traffic_grid(layer, b, z, y, x)
+        near_optimal = fits & (totals <= 1.02 * totals[fits].min())
+        waste = (used_pes * psums_per_pe) / outputs - 1.0
+        best = int(lexicographic_argmin((waste, totals), mask=near_optimal))
+        return Tiling(b=int(b[best]), z=int(z[best]), y=int(y[best]), x=int(x[best]), k=1)
+
+    def _aligned_candidate_arrays(self, layer: ConvLayer) -> tuple:
+        """The PE-aligned candidates of :meth:`_candidate_tilings` as arrays.
+
+        Returns clipped ``(b, z, y, x)`` ``int64`` arrays in emission order.
+        Per ``zs`` the scalar generator emits one run of whole-plane batch
+        tilings and then one run of spatial tilings per array partition
+        grid; the runs are laid out with their lengths and each element's
+        position within its run is its ``b`` (batch run) or ``ys``.
+        """
+        from repro.dataflows.grid import ceil_div as grid_ceil_div, require_numpy
+
+        np = require_numpy()
+        config = self.config
+        height, width = layer.out_height, layer.out_width
+        lreg = config.lreg_words_per_pe
+        zs = np.arange(1, min(ceil_div(layer.out_channels, config.pe_cols), lreg) + 1)
+        z = np.minimum(np.minimum(zs * config.pe_cols, layer.out_channels), config.wgbuf_words)
+        positions_cap = lreg // zs  # >= 1 because zs <= lreg
+        max_batch = np.minimum(
+            layer.batch, np.maximum(1, (config.pe_rows * positions_cap) // (height * width))
+        )
+        grid_rows = np.array(_divisors(config.pe_rows))
+        grid_cols = config.pe_rows // grid_rows
+        max_ys = np.minimum(grid_ceil_div(height, grid_rows), positions_cap[:, None])
+        lengths = np.concatenate((max_batch[:, None], max_ys), axis=1).ravel()
+        run = np.repeat(np.arange(lengths.size), lengths)
+        step = np.arange(run.size) - (np.cumsum(lengths) - lengths)[run] + 1
+        zs_index, grid = np.divmod(run, grid_rows.size + 1)
+        batch_run = grid == 0
+        # grid - 1 is -1 on batch runs; np.where discards those lanes.
+        run_rows, run_cols = grid_rows[grid - 1], grid_cols[grid - 1]
+        # xs >= 1 because ys <= positions_cap: the scalar `xs < 1` skip never fires.
+        xs = np.minimum(grid_ceil_div(width, run_cols), positions_cap[zs_index] // step)
+        return (
+            np.where(batch_run, step, 1),
+            z[zs_index],
+            np.where(batch_run, height, np.minimum(step * run_rows, height)),
+            np.where(batch_run, width, np.minimum(xs * run_cols, width)),
+        )
 
     def _candidate_tilings(self, layer: ConvLayer):
         """Candidate tilings: the free-split optimum plus PE-aligned variants.
@@ -405,9 +501,27 @@ class AcceleratorModel:
         }
 
 
-#: Cache of chosen tilings keyed by (configuration, layer); both are frozen
-#: dataclasses, so the cache is shared across AcceleratorModel instances.
-_TILING_CACHE: dict = {}
+#: Entries of the :func:`shape_tiling` memo: one per (configuration, layer
+#: shape), which a whole paper run or a long LLM trace stays well within.
+TILING_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=TILING_MEMO_SIZE)
+def shape_tiling(config: AcceleratorConfig, signature: tuple):
+    """:meth:`AcceleratorModel.choose_layer_tiling` of one layer shape.
+
+    ``signature`` is :func:`~repro.engine.cache.layer_signature` of the
+    layer, so layers that differ only in ``name`` or ``weight_kind`` share
+    one entry; ``None`` records that no tiling fits.  NumPy is looked up
+    here, at call time, so importing this module never loads it.
+    """
+    from repro.dataflows.grid import numpy_available
+
+    model = AcceleratorModel(config)
+    layer = signature_layer(signature)
+    if numpy_available():
+        return model._choose_tiling_grid(layer)
+    return model._choose_tiling_scalar(layer)
 
 
 def block_shapes(layer: ConvLayer, tiling: Tiling):

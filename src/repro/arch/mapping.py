@@ -140,6 +140,40 @@ def map_block(layer: ConvLayer, block: BlockShape, config: AcceleratorConfig) ->
     return best[1]
 
 
+def map_block_grid(layer: ConvLayer, b, z, y, x, config: AcceleratorConfig) -> tuple:
+    """:func:`map_block` of many blocks at once, as NumPy arrays.
+
+    ``b``, ``z``, ``y`` and ``x`` are ``int64`` arrays of block sizes.  Every
+    factor triple is scored for every block (a blocks x triples array) and
+    each row keeps the first triple that minimises the scalar key
+    ``(not fits, halo, -used_rows, psums)``, so the choice is the scalar
+    loop's.  Returns ``(psums_per_pe, used_pes)`` of the chosen mappings.
+    """
+    from repro.dataflows.grid import ceil_div as grid_ceil_div, lexicographic_argmin, require_numpy
+
+    np = require_numpy()
+    grid_batch, grid_rows, grid_cols = np.array(list(_factor_triples(config.pe_rows))).T
+    b, y, x = b[:, None], y[:, None], x[:, None]
+    batch_per_pe = grid_ceil_div(b, np.minimum(grid_batch, b))
+    rows_per_pe = grid_ceil_div(y, np.minimum(grid_rows, y))
+    cols_per_pe = grid_ceil_div(x, np.minimum(grid_cols, x))
+    input_rows = (rows_per_pe - 1) * layer.stride + layer.kernel_height
+    input_cols = (cols_per_pe - 1) * layer.stride + layer.kernel_width
+    used_rows = (
+        grid_ceil_div(b, batch_per_pe)
+        * grid_ceil_div(y, rows_per_pe)
+        * grid_ceil_div(x, cols_per_pe)
+    )
+    psums = batch_per_pe * rows_per_pe * cols_per_pe * grid_ceil_div(z, config.pe_cols)[:, None]
+    halo_volume = used_rows * batch_per_pe * input_rows * input_cols
+    best = lexicographic_argmin(
+        (psums > config.lreg_words_per_pe, halo_volume, -used_rows, psums)
+    )[:, None]
+    psums_per_pe = np.take_along_axis(psums, best, axis=1)[:, 0]
+    used_pe_rows = np.minimum(np.take_along_axis(used_rows, best, axis=1)[:, 0], config.pe_rows)
+    return psums_per_pe, used_pe_rows * np.minimum(config.pe_cols, z)
+
+
 @dataclass(frozen=True)
 class IterationCost:
     """Access counts and cycles of one channel iteration of one block."""

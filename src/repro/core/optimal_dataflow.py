@@ -269,14 +269,7 @@ def choose_tiling_grid(
     The analytic seed and its :func:`_shrink_to_fit` repair stay scalar (they
     are O(1)); the expensive part -- evaluating the exact Eq. (14) traffic of
     every tiling in the refinement neighbourhood -- is done as array
-    arithmetic.  The nested-loop accumulation of :func:`_exact_traffic` is
-    separable over the four tiled dimensions, which gives the closed form
-
-    ``input_reads  = Ci * B * Nz * (D*Ho + (Hk-D)*Ny) * (D*Wo + (Wk-D)*Nx)``
-    ``weight_reads = Hk*Wk * Ci * Co * Nb * Ny * Nx``
-
-    with ``N* = ceil(extent / tile)`` -- exact integers, identical to summing
-    the boundary-clipped tiles one by one.  Ties follow the scalar rule: the
+    arithmetic by :func:`exact_traffic_grid`.  Ties follow the scalar rule: the
     seed wins, then the earliest neighbourhood candidate (``numpy.argmin``
     returns the first minimum, the scalar loop replaces only on strictly
     smaller totals).
@@ -325,11 +318,41 @@ def choose_tiling_grid(
         mask &= z <= weight_buffer_words
     mask[0] = True  # the seed is the incumbent regardless of feasibility
 
-    ceil = lambda extent, tile: -(-extent // tile)  # noqa: E731 - array ceil-div
-    num_b = ceil(layer.batch, b)
-    num_z = ceil(layer.out_channels, z)
-    num_y = ceil(layer.out_height, y)
-    num_x = ceil(layer.out_width, x)
+    input_f, weight_f, totals = exact_traffic_grid(layer, b, z, y, x)
+    best = int(np.argmin(np.where(mask, totals, np.inf)))
+    tiling = Tiling(b=int(b[best]), z=int(z[best]), y=int(y[best]), x=int(x[best]), k=1)
+    traffic = TrafficBreakdown(
+        input_reads=float(input_f[best]),
+        weight_reads=float(weight_f[best]),
+        output_reads=0.0,
+        output_writes=float(layer.num_outputs),
+    )
+    return TilingChoice(tiling, traffic)
+
+
+def exact_traffic_grid(layer: ConvLayer, b, z, y, x) -> tuple:
+    """:func:`_exact_traffic` of many ``k = 1`` tilings at once.
+
+    ``b``, ``z``, ``y`` and ``x`` are ``int64`` arrays of clipped tile sizes.
+    The nested-loop accumulation of :func:`_exact_traffic` is separable over
+    the four tiled dimensions, which gives the closed form
+
+    ``input_reads  = Ci * B * Nz * (D*Ho + (Hk-D)*Ny) * (D*Wo + (Wk-D)*Nx)``
+    ``weight_reads = Hk*Wk * Ci * Co * Nb * Ny * Nx``
+
+    with ``N* = ceil(extent / tile)`` -- exact integers, identical to summing
+    the boundary-clipped tiles one by one.  Returns ``(input_reads,
+    weight_reads, totals)`` as ``float64`` arrays, the totals summed in the
+    association order of :attr:`TrafficBreakdown.total`, so they compare
+    exactly like the scalar ``dataflow_traffic(layer, tiling).total``.
+    """
+    from repro.dataflows.grid import ceil_div as grid_ceil_div, require_numpy
+
+    np = require_numpy()
+    num_b = grid_ceil_div(layer.batch, b)
+    num_z = grid_ceil_div(layer.out_channels, z)
+    num_y = grid_ceil_div(layer.out_height, y)
+    num_x = grid_ceil_div(layer.out_width, x)
     stride, kh, kw = layer.stride, layer.kernel_height, layer.kernel_width
     input_reads = (
         layer.in_channels
@@ -339,19 +362,7 @@ def choose_tiling_grid(
         * (stride * layer.out_width + (kw - stride) * num_x)
     )
     weight_reads = kh * kw * layer.in_channels * layer.out_channels * num_b * num_y * num_x
-    output_writes = float(layer.num_outputs)
-
     input_f = input_reads.astype(np.float64)
     weight_f = weight_reads.astype(np.float64)
-    # Same association order as TrafficBreakdown.total.
-    totals = ((input_f + weight_f) + 0.0) + output_writes
-
-    best = int(np.argmin(np.where(mask, totals, np.inf)))
-    tiling = Tiling(b=int(b[best]), z=int(z[best]), y=int(y[best]), x=int(x[best]), k=1)
-    traffic = TrafficBreakdown(
-        input_reads=float(input_f[best]),
-        weight_reads=float(weight_f[best]),
-        output_reads=0.0,
-        output_writes=output_writes,
-    )
-    return TilingChoice(tiling, traffic)
+    totals = ((input_f + weight_f) + 0.0) + float(layer.num_outputs)
+    return input_f, weight_f, totals

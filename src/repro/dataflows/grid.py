@@ -91,6 +91,27 @@ def ceil_div(a, b):
     return -(-a // b)
 
 
+def lexicographic_argmin(keys, mask=None):
+    """Index of the first candidate minimising ``keys`` lexicographically.
+
+    ``keys`` are same-shape arrays compared along the last axis, most
+    significant first; candidates outside the boolean ``mask`` (which must
+    keep at least one per row) never win.  The result is what Python's
+    ``min(candidates, key=lambda c: (k0, k1, ...))`` returns: among exact
+    ties on every key the earliest candidate, since ``argmax`` of the
+    surviving mask is its first ``True``.
+    """
+    np = require_numpy()
+    for key in keys:
+        if mask is not None:
+            # Any value >= every survivor works as filler: `mask &` drops
+            # the filled positions again whatever they compare equal to.
+            key = np.where(mask, key, key.max())
+        hit = key == key.min(axis=-1, keepdims=True)
+        mask = hit if mask is None else mask & hit
+    return mask.argmax(axis=-1)
+
+
 def grid_search(dataflow, layer: ConvLayer, capacities) -> list:
     """Vectorized multi-capacity search over a dataflow's candidate grid.
 

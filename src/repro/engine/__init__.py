@@ -22,6 +22,7 @@ from repro.engine.cache import (
     migrate_cache,
     resolve_store,
     shard_cache_filename,
+    signature_layer,
     task_key,
     validate_shard,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "resolve_workers",
     "set_default_engine",
     "shard_cache_filename",
+    "signature_layer",
     "task_key",
     "validate_shard",
 ]

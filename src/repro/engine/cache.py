@@ -187,6 +187,15 @@ def layer_signature(layer: ConvLayer) -> tuple:
     )
 
 
+def signature_layer(signature: tuple) -> ConvLayer:
+    """An unnamed layer of the shape :func:`layer_signature` returned.
+
+    Shape-keyed memos that must compute from the key alone rebuild their
+    layer here, next to the signature's field order.
+    """
+    return ConvLayer("", *signature)
+
+
 def dataflow_signature(dataflow) -> tuple:
     """Identity of a dataflow: its figure name plus its constructor state.
 

@@ -28,11 +28,13 @@ see DESIGN.md section 4.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.core.layer import ConvLayer, ceil_div
 from repro.core.traffic import TrafficBreakdown, sum_traffic
 from repro.dataflows.base import candidate_extents
+from repro.engine.cache import layer_signature, signature_layer
 
 #: On-chip (post-compression, with zero gating) energy efficiency reported for
 #: Eyeriss on VGGNet-16, used for the direct numeric comparison in Section VI-D.
@@ -152,21 +154,68 @@ class EyerissModel:
     # ------------------------------------------------------------------ public
 
     def run_layer(self, layer: ConvLayer) -> EyerissLayerResult:
-        """Best-tile RS traffic for one layer (uncompressed)."""
+        """Best-tile RS traffic for one layer (uncompressed).
+
+        The best tile depends only on the configuration and the layer's
+        shape: it is memoized in the bounded :func:`shape_best_tile` memo and
+        relabelled with ``layer.name`` here.
+        """
+        best = shape_best_tile(self.config, layer_signature(layer))
+        if best is None:
+            raise ValueError(f"no RS tile of layer {layer.name!r} fits the Eyeriss GBuf")
+        tile, dram = best
+        return EyerissLayerResult(
+            layer_name=layer.name,
+            tile=dict(tile),
+            dram=dram,
+            gbuf_accesses=self._gbuf_accesses(layer, tile, dram),
+        )
+
+    def _best_tile_scalar(self, layer: ConvLayer):
+        """``(tile, dram)`` of the first least-traffic tile, or ``None``."""
         best = None
         for tile in self._tile_space(layer):
             dram = self._traffic(layer, tile)
             if best is None or dram.total < best[0]:
                 best = (dram.total, tile, dram)
-        if best is None:
-            raise ValueError(f"no RS tile of layer {layer.name!r} fits the Eyeriss GBuf")
-        _, tile, dram = best
-        return EyerissLayerResult(
-            layer_name=layer.name,
-            tile=tile,
-            dram=dram,
-            gbuf_accesses=self._gbuf_accesses(layer, tile, dram),
+        return None if best is None else best[1:]
+
+    def _best_tile_grid(self, layer: ConvLayer):
+        """NumPy form of :meth:`_best_tile_scalar`, bit-identical to it.
+
+        The ``(n, m, c, e)`` grid is an open mesh (``numpy.ix_``), so every
+        term is computed over the axes it depends on, and the C-order flat
+        index of a grid point is its position in the scalar loop order (the
+        order ``meshgrid_ravel`` would flatten it in).  The two capacity
+        checks of :meth:`_tile_space` become a mask and the totals are summed
+        like :attr:`TrafficBreakdown.total`, so ``argmin``'s first minimum is
+        the scalar loop's first strict one.
+        """
+        from repro.dataflows.grid import ceil_div as grid_ceil_div, require_numpy
+
+        np = require_numpy()
+        config = self.config
+        extents = (
+            candidate_extents(layer.batch),
+            candidate_extents(layer.out_channels, max_candidates=24),
+            candidate_extents(layer.in_channels, max_candidates=24),
+            candidate_extents(layer.out_height, max_candidates=24),
         )
+        n, m, c, e = np.ix_(*(np.asarray(values, dtype=np.int64) for values in extents))
+        strip_rows = (e - 1) * layer.stride + layer.kernel_height
+        fits = (m * c * layer.kernel_height * layer.kernel_width <= config.spad_weight_words_total) & (
+            n * c * strip_rows * layer.in_width + n * m * e * layer.out_width <= config.gbuf_data_words
+        )
+        if not fits.any():
+            return None
+        input_reads = (grid_ceil_div(layer.out_channels, m) * layer.num_inputs).astype(np.float64)
+        weight_reads = (
+            layer.num_weights * grid_ceil_div(layer.batch, n) * grid_ceil_div(layer.out_height, e)
+        ).astype(np.float64)
+        totals = ((input_reads + weight_reads) + 0.0) + float(layer.num_outputs)
+        best = np.unravel_index(int(np.argmin(np.where(fits, totals, np.inf))), fits.shape)
+        tile = {key: values[index] for key, values, index in zip("nmce", extents, best)}
+        return tile, self._traffic(layer, tile)
 
     def run_network(self, layers: list) -> list:
         """Per-layer results for a whole network."""
@@ -188,3 +237,26 @@ class EyerissModel:
                 )
             parts.append(dram)
         return sum_traffic(parts)
+
+
+#: Entries of the :func:`shape_best_tile` memo (one per layer shape).
+TILE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=TILE_MEMO_SIZE)
+def shape_best_tile(config: EyerissConfig, signature: tuple):
+    """Best RS ``(tile, dram)`` of one layer shape, or ``None`` when none fits.
+
+    ``signature`` is :func:`~repro.engine.cache.layer_signature` of the
+    layer, so layers that differ only in ``name`` or ``weight_kind`` share
+    one entry.  The tile is computed by :meth:`EyerissModel._best_tile_grid`
+    when NumPy is importable (looked up at call time, so importing this
+    module never loads it) and by the scalar loop otherwise.
+    """
+    from repro.dataflows.grid import numpy_available
+
+    model = EyerissModel(config)
+    layer = signature_layer(signature)
+    if numpy_available():
+        return model._best_tile_grid(layer)
+    return model._best_tile_scalar(layer)

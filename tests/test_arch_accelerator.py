@@ -1,8 +1,11 @@
 """Tests for repro.arch.accelerator (the tile-exact analytic simulator)."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
-from repro.arch.accelerator import AcceleratorModel
+from repro.arch.accelerator import AcceleratorModel, shape_tiling
 from repro.arch.config import PAPER_IMPLEMENTATIONS, paper_implementation
 from repro.core.layer import ConvLayer
 from repro.core.lower_bound import reg_lower_bound
@@ -41,6 +44,22 @@ class TestTilingChoice:
         first = impl1_model.choose_layer_tiling(small_conv)
         second = impl1_model.choose_layer_tiling(small_conv)
         assert first == second
+
+
+class TestShapeMemo:
+    def test_same_shape_shares_one_entry(self, impl1_model, small_conv):
+        renamed = replace(small_conv, name="renamed", weight_kind="kv_cache")
+        shape_tiling.cache_clear()
+        first = impl1_model.run_layer(small_conv)
+        second = impl1_model.run_layer(renamed)
+        info = shape_tiling.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert second.layer_name == "renamed"
+        assert second == replace(first, layer_name="renamed")
+
+    def test_memo_is_bounded(self):
+        maxsize = shape_tiling.cache_info().maxsize
+        assert maxsize is not None and math.isfinite(maxsize)
 
 
 class TestLayerRun:

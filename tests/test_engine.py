@@ -18,6 +18,7 @@ from repro.engine import (
     resolve_backend,
     resolve_workers,
     set_default_engine,
+    signature_layer,
     task_key,
 )
 
@@ -48,6 +49,13 @@ class TestSignatures:
     def test_layer_signature_distinguishes_shapes(self, layer):
         other = ConvLayer("l", 2, 32, 28, 28, 64, 3, 3, stride=2, padding=1)
         assert layer_signature(layer) != layer_signature(other)
+
+    def test_signature_layer_inverts_layer_signature(self, layer):
+        tagged = ConvLayer("kv", 2, 32, 28, 14, 64, 3, 1, stride=2, padding=1, weight_kind="kv_cache")
+        for original in (layer, tagged):
+            rebuilt = signature_layer(layer_signature(original))
+            assert layer_signature(rebuilt) == layer_signature(original)
+            assert (rebuilt.out_height, rebuilt.out_width) == (original.out_height, original.out_width)
 
     def test_dataflow_signature_includes_constructor_state(self):
         free = OptimalDataflow()

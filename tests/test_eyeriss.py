@@ -1,5 +1,8 @@
 """Tests for the Eyeriss row-stationary baseline model."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.core.layer import ConvLayer
@@ -9,6 +12,7 @@ from repro.eyeriss.model import (
     EYERISS_REPORTED_VGG16_DRAM_MB,
     EyerissModel,
     VGG16_INPUT_COMPRESSION,
+    shape_best_tile,
 )
 
 
@@ -56,6 +60,25 @@ class TestLayerModel:
     def test_run_network_length(self, model, vgg_layers):
         results = model.run_network(vgg_layers[:3])
         assert len(results) == 3
+
+
+class TestShapeMemo:
+    def test_same_shape_shares_one_entry(self, model, vgg_layer_mid):
+        renamed = replace(vgg_layer_mid, name="renamed", weight_kind="activation")
+        shape_best_tile.cache_clear()
+        first = model.run_layer(vgg_layer_mid)
+        second = model.run_layer(renamed)
+        info = shape_best_tile.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert second.layer_name == "renamed"
+        assert second == replace(first, layer_name="renamed")
+        # Each result owns its tile dict: editing one leaves the memo intact.
+        first.tile["n"] = 0
+        assert model.run_layer(renamed).tile == second.tile
+
+    def test_memo_is_bounded(self):
+        maxsize = shape_best_tile.cache_info().maxsize
+        assert maxsize is not None and math.isfinite(maxsize)
 
 
 class TestNetworkComparisons:

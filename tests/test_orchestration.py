@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -1108,3 +1111,48 @@ class TestRunMetadataValidation:
     def test_valid_recorded_shard_still_resumes(self, tmp_path, capsys):
         out_dir = self._run_tiny(tmp_path)
         assert main(["resume", "--out-dir", out_dir]) == 0
+
+
+class TestSetupPathImports:
+    """Setting up ``reproduce-all`` must not import NumPy.
+
+    The tile-exact model and the Eyeriss model pick their NumPy path at call
+    time; a module-level NumPy import anywhere on this path would show up in
+    every run's start-up time.  The steps are those a ``reproduce-all`` run
+    takes before its first unit: build the parser, load the experiment
+    registry, expand the default VGG-16 manifest and construct the
+    ``Runner``.  A fresh interpreter keeps this suite's own imports out.
+    """
+
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+
+        from repro.orchestration.cli import build_orchestration_parser
+        from repro.orchestration.experiments import load_experiments, resolve_experiment_name
+        from repro.orchestration.manifest import ManifestSpec, RunManifest
+        from repro.orchestration.runner import Runner
+
+        argv = ["reproduce-all", "--out-dir", sys.argv[1], "--workloads", "vgg16"]
+        args = build_orchestration_parser().parse_args(argv)
+        load_experiments()
+        experiments = list(dict.fromkeys(resolve_experiment_name(name) for name in args.experiments))
+        manifest = RunManifest.from_spec(
+            ManifestSpec(workloads=args.workloads, experiments=experiments, backends=args.backends)
+        )
+        Runner(manifest, args.out_dir, workers=args.workers, cache_store=args.cache_store)
+        print(len(manifest.units), "numpy" in sys.modules)
+        """
+    )
+
+    def test_reproduce_all_setup_leaves_numpy_unloaded(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        units, numpy_loaded = completed.stdout.split()
+        assert int(units) == len(PAPER_EXPERIMENTS)
+        assert numpy_loaded == "False"

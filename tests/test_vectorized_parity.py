@@ -11,6 +11,9 @@ incumbent on a strictly smaller total.
 Hypothesis generates random layers and random capacity lists; every dataflow
 (the seven Fig. 12 baselines, the free-split ``Ours`` and a fixed-split
 ``Ours``) is checked result-for-result, including feasibility (``None``).
+The tile-exact accelerator model's tiling choice and the Eyeriss tile search
+are checked the same way against their scalar loops, on the paper's
+workloads and on random layers and configurations.
 """
 
 import pytest
@@ -21,10 +24,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.arch.accelerator import AcceleratorModel  # noqa: E402
+from repro.arch.config import PAPER_IMPLEMENTATIONS, AcceleratorConfig  # noqa: E402
 from repro.core.layer import ConvLayer  # noqa: E402
 from repro.dataflows.ours import OptimalDataflow  # noqa: E402
 from repro.dataflows.registry import ALL_DATAFLOWS  # noqa: E402
-from repro.engine import SearchEngine  # noqa: E402
+from repro.engine import SearchEngine, layer_signature  # noqa: E402
+from repro.eyeriss.model import EyerissConfig, EyerissModel  # noqa: E402
+from repro.workloads.registry import get_workload_spec  # noqa: E402
 
 #: The registry's dataflows plus a pinned-split "our accelerator" variant,
 #: which searches a differently-constrained space than the free-split one.
@@ -157,3 +164,98 @@ class TestEngineBackendParity:
         for name, values in scalar["series"].items():
             for left, right in zip(values, vectorized["series"][name]):
                 assert (math.isnan(left) and math.isnan(right)) or left == right
+
+
+def unique_shapes(*workloads) -> list:
+    """One layer per distinct shape of the named workloads."""
+    shapes = {}
+    for name in workloads:
+        for layer in get_workload_spec(name):
+            shapes.setdefault(layer_signature(layer), layer)
+    return list(shapes.values())
+
+
+def outcome(choose, layer):
+    """``choose(layer)``, or the message of the ValueError it raised."""
+    try:
+        return choose(layer)
+    except ValueError as error:
+        return ("ValueError", str(error))
+
+
+@st.composite
+def accelerator_configs(draw):
+    """Random small splits; pe_rows 4..16 gives 6 to 18 factor triples."""
+    return AcceleratorConfig(
+        name="rand",
+        pe_rows=draw(st.sampled_from((4, 8, 12, 16))),
+        pe_cols=draw(st.sampled_from((4, 8, 16))),
+        lreg_words_per_pe=draw(st.integers(1, 64)),
+        igbuf_words=draw(st.integers(8, 2048)),
+        wgbuf_words=draw(st.integers(1, 512)),
+        greg_bytes=4096,
+    )
+
+
+@st.composite
+def eyeriss_configs(draw):
+    """Random GBuf and spad sizes, small enough that some layers never fit."""
+    return EyerissConfig(
+        gbuf_data_words=draw(st.integers(16, 60_000)),
+        spad_weight_words_per_pe=draw(st.integers(1, 224)),
+    )
+
+
+class TestTileModelParity:
+    """``_choose_tiling_grid`` returns the scalar loop's Tiling (or None)."""
+
+    @pytest.mark.parametrize("config", PAPER_IMPLEMENTATIONS, ids=lambda config: config.name)
+    def test_paper_shapes(self, config):
+        model = AcceleratorModel(config)
+        for layer in unique_shapes("tiny", "vgg16"):
+            grid = outcome(model._choose_tiling_grid, layer)
+            assert grid == outcome(model._choose_tiling_scalar, layer), (config.name, layer)
+            assert grid is not None
+
+    @pytest.mark.parametrize("config", PAPER_IMPLEMENTATIONS, ids=lambda config: config.name)
+    def test_traffic_window_edge(self, config):
+        """GoogLeNet's inception 5a/5b 3x3 convolutions have candidates
+        between 1.02x and 1.03x of the least traffic that waste less PE
+        work, so the exact 2% window decides their tiling."""
+        model = AcceleratorModel(config)
+        for in_channels, out_channels in ((160, 320), (192, 384)):
+            layer = ConvLayer("inception_5/3x3", 1, in_channels, 7, 7, out_channels, 3, 3, padding=1)
+            assert outcome(model._choose_tiling_grid, layer) == outcome(model._choose_tiling_scalar, layer)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layer=conv_layers(), config=accelerator_configs())
+    def test_random_layers_and_configs(self, layer, config):
+        model = AcceleratorModel(config)
+        assert outcome(model._choose_tiling_grid, layer) == outcome(model._choose_tiling_scalar, layer)
+
+    def test_infeasible_split_is_none_on_both(self):
+        # An 8-word IGBuf cannot stage one 3x3 input patch (9 words).
+        config = AcceleratorConfig("tight", 4, 4, 1, 8, 1, 4096)
+        layer = ConvLayer("big", 1, 4, 12, 12, 8, 3, 3)
+        model = AcceleratorModel(config)
+        assert model._choose_tiling_grid(layer) is None
+        assert model._choose_tiling_scalar(layer) is None
+        with pytest.raises(ValueError, match="'big'"):
+            model.choose_layer_tiling(layer)
+
+
+class TestEyerissParity:
+    """``_best_tile_grid`` returns the scalar loop's tile, in key order."""
+
+    def test_paper_shapes(self):
+        model = EyerissModel()
+        for layer in unique_shapes("tiny", "vgg16"):
+            grid = model._best_tile_grid(layer)
+            assert grid == model._best_tile_scalar(layer), layer
+            assert list(grid[0]) == ["n", "m", "c", "e"]
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layer=conv_layers(), config=eyeriss_configs())
+    def test_random_layers_and_configs(self, layer, config):
+        model = EyerissModel(config)
+        assert model._best_tile_grid(layer) == model._best_tile_scalar(layer)
