@@ -41,7 +41,6 @@ from repro.orchestration.experiments import (
     get_experiment,
     register_experiment,
 )
-from repro.workloads.registry import get_workload_spec
 
 #: Fig. 13 capacity subset: the sweep extremes plus the capacities that
 #: fig14 (66.5 KB) and table3 (173.5 KB) reuse from the engine cache.
@@ -168,12 +167,7 @@ def compute_pin(pin: Pin, engine=None) -> dict:
         engine = None
     elif engine is None:
         engine = get_default_engine()
-    context = ExperimentContext(
-        workload=pin.workload,
-        layers=get_workload_spec(pin.workload),
-        engine=engine,
-        params=pin_params(pin),
-    )
+    context = ExperimentContext(workload=pin.workload, engine=engine, params=pin_params(pin))
     return experiment.build(context)
 
 

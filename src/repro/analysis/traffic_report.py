@@ -31,14 +31,14 @@ from repro.core.lower_bound import practical_lower_bound
 from repro.core.traffic import classified_traffic
 from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow
 from repro.engine import get_default_engine
-from repro.engine.cache import layer_signature
 from repro.orchestration.experiments import Experiment, Param, register_experiment
-from repro.workloads.registry import get_workload_spec
+from repro.workloads.registry import parse_workload_spec
 from repro.workloads.traffic import (
     TrafficMixSpec,
     aggregate_trace,
     generate_trace,
     served_model,
+    sorted_shapes,
     trace_summary,
     weighted_unique_layers,
 )
@@ -54,26 +54,6 @@ DEFAULT_TRAFFIC_CAPACITIES_KIB = (16.0, 66.5, 173.5)
 #: a two-model fleet (dense Llama + MoE Mixtral) makes the Zipf popularity
 #: ranking meaningful out of the box.
 DEFAULT_EXTRA_MODELS = ("mixtral_decode:32",)
-
-
-def unique_weighted_shapes(layers: list) -> tuple:
-    """Dedupe a layer list by shape: ``(exemplars, multiplicities)``.
-
-    Ordered by signature, like
-    :func:`repro.workloads.traffic.weighted_unique_layers`, so downstream
-    weighted sums are order-deterministic.
-    """
-    by_signature = {}
-    for layer in layers:
-        signature = layer_signature(layer)
-        exemplar, weight = by_signature.get(signature, (layer, 0))
-        by_signature[signature] = (exemplar, weight + 1)
-    exemplars, weights = [], []
-    for signature in sorted(by_signature):
-        exemplar, weight = by_signature[signature]
-        exemplars.append(exemplar)
-        weights.append(weight)
-    return exemplars, weights
 
 
 def weighted_shape_search(layers, weights, capacities_kib, dataflows, engine) -> tuple:
@@ -289,16 +269,17 @@ def llm_decode_report(
     """Per-capacity traffic of one LLM workload with KV/weight attribution.
 
     The single-workload sibling of :func:`traffic_mix_report`: no trace, just
-    the workload's own layer list deduped by shape, searched under every
-    dataflow, with the found minimum's weight reads split into learned
+    the workload's own layer list counted by shape
+    (:meth:`~repro.workloads.registry.Workload.shape_counts`), searched under
+    every dataflow, with the found minimum's weight reads split into learned
     weights / KV cache / activations and compared against the practical
     lower bound (Eq. (15)) and the KV-cache read floor.
     """
     if capacities_kib is None:
         capacities_kib = list(DEFAULT_TRAFFIC_CAPACITIES_KIB)
     capacities_kib = [float(value) for value in capacities_kib]
-    all_layers = get_workload_spec(workload)
-    layers, weights = unique_weighted_shapes(all_layers)
+    entry, batch = parse_workload_spec(workload)
+    layers, weights = sorted_shapes(entry.shape_counts(batch))
     if engine is None:
         engine = get_default_engine()
     dataflows = (
@@ -318,7 +299,7 @@ def llm_decode_report(
     return {
         "format": "repro-llm-decode-v1",
         "workload": workload,
-        "layers": len(all_layers),
+        "layers": sum(weights),
         "unique_shapes": len(layers),
         "macs": sum(weight * layer.macs for layer, weight in zip(layers, weights)),
         "kv_cache_floor_words": sum(

@@ -303,9 +303,8 @@ def _dispatch(name: str, workload: str, layers, engine, overrides) -> None:
     experiment = get_experiment(name)
     for variant in overrides if isinstance(overrides, list) else [overrides]:
         params = dict(experiment.default_params, **variant)
-        context = ExperimentContext(
-            workload=workload, layers=layers, engine=engine, params=params
-        )
+        context = ExperimentContext(workload=workload, engine=engine, params=params)
+        context.layers = layers
         print(experiment.render(experiment.build(context), params))
 
 

@@ -47,8 +47,9 @@ class ConvLayer:
     ``weight_kind`` tags what the weight tensor is (learned weights by
     default, or a KV-cache slice / activation for LLM attention matmuls).
     It is metadata for traffic attribution only: it is excluded from the
-    engine's layer signature, so it never affects cache keys, search
-    results, or goldens.
+    engine's layer signature, so it never affects cache keys or search
+    results.  Shape censuses (``Workload.shape_counts``) keep kinds apart,
+    so attributed traffic stays exact.
     """
 
     name: str

@@ -18,22 +18,31 @@ without hard-coding driver names here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
+from repro.workloads.registry import get_workload_spec
 
 
 @dataclass
 class ExperimentContext:
     """Everything a driver needs to compute one experiment payload.
 
-    ``workload`` is the registry spec string (``"vgg16"``, ``"tiny:2"``) and
-    ``layers`` its materialised layer list; ``engine`` is ``None`` for
-    experiments that never run tiling searches (``uses_search=False``).
+    ``workload`` is the registry spec string (``"vgg16"``, ``"tiny:2"``);
+    ``engine`` is ``None`` for experiments that never run tiling searches
+    (``uses_search=False``).
     """
 
     workload: str
-    layers: list
     engine: object
     params: dict
+
+    @functools.cached_property
+    def layers(self) -> list:
+        """The workload's materialised layer list, built on first read (the
+        ``traffic`` and ``llm_decode`` drivers never read it).  A caller that
+        already holds the list may assign it."""
+        return get_workload_spec(self.workload)
 
 
 @dataclass(frozen=True)

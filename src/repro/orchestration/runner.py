@@ -37,7 +37,6 @@ from repro.analysis.goldens import sanitize_payload
 from repro.engine import SearchEngine, shard_cache_filename, validate_shard
 from repro.orchestration.experiments import ExperimentContext, get_experiment
 from repro.orchestration.manifest import NO_BACKEND, RunManifest
-from repro.workloads.registry import get_workload_spec
 
 #: LRU bound of each per-backend shard cache.  Shard caches persist across
 #: resumes (and are reloaded on every restart), so without a bound they
@@ -258,12 +257,7 @@ class UnitExecutor:
         failure; the caller records the status file either way)."""
         experiment = get_experiment(unit.experiment)
         engine = self._engine_for(unit.backend)
-        context = ExperimentContext(
-            workload=unit.workload,
-            layers=get_workload_spec(unit.workload),
-            engine=engine,
-            params=unit.params,
-        )
+        context = ExperimentContext(workload=unit.workload, engine=engine, params=unit.params)
         payload = sanitize_payload(experiment.build(context))
         document = dict(unit.as_dict(), payload=payload)
         write_text_atomic(

@@ -54,6 +54,11 @@ def _check_gqa(heads: int, kv_heads: int) -> int:
     return heads // kv_heads
 
 
+def _check_num_layers(num_layers: int) -> None:
+    if num_layers < 1:
+        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+
+
 def balanced_expert_counts(assignments: int, experts: int) -> list:
     """Deterministic balanced routing: token-expert assignment counts.
 
@@ -166,6 +171,7 @@ def llama_decode_layers(
     """
     if context < 1:
         raise ValueError(f"context must be >= 1, got {context}")
+    _check_num_layers(num_layers)
     head_dim = resolve_head_dim(hidden, heads, head_dim)
     layers = []
     for index in range(num_layers):
@@ -206,6 +212,7 @@ def mixtral_decode_layers(
     """
     if context < 1:
         raise ValueError(f"context must be >= 1, got {context}")
+    _check_num_layers(num_layers)
     head_dim = resolve_head_dim(hidden, heads, head_dim)
     layers = []
     for index in range(num_layers):
@@ -253,6 +260,7 @@ def llama_prefill_layers(
     """
     if prompt < 1:
         raise ValueError(f"prompt must be >= 1, got {prompt}")
+    _check_num_layers(num_layers)
     head_dim = resolve_head_dim(hidden, heads, head_dim)
     group = _check_gqa(heads, kv_heads)
     tokens = batch * prompt

@@ -23,14 +23,19 @@ Registering a new network takes one call::
         default_batch=1, tags=("cnn",),
     )
 
-where the builder is ``builder(batch, **params) -> list[ConvLayer]``.
+where the builder is ``builder(batch, **params) -> list[ConvLayer]``.  A
+builder that repeats one identical block (the LLM families' ``num_layers``
+decoder blocks) declares that parameter as ``stacked_by``, so
+:meth:`Workload.shape_counts` can count its shapes from one block.
 """
 
 from __future__ import annotations
 
 import inspect
+import operator
 from dataclasses import dataclass, field
 
+from repro.engine.cache import layer_signature
 from repro.workloads.alexnet import alexnet_conv_layers
 from repro.workloads.generator import random_network, small_test_layers
 from repro.workloads.googlenet import googlenet_conv_layers
@@ -61,6 +66,9 @@ class Workload:
     builder: object = field(repr=False)
     default_batch: int = 1
     tags: tuple = ()
+    stacked_by: str = None
+    """Builder parameter that sets how many blocks of identical shapes the
+    layer list stacks (``"num_layers"``), or ``None`` for a flat list."""
 
     def build(self, batch: int = None, **params) -> list:
         """Materialise the layer list (``batch=None`` uses the default)."""
@@ -69,6 +77,32 @@ class Workload:
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
         return self.builder(batch, **params)
+
+    def shape_counts(self, batch: int = None, **params) -> dict:
+        """Unique shapes of :meth:`build`'s layer list, with multiplicities.
+
+        Maps each ``(layer_signature, weight_kind)`` key, in first-seen
+        order, to ``(first layer, count)``.  The signature is all that the
+        bound and the searches read; the kind decides whose words a layer's
+        weight reads are, so a KV-cache matmul never merges into a
+        learned-weight layer of the same shape.  A stacked workload builds
+        one block (through :meth:`build`) and multiplies its counts by the
+        requested depth, which gives the same result as deduping the whole
+        list: every block has the same shapes, and the first block holds
+        every first-seen layer.
+        """
+        depth = 1
+        if self.stacked_by is not None:
+            depth = operator.index(params.get(self.stacked_by, self.parameters()[self.stacked_by]))
+            if depth < 1:
+                raise ValueError(f"{self.stacked_by} must be >= 1, got {depth}")
+            params = dict(params, **{self.stacked_by: 1})
+        counts = {}
+        for layer in self.build(batch, **params):
+            key = (layer_signature(layer), layer.weight_kind)
+            first, count = counts.get(key, (layer, 0))
+            counts[key] = (first, count + 1)
+        return {key: (first, count * depth) for key, (first, count) in counts.items()}
 
     def parameters(self) -> dict:
         """Tunable builder parameters and their defaults, ``batch`` first.
@@ -108,8 +142,13 @@ def register_workload(
     default_batch: int = 1,
     tags: tuple = (),
     replace: bool = False,
+    stacked_by: str = None,
 ) -> Workload:
-    """Add ``builder(batch, **params) -> list[ConvLayer]`` under ``name``."""
+    """Add ``builder(batch, **params) -> list[ConvLayer]`` under ``name``.
+
+    ``stacked_by`` names the builder parameter that repeats one block of
+    identical shapes (see :meth:`Workload.shape_counts`).
+    """
     if not name or not name.replace("_", "").isalnum():
         raise ValueError(f"workload names are alphanumeric/underscore, got {name!r}")
     if name in _REGISTRY and not replace:
@@ -120,6 +159,7 @@ def register_workload(
         builder=builder,
         default_batch=default_batch,
         tags=tuple(tags),
+        stacked_by=stacked_by,
     )
     _REGISTRY[name] = workload
     return workload
@@ -135,30 +175,41 @@ def list_workloads() -> list:
     return [_REGISTRY[name] for name in workload_names()]
 
 
-def get_workload(name: str, batch: int = None, **params) -> list:
-    """Layer list of the workload registered under ``name``."""
+def lookup_workload(name: str) -> Workload:
+    """The :class:`Workload` registered under ``name``."""
     try:
-        workload = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         known = ", ".join(workload_names())
         raise UnknownWorkloadError(
             f"unknown workload {name!r}; registered workloads: {known}"
         ) from None
-    return workload.build(batch=batch, **params)
 
 
-def get_workload_spec(spec: str, **params) -> list:
-    """Layer list for a CLI-style ``NAME[:batch]`` spec (e.g. ``"vgg16:4"``)."""
+def get_workload(name: str, batch: int = None, **params) -> list:
+    """Layer list of the workload registered under ``name``."""
+    return lookup_workload(name).build(batch=batch, **params)
+
+
+def parse_workload_spec(spec: str) -> tuple:
+    """``(Workload, batch)`` of a CLI-style ``NAME[:batch]`` spec (``batch`` is
+    ``None`` when the spec has none)."""
     name, _, batch_text = spec.partition(":")
     if not batch_text:
-        return get_workload(name, **params)
+        return lookup_workload(name), None
     try:
         batch = int(batch_text)
     except ValueError:
         raise ValueError(
             f"invalid workload spec {spec!r}: batch must be an integer"
         ) from None
-    return get_workload(name, batch=batch, **params)
+    return lookup_workload(name), batch
+
+
+def get_workload_spec(spec: str, **params) -> list:
+    """Layer list for a CLI-style ``NAME[:batch]`` spec (e.g. ``"vgg16:4"``)."""
+    workload, batch = parse_workload_spec(spec)
+    return workload.build(batch=batch, **params)
 
 
 def resolve_layers(layers, default: str = None) -> list:
@@ -247,6 +298,7 @@ register_workload(
     llama_decode_layers,
     default_batch=32,
     tags=("llm", "decode", "matmul", "modern"),
+    stacked_by="num_layers",
 )
 register_workload(
     "llama_prefill",
@@ -254,6 +306,7 @@ register_workload(
     llama_prefill_layers,
     default_batch=1,
     tags=("llm", "prefill", "matmul", "modern"),
+    stacked_by="num_layers",
 )
 register_workload(
     "mixtral_decode",
@@ -261,6 +314,7 @@ register_workload(
     mixtral_decode_layers,
     default_batch=32,
     tags=("llm", "decode", "moe", "matmul", "modern"),
+    stacked_by="num_layers",
 )
 register_workload(
     "tiny",

@@ -17,10 +17,12 @@ same trace on every platform and backend.
 context bucket C with batch B"): decode contexts grow by one token per step,
 so steps are bucketed to powers of two and grouped into serving batches of
 the model's configured batch size; prefills are bucketed by prompt length
-and run per-request.  :func:`weighted_unique_layers` then dedupes the
-materialised layers by shape, yielding the (exemplar layer, weight) pairs a
-:class:`~repro.engine.SearchEngine` can answer with a handful of searches --
-a few dozen unique shapes stand in for millions of per-step layer instances.
+and run per-request.  :func:`weighted_unique_layers` then counts each
+load's layers by shape (:meth:`~repro.workloads.registry.Workload.shape_counts`,
+one decoder block per load) and merges the counts, yielding the (exemplar
+layer, weight) pairs a :class:`~repro.engine.SearchEngine` can answer with a
+handful of searches -- a hundred unique shapes stand in for millions of
+per-step layer instances, and only a few thousand layers are ever built.
 
 This module is deliberately engine-free: the searching lives in
 :mod:`repro.analysis.traffic_report` (the ``traffic`` experiment) and the
@@ -32,8 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.engine.cache import layer_signature
-from repro.workloads.registry import UnknownWorkloadError, get_workload, workload_names
+from repro.workloads.registry import lookup_workload, parse_workload_spec
 
 PREFILL_FOR = {
     "llama_decode": ("llama_prefill", {}),
@@ -44,12 +45,6 @@ PREFILL_FOR = {
 Mixtral prefill reuses the GQA prefill builder with its MoE FFN parameters,
 which keeps prompt-phase MACs exact for routed experts too.
 """
-
-
-def _registry_entry(name: str):
-    from repro.workloads.registry import _REGISTRY
-
-    return _REGISTRY[name]
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ class ServedModel:
         overrides = dict(self.params)
         if "batch" in overrides or "context" in overrides:
             raise ValueError("batch/context are set by the mix, not model params")
-        entry = _registry_entry_or_raise(name)
+        entry = lookup_workload(name)
         if "decode" not in entry.tags:
             raise ValueError(
                 f"traffic mixes serve decode-family workloads; {name!r} has tags "
@@ -84,15 +79,8 @@ class ServedModel:
 
     def split_spec(self) -> tuple:
         """``(workload_name, serving_batch)`` of the ``NAME[:batch]`` spec."""
-        name, _, batch_text = self.spec.partition(":")
-        if not batch_text:
-            return name, _registry_entry_or_raise(name).default_batch
-        try:
-            return name, int(batch_text)
-        except ValueError:
-            raise ValueError(
-                f"invalid model spec {self.spec!r}: batch must be an integer"
-            ) from None
+        workload, batch = parse_workload_spec(self.spec)
+        return workload.name, workload.default_batch if batch is None else batch
 
     @property
     def name(self) -> str:
@@ -102,33 +90,30 @@ class ServedModel:
     def batch(self) -> int:
         return self.split_spec()[1]
 
+    def phase_workload(self, phase: str, tokens: int, batch: int = None) -> tuple:
+        """``(workload, batch, builder params)`` of one ``"decode"`` step at
+        context ``tokens`` for ``batch`` sessions (default: the serving
+        batch), or of one ``"prefill"`` of a ``tokens``-token prompt, which
+        runs per request (batch 1)."""
+        if phase == "decode":
+            batch = self.batch if batch is None else batch
+            return lookup_workload(self.name), batch, dict(self.params, context=tokens)
+        prefill_name, extra = PREFILL_FOR[self.name]
+        workload = lookup_workload(prefill_name)
+        allowed = set(workload.parameters())
+        params = dict(extra)
+        params.update((key, value) for key, value in self.params if key in allowed)
+        return workload, 1, dict(params, prompt=tokens)
+
     def decode_layers(self, context: int, batch: int = None) -> list:
         """Decode-step layers at ``context`` for ``batch`` concurrent sessions."""
-        if batch is None:
-            batch = self.batch
-        return get_workload(
-            self.name, batch=batch, context=context, **dict(self.params)
-        )
+        workload, batch, params = self.phase_workload("decode", context, batch)
+        return workload.build(batch, **params)
 
     def prefill_layers(self, prompt: int) -> list:
         """Prompt-ingestion layers for one request of ``prompt`` tokens."""
-        prefill_name, extra = PREFILL_FOR[self.name]
-        allowed = set(_registry_entry(prefill_name).parameters())
-        params = dict(extra)
-        params.update(
-            {key: value for key, value in dict(self.params).items() if key in allowed}
-        )
-        return get_workload(prefill_name, batch=1, prompt=prompt, **params)
-
-
-def _registry_entry_or_raise(name: str):
-    try:
-        return _registry_entry(name)
-    except KeyError:
-        known = ", ".join(workload_names())
-        raise UnknownWorkloadError(
-            f"unknown workload {name!r}; registered workloads: {known}"
-        ) from None
+        workload, batch, params = self.phase_workload("prefill", prompt)
+        return workload.build(batch, **params)
 
 
 def served_model(spec: str, **params) -> ServedModel:
@@ -313,36 +298,50 @@ def aggregate_trace(spec: TrafficMixSpec, trace: list) -> list:
     return loads
 
 
-def load_layers(spec: TrafficMixSpec, load: PhaseLoad) -> list:
-    """Materialise the layer list of one :class:`PhaseLoad` unit."""
+def _load_model(spec: TrafficMixSpec, load: PhaseLoad) -> ServedModel:
     for model in spec.models:
         if model.spec == load.model:
-            if load.phase == "decode":
-                return model.decode_layers(load.tokens, batch=load.batch)
-            return model.prefill_layers(load.tokens)
+            return model
     raise ValueError(f"load references unknown model {load.model!r}")
 
 
+def load_layers(spec: TrafficMixSpec, load: PhaseLoad) -> list:
+    """Materialise the layer list of one :class:`PhaseLoad` unit."""
+    model = _load_model(spec, load)
+    if load.phase == "decode":
+        return model.decode_layers(load.tokens, batch=load.batch)
+    return model.prefill_layers(load.tokens)
+
+
+def sorted_shapes(counts: dict) -> tuple:
+    """``(exemplar_layers, weights)`` of a shape census, ordered by its
+    ``(layer_signature, weight_kind)`` keys so that weighted sums downstream
+    are order-deterministic."""
+    keys = sorted(counts)
+    return [counts[key][0] for key in keys], [counts[key][1] for key in keys]
+
+
 def weighted_unique_layers(spec: TrafficMixSpec, loads: list) -> tuple:
-    """Dedupe all loads' layers by shape: ``(exemplar_layers, weights)``.
+    """Fold all loads' layers by shape: ``(exemplar_layers, weights)``.
 
     ``weights[i]`` counts how many times shape ``i`` executes across the
-    whole trace.  Shapes are ordered by signature, so weighted sums downstream
-    are order-deterministic.  Exemplars keep the first-seen layer (names and
-    ``weight_kind`` of shape-identical layers coincide by construction).
+    whole trace.  Each load's layers are counted by
+    :meth:`~repro.workloads.registry.Workload.shape_counts` (one decoder
+    block per load, never the whole stack), keyed on ``(layer_signature,
+    weight_kind)``: layers of one shape but different kinds -- a KV-cache
+    matmul and a projection of equal dimensions -- stay apart, because
+    their weight reads are booked to different classes.  Exemplars are the
+    first-seen layer of each key, in load order; see :func:`sorted_shapes`
+    for the order.
     """
-    by_signature = {}
+    merged = {}
     for load in loads:
-        for layer in load_layers(spec, load):
-            signature = layer_signature(layer)
-            exemplar, weight = by_signature.get(signature, (layer, 0))
-            by_signature[signature] = (exemplar, weight + load.count)
-    layers, weights = [], []
-    for signature in sorted(by_signature):
-        exemplar, weight = by_signature[signature]
-        layers.append(exemplar)
-        weights.append(weight)
-    return layers, weights
+        model = _load_model(spec, load)
+        workload, batch, params = model.phase_workload(load.phase, load.tokens, load.batch)
+        for key, (layer, count) in workload.shape_counts(batch, **params).items():
+            first, weight = merged.get(key, (layer, 0))
+            merged[key] = (first, weight + count * load.count)
+    return sorted_shapes(merged)
 
 
 def trace_summary(spec: TrafficMixSpec, trace: list) -> dict:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.layer import WEIGHT_KINDS, ConvLayer, total_macs
+from repro.engine.cache import layer_signature
 from repro.workloads.llm import (
     balanced_expert_counts,
     decode_attention_macs,
@@ -25,7 +26,12 @@ from repro.workloads.llm import (
     mixtral_decode_layers,
     resolve_head_dim,
 )
-from repro.workloads.registry import get_workload, get_workload_spec, workload_names
+from repro.workloads.registry import (
+    get_workload,
+    get_workload_spec,
+    lookup_workload,
+    workload_names,
+)
 
 # Small-but-varied decoder geometries: heads divisible by kv_heads, hidden
 # implied by heads * head_dim so every GQA constraint holds by construction.
@@ -146,6 +152,15 @@ class TestGqaAndValidation:
             else:
                 assert layer.kv_cache_words == 0
 
+    @pytest.mark.parametrize("family", ["llama_decode", "mixtral_decode", "llama_prefill"])
+    def test_stacks_need_at_least_one_block(self, family):
+        workload = lookup_workload(family)
+        for num_layers in (0, -1):
+            with pytest.raises(ValueError, match="num_layers must be >= 1"):
+                workload.build(1, num_layers=num_layers)
+            with pytest.raises(ValueError, match="num_layers must be >= 1"):
+                workload.shape_counts(1, num_layers=num_layers)
+
     def test_prefill_tags_scores_and_context_as_activations(self):
         layers = llama_prefill_layers(
             batch=1, prompt=8, hidden=16, heads=4, kv_heads=2, ffn_hidden=8,
@@ -153,6 +168,47 @@ class TestGqaAndValidation:
         )
         kinds = {layer.weight_kind for layer in layers}
         assert kinds == {"weights", "activation"}
+
+
+def first_seen_counts(layers) -> list:
+    """The reference census: ``(key, (first layer, count))`` pairs in
+    first-seen order, over the whole materialised layer list."""
+    counts = {}
+    for layer in layers:
+        key = (layer_signature(layer), layer.weight_kind)
+        first, count = counts.get(key, (layer, 0))
+        counts[key] = (first, count + 1)
+    return list(counts.items())
+
+
+class TestShapeCounts:
+    """``Workload.shape_counts`` folds one block; the full build is the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=geometry,
+        heads_kv=heads_and_kv,
+        family=st.sampled_from(["llama_decode", "mixtral_decode", "llama_prefill"]),
+        experts=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+        top_k=st.integers(min_value=1, max_value=4),
+    )
+    def test_stacked_census_matches_the_full_build(self, params, heads_kv, family, experts, top_k):
+        kwargs = _expand(params, heads_kv)
+        batch = kwargs.pop("batch")
+        if family == "llama_prefill":
+            kwargs["prompt"] = kwargs.pop("context")
+        if family != "llama_decode" and experts is not None:
+            kwargs.update(experts=experts, top_k=min(top_k, experts))
+        workload = lookup_workload(family)
+        assert workload.stacked_by == "num_layers"
+        census = list(workload.shape_counts(batch, **kwargs).items())
+        assert census == first_seen_counts(workload.build(batch, **kwargs))
+
+    @pytest.mark.parametrize("name", ["vgg16", "googlenet", "bert_base"])
+    def test_flat_census_matches_the_build(self, name):
+        workload = lookup_workload(name)
+        assert workload.stacked_by is None
+        assert list(workload.shape_counts().items()) == first_seen_counts(workload.build())
 
 
 class TestMoeRouting:

@@ -2,7 +2,8 @@
 
 The trace generator must be a pure function of its spec (integer-only
 sampling, fixed draw order), the aggregation must conserve work (every
-decode token of every request lands in exactly one bucketed batch), and the
+decode token of every request lands in exactly one bucketed batch), the
+one-block shape census must fold to what every built layer folds to, and the
 pinned traffic/llm goldens (declared on the ``traffic`` and ``llm_decode``
 registry entries) must replay bit-for-bit through the nightly
 ``merge --diff-goldens`` path.
@@ -27,9 +28,13 @@ from repro.analysis.goldens import (
     write_pin,
     write_pins,
 )
+from repro.analysis.traffic_report import traffic_mix_report
 from repro.core.layer import total_macs
+from repro.engine import SearchEngine
+from repro.engine.cache import layer_signature
 from repro.orchestration.experiments import PAPER_EXPERIMENTS
 from repro.orchestration.manifest import ManifestSpec, RunManifest, canonical_json
+from repro.workloads.registry import Workload
 from repro.workloads.traffic import (
     PhaseLoad,
     TrafficMixSpec,
@@ -59,6 +64,53 @@ def tiny_mix(**overrides) -> TrafficMixSpec:
     )
     defaults.update(overrides)
     return TrafficMixSpec(**defaults)
+
+
+def two_model_mix() -> TrafficMixSpec:
+    """A dense and an MoE model, stacked three and two decoder blocks deep."""
+    models = (
+        served_model(
+            "llama_decode:4", hidden=16, heads=4, kv_heads=2, ffn_hidden=8, num_layers=3
+        ),
+        served_model(
+            "mixtral_decode:2", hidden=16, heads=4, kv_heads=2, ffn_hidden=8,
+            num_layers=2, experts=4, top_k=2,
+        ),
+    )
+    return tiny_mix(models=models, requests=12)
+
+
+def reference_fold(spec: TrafficMixSpec, loads: list) -> tuple:
+    """:func:`weighted_unique_layers` the long way, from every load's
+    materialised layer list."""
+    merged = {}
+    for load in loads:
+        for layer in load_layers(spec, load):
+            key = (layer_signature(layer), layer.weight_kind)
+            first, weight = merged.get(key, (layer, 0))
+            merged[key] = (first, weight + load.count)
+    keys = sorted(merged)
+    return [merged[key][0] for key in keys], [merged[key][1] for key in keys]
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Every ``Workload.build`` call, as ``(workload name, batch, params)``."""
+    calls = []
+    build = Workload.build
+
+    def spy(self, batch=None, **params):
+        calls.append((self.name, batch, params))
+        return build(self, batch, **params)
+
+    monkeypatch.setattr(Workload, "build", spy)
+    return calls
+
+
+#: Builder overrides under which a decode step's context matmul at context 8
+#: (2 x 8 -> 4, KV cache) has the shape of its k_proj at batch 2 (2 x 8 -> 4,
+#: learned weights).
+COLLIDING_PARAMS = {"hidden": 8, "heads": 2, "kv_heads": 1, "ffn_hidden": 8, "num_layers": 1}
 
 
 class TestTraceGeneration:
@@ -149,6 +201,41 @@ class TestAggregation:
         assert weighted == direct
         assert len(layers) == len(set(id(layer) for layer in layers))
 
+    @pytest.mark.parametrize("mix", [tiny_mix, two_model_mix])
+    def test_fold_matches_the_materialised_reference(self, mix):
+        spec = mix()
+        loads = aggregate_trace(spec, generate_trace(spec))
+        assert weighted_unique_layers(spec, loads) == reference_fold(spec, loads)
+
+    def test_stacked_builders_build_one_block(self, build_calls):
+        spec = two_model_mix()
+        weighted_unique_layers(spec, aggregate_trace(spec, generate_trace(spec)))
+        assert build_calls
+        assert {params["num_layers"] for _, _, params in build_calls} == {1}
+
+    def test_kv_cache_matmuls_keep_their_kind(self):
+        payload = traffic_mix_report(
+            model="llama_decode:2",
+            extra_models=(),
+            requests=4,
+            prompt_exponents=(2, 3),
+            decode_exponents=(1, 2),
+            model_params=COLLIDING_PARAMS,
+            engine=SearchEngine(),
+        )
+        spec = TrafficMixSpec(
+            models=(served_model("llama_decode:2", **COLLIDING_PARAMS),),
+            requests=4,
+            prompt_exponents=(2, 3),
+            decode_exponents=(1, 2),
+        )
+        loads = aggregate_trace(spec, generate_trace(spec))
+        floor = sum(
+            load.count * sum(layer.kv_cache_words for layer in load_layers(spec, load))
+            for load in loads
+        )
+        assert payload["kv_cache_floor_words"] == floor == 1088
+
     def test_load_layers_rejects_unknown_models(self):
         spec = tiny_mix()
         with pytest.raises(ValueError):
@@ -169,6 +256,13 @@ class TestValidation:
             served_model("llama_decode:x")
         with pytest.raises(ValueError):
             served_model("llama_decode:0")
+
+    def test_empty_stack_is_a_value_error(self):
+        with pytest.raises(ValueError, match="num_layers must be >= 1"):
+            traffic_mix_report(
+                model="llama_decode:2", extra_models=(), requests=2,
+                model_params={"num_layers": 0},
+            )
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -230,6 +324,24 @@ class TestOrchestration:
         unit = manifest.units[0]
         assert unit.workload == TRAFFIC_PIN.workload
         assert unit.params == pin_params(TRAFFIC_PIN)
+
+    def test_traffic_unit_never_builds_its_workload(self, tmp_path, build_calls):
+        from repro.orchestration.runner import Runner
+
+        params = {
+            "extra_models": [],
+            "requests": 2,
+            "capacities_kib": [66.5],
+            "model_params": {"hidden": 16, "heads": 4, "kv_heads": 2, "ffn_hidden": 8},
+        }
+        manifest = RunManifest.from_spec(
+            ManifestSpec(workloads=("vgg16",), experiments=("traffic",), params={"traffic": params})
+        )
+        assert Runner(manifest, str(tmp_path)).run().complete
+        # Every layer built is the mix's (a decode context or a prompt), none
+        # is the unit's own llama_decode:32 layer list.
+        assert build_calls
+        assert all("context" in kwargs or "prompt" in kwargs for _, _, kwargs in build_calls)
 
     def test_merge_diffs_the_traffic_unit_against_the_pinned_golden(
         self, tmp_path, pin_payload, restrict_pins
