@@ -1,6 +1,6 @@
 """Design-space exploration benchmarks and performance gates.
 
-Two checks ride in CI's perf-smoke step:
+These checks ride in CI's perf-smoke step:
 
 * the headline gate: one and the same DSE sweep (VGG-16, a Table I-shaped
   candidate space) run end to end on the NumPy backend and on the scalar
@@ -10,7 +10,13 @@ Two checks ride in CI's perf-smoke step:
 * the acceptance run: the full default space (>= 200 candidate configs,
   ~850 in practice) on VGG-16 finishes in under 30 seconds on the NumPy
   backend and its Pareto frontier contains or dominates the paper's
-  Implementation 5.
+  Implementation 5;
+* the co-search count gate on that same run: at most 72 grid evaluations
+  (one per VGG-16 conv shape for the split-constrained paper dataflow, one
+  per shape and Fig. 12 baseline) with the co-search result unchanged --
+  a deterministic count, unlike the wall clock.  The per-stage candidate
+  throughput (Eq. (14) neighbourhood candidates of the paper dataflow,
+  baseline grid candidates) is printed next to it.
 
 The config *enumeration* comparison is also printed for visibility.  Its
 scalar loop prunes aggressively and builds the same Python tuples, so
@@ -18,14 +24,19 @@ enumeration alone is not artificially gated -- the sweep gate is the honest
 end-to-end measurement.
 """
 
+import hashlib
 import json
+import math
 import time
 
 from repro.arch.config import paper_implementation
-from repro.dse.explore import design_space_exploration
+from repro.core.layer import kib_to_words
+from repro.core.optimal_dataflow import _around, _seed_and_fits, choose_tiling_grid_many
+from repro.dataflows.registry import BASELINE_DATAFLOWS
+from repro.dse.explore import co_search_families, design_space_exploration
 from repro.dse.pareto import contains_or_dominates
-from repro.dse.space import CandidateSpace, count_splits, enumerate_splits
-from repro.engine import SearchEngine
+from repro.dse.space import CandidateSpace, count_splits, enumerate_configs, enumerate_splits
+from repro.engine import SearchEngine, layer_signature
 
 import numpy  # noqa: F401  (the gates measure the vectorized backend)
 
@@ -56,6 +67,47 @@ SMART_GATE_SPACE = CandidateSpace(
 )
 
 SMART_GATE_BUDGET_KIB = 64.0
+
+#: Grid evaluations of the default VGG-16 sweep: 9 conv shapes x (one
+#: grouped split-constrained ``Ours`` evaluation + 7 baseline grids).
+#: The per-(family, layer) co-search this replaced made 1 638.
+DEFAULT_SWEEP_MAX_GRID_EVALUATIONS = 72
+
+#: SHA-256 of the default VGG-16 sweep's co-search (see
+#: :func:`co_search_digest`), as the per-(family, layer) searches computed
+#: it.  Traffic components are exact integers, so the digest is portable;
+#: only an intentional model change may move it.
+DEFAULT_CO_SEARCH_SHA256 = "9a3113fe40ab2030f1c3e240d609c974809b83e541fc8759db998b157b8e05f3"
+
+
+def co_search_digest(per_family: dict) -> str:
+    """SHA-256 of every family's per-layer winning dataflow and traffic."""
+    canonical = sorted(
+        [
+            list(family),
+            None
+            if rows is None
+            else [
+                [name, t.input_reads, t.weight_reads, t.output_reads, t.output_writes]
+                for name, t in rows
+            ],
+        ]
+        for family, rows in per_family.items()
+    )
+    return hashlib.sha256(json.dumps(canonical).encode()).hexdigest()
+
+
+def neighbourhood_size(layer, seed) -> int:
+    """Candidates of one ``choose_tiling`` refinement: the seed plus its grid."""
+    extents = (layer.batch, layer.out_channels, layer.out_height, layer.out_width)
+    sizes = (seed.b, seed.z, seed.y, seed.x)
+    return 1 + math.prod(len(_around(size, extent)) for size, extent in zip(sizes, extents))
+
+
+def default_sweep_families() -> list:
+    """The memory splits of the default 140 KiB candidate space."""
+    configs = enumerate_configs(kib_to_words(140.0), CandidateSpace())
+    return sorted({(c.psum_words, c.igbuf_words, c.wgbuf_words) for c in configs})
 
 
 def test_dse_sweep_vectorized_vs_scalar_10x(vgg_layers):
@@ -189,21 +241,32 @@ def test_dse_vgg16_default_sweep_under_30s(vgg_layers):
     paper's Implementation 5 (whose memory split is itself an enumerated
     candidate).
     """
+    engine = SearchEngine(backend="numpy")
     start = time.perf_counter()
     payload = design_space_exploration(
         budget_kib=140.0,
         layers=vgg_layers,
-        engine=SearchEngine(backend="numpy"),
+        engine=engine,
     )
     elapsed = time.perf_counter() - start
+    evaluations = engine.stats.grid_evaluations
 
     print(
         f"\nvgg16 DSE sweep: {payload['config_count']} configs "
         f"({payload['infeasible_count']} infeasible) -> "
-        f"{len(payload['frontier'])} frontier points in {elapsed:.2f} s"
+        f"{len(payload['frontier'])} frontier points in {elapsed:.2f} s, "
+        f"{evaluations} grid evaluations"
     )
     assert payload["config_count"] >= 200
     assert elapsed < 30.0, f"sweep took {elapsed:.1f}s (gate: 30s)"
+    assert evaluations <= DEFAULT_SWEEP_MAX_GRID_EVALUATIONS, (
+        f"the default sweep made {evaluations} grid evaluations "
+        f"(gate: {DEFAULT_SWEEP_MAX_GRID_EVALUATIONS})"
+    )
+    # Served from the sweep's warm cache: the co-search it just ran.
+    per_family = co_search_families(engine, vgg_layers, default_sweep_families())
+    assert co_search_digest(per_family) == DEFAULT_CO_SEARCH_SHA256, "the co-search result moved"
+    assert engine.stats.grid_evaluations == evaluations
 
     impl5 = paper_implementation(5)
     rows = {
@@ -220,3 +283,51 @@ def test_dse_vgg16_default_sweep_under_30s(vgg_layers):
     assert contains_or_dominates(
         payload["frontier"], rows[impl5.memory_split], tuple(payload["objectives"])
     ), "the frontier neither contains nor dominates Implementation 5"
+
+
+def test_dse_co_search_stage_throughput(vgg_layers):
+    """Candidates per second of the two co-search stages (printed, not gated).
+
+    The paper-dataflow stage evaluates one Eq. (14) neighbourhood per
+    distinct shrunken seed of a layer shape, shared by every family split
+    that shrinks to it; the per-(family, layer) search it replaced rebuilt
+    one per pair.  The baseline stage evaluates one candidate grid per
+    (baseline, shape) and answers every family total from one selection.
+    """
+    families = default_sweep_families()
+    constraints = [(sum(family),) + family for family in families]
+    capacities = sorted({sum(family) for family in families})
+    shapes = list({layer_signature(layer): layer for layer in vgg_layers}.values())
+
+    start = time.perf_counter()
+    for layer in shapes:
+        choose_tiling_grid_many(layer, constraints)
+    ours_seconds = time.perf_counter() - start
+    seeds = [
+        (layer, _seed_and_fits(layer, *constraint)[0])
+        for layer in shapes
+        for constraint in constraints
+    ]
+    per_pair = sum(neighbourhood_size(layer, seed) for layer, seed in seeds)
+    shared = sum(neighbourhood_size(layer, seed) for layer, seed in set(seeds))
+
+    start = time.perf_counter()
+    for dataflow in BASELINE_DATAFLOWS:
+        for layer in shapes:
+            dataflow.traffic_grid(layer, capacities)
+    baseline_seconds = time.perf_counter() - start
+    grid = sum(
+        len(dataflow.grid_arrays(layer)[1]) for dataflow in BASELINE_DATAFLOWS for layer in shapes
+    )
+
+    print(
+        f"\nvgg16 co-search stages ({len(families)} families, {len(shapes)} shapes, "
+        f"{len(capacities)} totals):\n"
+        f"  Ours neighbourhoods {len(set(seeds)):5d} seeds  {shared:9d} candidates "
+        f"(per pair: {per_pair})  {ours_seconds:6.3f} s  "
+        f"{shared / ours_seconds / 1e6:6.2f} M candidates/s\n"
+        f"  baseline grids      {len(shapes) * len(BASELINE_DATAFLOWS):5d} grids  {grid:9d} candidates "
+        f"{'':>{len(str(per_pair)) + 12}}{baseline_seconds:6.3f} s  "
+        f"{grid / baseline_seconds / 1e6:6.2f} M candidates/s"
+    )
+    assert shared < per_pair

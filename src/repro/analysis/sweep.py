@@ -17,7 +17,7 @@ from repro.core.layer import kib_to_words
 from repro.core.lower_bound import practical_lower_bound, reg_lower_bound
 from repro.core.traffic import BYTES_PER_WORD
 from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow
-from repro.engine import get_default_engine
+from repro.engine import get_default_engine, layer_signature
 from repro.eyeriss.model import EyerissModel
 from repro.orchestration.experiments import Experiment, Param, register_experiment
 from repro.workloads.registry import resolve_layers
@@ -67,17 +67,16 @@ def memory_sweep(
     )
 
     capacities_words = [kib_to_words(capacity_kib) for capacity_kib in capacities_kib]
-    grid = [
-        (capacity_index, dataflow_index, layer_index)
-        for capacity_index in range(len(capacities_words))
-        for dataflow_index in range(len(dataflows))
-        for layer_index in range(len(layers))
-    ]
-    tasks = [
-        (dataflows[dataflow_index], layers[layer_index], capacities_words[capacity_index])
-        for capacity_index, dataflow_index, layer_index in grid
-    ]
-    results = dict(zip(grid, engine.search_tasks(tasks)))
+    # Task order is (capacity, dataflow, layer), so each (capacity,
+    # dataflow) pair's per-layer results are one contiguous window.
+    results = engine.search_tasks(
+        [
+            (dataflow, layer, capacity_words)
+            for capacity_words in capacities_words
+            for dataflow in dataflows
+            for layer in layers
+        ]
+    )
 
     series = {"Lower bound": []}
     for dataflow in dataflows:
@@ -85,20 +84,30 @@ def memory_sweep(
     if include_found_minimum:
         series["Found minimum"] = []
 
+    # The bound depends on the shape alone: one evaluation per shape and
+    # capacity, summed per layer in layer order.
+    layer_shapes = [layer_signature(layer) for layer in layers]
+    shapes = dict(zip(layer_shapes, layers))
     for capacity_index, capacity_words in enumerate(capacities_words):
-        bound = sum(practical_lower_bound(layer, capacity_words) for layer in layers)
+        shape_bounds = {
+            signature: practical_lower_bound(layer, capacity_words)
+            for signature, layer in shapes.items()
+        }
+        bound = sum(shape_bounds[signature] for signature in layer_shapes)
         series["Lower bound"].append(words_to_mb(bound) / 1024.0)
         per_layer_best = [float("inf")] * len(layers)
         for dataflow_index, dataflow in enumerate(dataflows):
+            start = (capacity_index * len(dataflows) + dataflow_index) * len(layers)
             totals = 0.0
             feasible = True
-            for index, _layer in enumerate(layers):
-                result = results[(capacity_index, dataflow_index, index)]
+            for index, result in enumerate(results[start : start + len(layers)]):
                 if result is None:
                     feasible = False
                     continue
-                totals += result.total
-                per_layer_best[index] = min(per_layer_best[index], result.total)
+                total = result.total
+                totals += total
+                if total < per_layer_best[index]:
+                    per_layer_best[index] = total
             series[dataflow.name].append(
                 words_to_mb(totals) / 1024.0 if feasible else float("nan")
             )

@@ -242,5 +242,12 @@ def words_to_kib(words: int, bytes_per_word: int = 2) -> float:
 
 
 def kib_to_words(kib: float, bytes_per_word: int = 2) -> int:
-    """Convert a KiB capacity to a word count (16-bit words by default)."""
-    return int(math.floor(kib * 1024.0 / bytes_per_word))
+    """Convert a KiB capacity to a word count (16-bit words by default).
+
+    Rounds down, so a capacity under one word gives 0; an infinite or NaN
+    capacity raises ``ValueError``.
+    """
+    words = kib * 1024.0 / bytes_per_word
+    if not math.isfinite(words):
+        raise ValueError(f"capacity must be a finite number of KiB, got {kib!r}")
+    return int(math.floor(words))

@@ -27,6 +27,10 @@ from repro.core.tiling import Tiling
 from repro.core.traffic import TrafficBreakdown
 
 
+#: The ``ValueError`` message of a capacity that admits no tiling at all.
+_TOO_SMALL = "on-chip capacity too small for any tiling"
+
+
 def dataflow_traffic(layer: ConvLayer, tiling: Tiling, exact: bool = True) -> TrafficBreakdown:
     """DRAM traffic of the proposed dataflow for ``tiling`` (Eq. (14)).
 
@@ -183,7 +187,7 @@ def _seed_and_fits(
     searches agreeing on which tilings are admissible.
     """
     if on_chip_words < 8:
-        raise ValueError("on-chip capacity too small for any tiling")
+        raise ValueError(_TOO_SMALL)
 
     def fits(tiling: Tiling) -> bool:
         tiling = tiling.clip(layer)
@@ -266,68 +270,94 @@ def choose_tiling_grid(
 ) -> TilingChoice:
     """NumPy-vectorized :func:`choose_tiling`, bit-identical to the scalar one.
 
-    The analytic seed and its :func:`_shrink_to_fit` repair stay scalar (they
-    are O(1)); the expensive part -- evaluating the exact Eq. (14) traffic of
-    every tiling in the refinement neighbourhood -- is done as array
-    arithmetic by :func:`exact_traffic_grid`.  Ties follow the scalar rule: the
-    seed wins, then the earliest neighbourhood candidate (``numpy.argmin``
-    returns the first minimum, the scalar loop replaces only on strictly
-    smaller totals).
+    The one-constraint call of :func:`choose_tiling_grid_many`; like the
+    scalar search it raises ``ValueError`` when the capacity admits no
+    tiling at all.
     """
-    from repro.dataflows.grid import meshgrid_ravel, require_numpy
+    (choice,) = choose_tiling_grid_many(
+        layer, [(on_chip_words, psum_words, input_buffer_words, weight_buffer_words)]
+    )
+    if choice is None:
+        raise ValueError(_TOO_SMALL)
+    return choice
+
+
+def choose_tiling_grid_many(layer: ConvLayer, constraints) -> list:
+    """:func:`choose_tiling` of one layer under many memory constraints at once.
+
+    Each constraint is an ``(on_chip_words, psum_words, input_buffer_words,
+    weight_buffer_words)`` tuple, the caps ``None`` where unconstrained.
+    Returns one :class:`TilingChoice` per constraint, bit-identical to the
+    scalar search, or ``None`` where the scalar search raises ``ValueError``.
+
+    The analytic seeds and their :func:`_shrink_to_fit` repairs stay scalar
+    (they are O(1) each).  Constraints that shrink to the same seed share
+    its refinement neighbourhood, so each distinct seed costs one
+    :func:`exact_traffic_grid` evaluation: the members' caps form a
+    ``(members x candidates)`` feasibility mask and one ``argmin`` per row
+    picks every winner.  Ties follow the scalar rule: the seed wins, then
+    the earliest neighbourhood candidate (``numpy.argmin`` returns the
+    first minimum, the scalar loop replaces only on strictly smaller
+    totals).
+    """
+    from repro.dataflows.grid import capacity_array, meshgrid_ravel, require_numpy
 
     np = require_numpy()
-    seed, _ = _seed_and_fits(
-        layer, on_chip_words, psum_words, input_buffer_words, weight_buffer_words
-    )
+    members_by_seed = {}
+    for index, constraint in enumerate(constraints):
+        try:
+            seed, _ = _seed_and_fits(layer, *constraint)
+        except ValueError:
+            continue
+        members_by_seed.setdefault(seed, []).append(index)
 
-    # Candidate arrays in scalar enumeration order, the seed prepended at
-    # index 0 (the scalar search starts from the seed unconditionally, even
-    # when the shrunken seed still violates the capacity predicate).
-    b, z, y, x = meshgrid_ravel(
-        _around(seed.b, layer.batch),
-        _around(seed.z, layer.out_channels),
-        _around(seed.y, layer.out_height),
-        _around(seed.x, layer.out_width),
-    )
-    b = np.concatenate(([seed.b], b))
-    z = np.concatenate(([seed.z], z))
-    y = np.concatenate(([seed.y], y))
-    x = np.concatenate(([seed.x], x))
-    # clip(layer): _around already clamps to [1, extent], the seed is clipped;
-    # applied anyway so the arrays cannot drift from the scalar semantics.
-    b = np.minimum(b, layer.batch)
-    z = np.minimum(z, layer.out_channels)
-    y = np.minimum(y, layer.out_height)
-    x = np.minimum(x, layer.out_width)
+    choices = [None] * len(constraints)
+    for seed, members in members_by_seed.items():
+        # Candidate arrays in scalar enumeration order, the seed prepended
+        # at index 0.  _around clamps to [1, extent] and the seed is
+        # clipped, so every candidate is already clip(layer)-ed.
+        b, z, y, x = (
+            np.concatenate(([seed_size], sizes))
+            for seed_size, sizes in zip(
+                (seed.b, seed.z, seed.y, seed.x),
+                meshgrid_ravel(
+                    _around(seed.b, layer.batch),
+                    _around(seed.z, layer.out_channels),
+                    _around(seed.y, layer.out_height),
+                    _around(seed.x, layer.out_width),
+                ),
+            )
+        )
 
-    # Array form of the `fits` predicate from _seed_and_fits, term for term
-    # (all candidates have k = 1): Tiling.on_chip_footprint = Psum block
-    # (output_block_size) + staged inputs (b * x' * y' * k) + staged weights
-    # (z * k), then the optional per-buffer caps on the same three terms.
-    rows = (y - 1) * layer.stride + layer.kernel_height
-    cols = (x - 1) * layer.stride + layer.kernel_width
-    staged_inputs = b * rows * cols
-    psum_block = b * x * y * z
-    mask = (psum_block + staged_inputs + z) <= on_chip_words
-    if psum_words is not None:
-        mask &= psum_block <= psum_words
-    if input_buffer_words is not None:
-        mask &= staged_inputs <= input_buffer_words
-    if weight_buffer_words is not None:
-        mask &= z <= weight_buffer_words
-    mask[0] = True  # the seed is the incumbent regardless of feasibility
+        # Array form of the `fits` predicate from _seed_and_fits, term for
+        # term (all candidates have k = 1): Tiling.on_chip_footprint = Psum
+        # block (output_block_size) + staged inputs (b * x' * y' * k) +
+        # staged weights (z * k), then the optional per-buffer caps on the
+        # same three terms.  Row i holds member i's caps.
+        rows = (y - 1) * layer.stride + layer.kernel_height
+        cols = (x - 1) * layer.stride + layer.kernel_width
+        staged_inputs = b * rows * cols
+        psum_block = b * x * y * z
+        on_chip, *buffer_caps = zip(*(constraints[index] for index in members))
+        mask = (psum_block + staged_inputs + z) <= capacity_array(on_chip)[:, None]
+        for caps, term in zip(buffer_caps, (psum_block, staged_inputs, z)):
+            if any(cap is not None for cap in caps):
+                mask &= term <= capacity_array(caps)[:, None]
+        mask[:, 0] = True  # the seed is the incumbent regardless of feasibility
 
-    input_f, weight_f, totals = exact_traffic_grid(layer, b, z, y, x)
-    best = int(np.argmin(np.where(mask, totals, np.inf)))
-    tiling = Tiling(b=int(b[best]), z=int(z[best]), y=int(y[best]), x=int(x[best]), k=1)
-    traffic = TrafficBreakdown(
-        input_reads=float(input_f[best]),
-        weight_reads=float(weight_f[best]),
-        output_reads=0.0,
-        output_writes=float(layer.num_outputs),
-    )
-    return TilingChoice(tiling, traffic)
+        input_f, weight_f, totals = exact_traffic_grid(layer, b, z, y, x)
+        best = np.argmin(np.where(mask, totals, np.inf), axis=1)
+        for index, column in zip(members, best.tolist()):
+            choices[index] = TilingChoice(
+                Tiling(b=int(b[column]), z=int(z[column]), y=int(y[column]), x=int(x[column]), k=1),
+                TrafficBreakdown(
+                    input_reads=float(input_f[column]),
+                    weight_reads=float(weight_f[column]),
+                    output_reads=0.0,
+                    output_writes=float(layer.num_outputs),
+                ),
+            )
+    return choices
 
 
 def exact_traffic_grid(layer: ConvLayer, b, z, y, x) -> tuple:

@@ -44,6 +44,12 @@ class Dataflow(ABC):
     #: Short name used in figures and the registry (e.g. ``"OutR-A"``).
     name: str = "abstract"
 
+    #: Whether instances of this dataflow that differ in constructor state
+    #: can answer each other's tasks on a layer in one
+    #: :meth:`traffic_grid_many` call.  When false the engine groups grid
+    #: tasks by the full dataflow signature, so a group holds one dataflow.
+    grid_shares_splits: bool = False
+
     @abstractmethod
     def tiling_space(self, layer: ConvLayer, capacity_words: int):
         """Yield candidate tiling dictionaries that fit in ``capacity_words``."""
@@ -103,8 +109,8 @@ class Dataflow(ABC):
         order wins, matching the scalar loop's strictly-smaller update rule.
 
         The default implementation evaluates the subclass's
-        ``grid_arrays(layer)`` candidate grid once and masks/argmins it per
-        capacity; requires NumPy.
+        ``grid_arrays(layer)`` candidate grid once and answers every
+        capacity from one selection over it; requires NumPy.
         """
         # Imported here so the scalar models never depend on NumPy.
         from repro.dataflows.grid import grid_search
@@ -114,6 +120,15 @@ class Dataflow(ABC):
                 f"{self.name} does not implement the vectorized search backend"
             )
         return grid_search(self, layer, capacities)
+
+    def traffic_grid_many(self, layer: ConvLayer, requests) -> list:
+        """:meth:`traffic_grid` of one engine group's ``(dataflow, capacity)`` requests.
+
+        The engine calls this on the group's first dataflow.  Unless
+        :attr:`grid_shares_splits` is set every request names this very
+        dataflow, so the default just answers their capacities.
+        """
+        return self.traffic_grid(layer, [capacity for _, capacity in requests])
 
     def __repr__(self) -> str:
         return f"<Dataflow {self.name}>"

@@ -11,12 +11,15 @@ be evaluated as a handful of array expressions instead of a Python loop:
    ``i``-th candidate of the scalar generator);
 2. evaluate the on-chip footprint and all four traffic components for every
    candidate in one shot, in exact ``int64`` arithmetic;
-3. for each requested capacity, mask the candidates whose footprint fits and
-   take the argmin of the totals.
+3. answer every requested capacity from one selection: bucket each
+   candidate by the smallest requested capacity its footprint fits, take
+   each bucket's first minimum, and carry a running minimum across the
+   buckets in capacity order.
 
 Because a single grid evaluation serves *any number* of capacities, an entire
 Fig. 13 memory sweep costs one grid evaluation per (dataflow, layer) pair
-instead of ``len(capacities)`` independent searches.
+instead of ``len(capacities)`` independent searches, and the DSE's 134
+family totals cost one selection rather than 134 masked argmins.
 
 Bit-identical guarantee
 -----------------------
@@ -86,6 +89,24 @@ def meshgrid_ravel(*value_lists):
     return tuple(grid.ravel() for grid in grids)
 
 
+#: Largest ``int64``.  Every candidate footprint is an ``int64``, so a cap
+#: at or beyond it -- or no cap at all -- admits every candidate.
+NO_CAP = 2**63 - 1
+
+
+def capacity_array(capacities):
+    """Word capacities as an ``int64`` array for comparing against footprints.
+
+    ``None`` (no cap) and values past ``int64`` become :data:`NO_CAP`, which
+    every footprint fits under exactly as it fits under the original value.
+    """
+    np = require_numpy()
+    return np.array(
+        [NO_CAP if capacity is None else min(capacity, NO_CAP) for capacity in capacities],
+        dtype=np.int64,
+    )
+
+
 def ceil_div(a, b):
     """Elementwise ceiling division on integer arrays (or scalars)."""
     return -(-a // b)
@@ -127,6 +148,15 @@ def grid_search(dataflow, layer: ConvLayer, capacities) -> list:
 
     Returns one :class:`~repro.dataflows.base.DataflowResult` per capacity
     (``None`` where no candidate fits), bit-identical to the scalar search.
+
+    One selection answers every capacity.  Each candidate falls in the
+    bucket of the smallest distinct capacity its footprint fits (one
+    ``searchsorted``; the last bucket holds the candidates that fit none),
+    two ``minimum.at`` passes take each bucket's lexicographic (total,
+    enumeration index) minimum, and a running minimum over the buckets in
+    ascending capacity order gives each capacity the first minimum among
+    every candidate it admits -- what ``argmin`` over that capacity's mask
+    returns.
     """
     np = require_numpy()
     axes, footprint, components = dataflow.grid_arrays(layer)
@@ -136,14 +166,30 @@ def grid_search(dataflow, layer: ConvLayer, capacities) -> list:
     # behave exactly like the scalar comparisons.
     totals = ((input_reads + weight_reads) + output_reads) + output_writes
 
+    requested = [int(capacity_words) for capacity_words in capacities]
+    levels = sorted(set(requested))
+    bucket = np.searchsorted(capacity_array(levels), footprint).astype(
+        np.min_scalar_type(len(levels))
+    )
+    bucket_totals = np.full(len(levels) + 1, np.inf)
+    np.minimum.at(bucket_totals, bucket, totals)
+    ties = np.flatnonzero(totals == bucket_totals[bucket])
+    bucket_first = np.full(len(levels) + 1, len(totals), dtype=ties.dtype)
+    np.minimum.at(bucket_first, bucket[ties], ties)
+
+    winners = {}
+    incumbent = None
+    for capacity, total, first in zip(levels, bucket_totals.tolist(), bucket_first.tolist()):
+        if first < len(totals) and (incumbent is None or (total, first) < incumbent):
+            incumbent = (total, first)
+        winners[capacity] = None if incumbent is None else incumbent[1]
+
     results = []
-    for capacity_words in capacities:
-        capacity = int(capacity_words)
-        mask = footprint <= capacity
-        if not mask.any():
+    for capacity in requested:
+        best = winners[capacity]
+        if best is None:
             results.append(None)
             continue
-        best = int(np.argmin(np.where(mask, totals, np.inf)))
         results.append(
             DataflowResult(
                 dataflow=dataflow.name,

@@ -12,7 +12,7 @@ is known in closed form.
 from __future__ import annotations
 
 from repro.core.layer import ConvLayer
-from repro.core.optimal_dataflow import choose_tiling, choose_tiling_grid, dataflow_traffic
+from repro.core.optimal_dataflow import choose_tiling, choose_tiling_grid_many, dataflow_traffic
 from repro.core.tiling import Tiling
 from repro.core.traffic import TrafficBreakdown
 from repro.dataflows.base import Dataflow, DataflowResult
@@ -22,6 +22,11 @@ class OptimalDataflow(Dataflow):
     """Output-block stationary dataflow with ``b*x*y ~= R*z`` (Section IV-A)."""
 
     name = "Ours"
+
+    #: Instances differ only in their memory split, which the vectorized
+    #: search takes per request, so the engine evaluates the tasks of every
+    #: split on a layer together (see :meth:`traffic_grid_many`).
+    grid_shares_splits = True
 
     def __init__(
         self,
@@ -62,29 +67,44 @@ class OptimalDataflow(Dataflow):
 
         Unlike the Fig. 12 baselines there is no dense candidate grid to
         share across capacities -- the analytic seed and its refinement
-        neighbourhood depend on the capacity -- so each capacity runs one
-        :func:`~repro.core.optimal_dataflow.choose_tiling_grid` call, which
-        evaluates the whole neighbourhood as array arithmetic and is
-        bit-identical to the scalar :func:`choose_tiling`.
+        neighbourhood depend on the capacity -- so this is
+        :meth:`traffic_grid_many` with this dataflow's split at every
+        capacity.
         """
-        results = []
-        for capacity_words in capacities:
-            capacity = int(capacity_words)
-            try:
-                choice = choose_tiling_grid(
-                    layer,
+        return self.traffic_grid_many(layer, [(self, capacity) for capacity in capacities])
+
+    def traffic_grid_many(self, layer: ConvLayer, requests) -> list:
+        """Vectorized search of ``(dataflow, capacity)`` requests of any splits.
+
+        Every request becomes one constraint of a single
+        :func:`~repro.core.optimal_dataflow.choose_tiling_grid_many` call on
+        ``layer``, which evaluates each distinct shrunken seed's
+        neighbourhood once for all the requests that share it.  Results are
+        bit-identical to the scalar :func:`choose_tiling` of each request's
+        own dataflow.
+        """
+        requests = [(dataflow, int(capacity)) for dataflow, capacity in requests]
+        choices = choose_tiling_grid_many(
+            layer,
+            [
+                (
                     capacity,
-                    psum_words=self.psum_words,
-                    input_buffer_words=self.input_buffer_words,
-                    weight_buffer_words=self.weight_buffer_words,
+                    dataflow.psum_words,
+                    dataflow.input_buffer_words,
+                    dataflow.weight_buffer_words,
                 )
-            except ValueError:
+                for dataflow, capacity in requests
+            ],
+        )
+        results = []
+        for (dataflow, capacity), choice in zip(requests, choices):
+            if choice is None:
                 results.append(None)
                 continue
             tiling = choice.tiling
             results.append(
                 DataflowResult(
-                    dataflow=self.name,
+                    dataflow=dataflow.name,
                     layer_name=layer.name,
                     capacity_words=capacity,
                     tiling={"b": tiling.b, "z": tiling.z, "y": tiling.y, "x": tiling.x, "k": tiling.k},

@@ -4,14 +4,15 @@ One sweep, given an SRAM budget and a workload:
 
 1. enumerate candidate configs under the budget (:mod:`repro.dse.space`);
 2. group them into **families** by memory split ``(Psum, IGBuf, WGBuf)`` --
-   configs of a family share their whole tiling search, and the engine's
-   ``search_many`` answers all capacity points of a family's dataflow with
-   one vectorized grid evaluation on the NumPy backend;
+   configs of a family share their whole tiling search;
 3. co-search the best dataflow + tiling per (family, layer): the paper's
    dataflow constrained to the family's exact split, against every Fig. 12
    baseline at the family's total capacity (the baselines model loop orders
    without a split notion, so their traffic is a per-capacity bound shared
-   across families of equal totals);
+   across families of equal totals).  On the NumPy backend this costs one
+   array pass per layer shape for the constrained paper dataflow -- every
+   family's split in one evaluation -- and one candidate grid per baseline
+   and layer shape, which answers all family totals from one selection;
 4. score every config with the first-order objective model
    (:mod:`repro.dse.objectives`) and keep the Pareto frontier
    (:mod:`repro.dse.pareto`).
@@ -77,31 +78,48 @@ def co_search_families(engine, layers, families: list) -> dict:
     with one entry per layer, or ``None`` for families where some layer fits
     no dataflow at all.  Ties break deterministically: the constrained
     paper dataflow first, then the Fig. 12 registry order.
+
+    Two engine batches cover the whole co-search: every (family, layer)
+    task of the split-constrained paper dataflow, which the NumPy backend
+    evaluates as one group per layer shape, and every (baseline, layer,
+    family total) task, one grid per baseline and layer shape.
     """
     families = sorted(set(families))
     capacities = sorted({sum(family) for family in families})
-    baseline_results = {
-        (baseline.name, layer_index): engine.search_many(layer, capacities, baseline)
-        for baseline in BASELINE_DATAFLOWS
-        for layer_index, layer in enumerate(layers)
-    }
     capacity_index = {capacity: index for index, capacity in enumerate(capacities)}
+    baseline_results = engine.search_tasks(
+        [
+            (baseline, layer, capacity)
+            for baseline in BASELINE_DATAFLOWS
+            for layer in layers
+            for capacity in capacities
+        ]
+    )
+    constrained_results = engine.search_tasks(
+        [
+            (
+                OptimalDataflow(
+                    psum_words=psum_words,
+                    input_buffer_words=igbuf_words,
+                    weight_buffer_words=wgbuf_words,
+                ),
+                layer,
+                psum_words + igbuf_words + wgbuf_words,
+            )
+            for psum_words, igbuf_words, wgbuf_words in families
+            for layer in layers
+        ]
+    )
 
     per_family = {}
-    for family in families:
-        psum_words, igbuf_words, wgbuf_words = family
-        total = sum(family)
-        constrained = OptimalDataflow(
-            psum_words=psum_words,
-            input_buffer_words=igbuf_words,
-            weight_buffer_words=wgbuf_words,
-        )
+    for family_index, family in enumerate(families):
+        column = capacity_index[sum(family)]
         rows = []
-        for layer_index, layer in enumerate(layers):
-            candidates = engine.search_many(layer, [total], constrained)
-            for baseline in BASELINE_DATAFLOWS:
-                result = baseline_results[(baseline.name, layer_index)][capacity_index[total]]
-                candidates.append(result)
+        for layer_index in range(len(layers)):
+            candidates = [constrained_results[family_index * len(layers) + layer_index]]
+            for baseline_index in range(len(BASELINE_DATAFLOWS)):
+                row = baseline_index * len(layers) + layer_index
+                candidates.append(baseline_results[row * len(capacities) + column])
             feasible = [result for result in candidates if result is not None]
             if not feasible:
                 rows = None
@@ -110,6 +128,14 @@ def co_search_families(engine, layers, families: list) -> dict:
             rows.append((best.dataflow, best.traffic))
         per_family[family] = rows
     return per_family
+
+
+def validate_budget(budget_kib) -> int:
+    """A sweep budget in words; ``ValueError`` unless positive and finite."""
+    budget_words = kib_to_words(budget_kib)
+    if budget_kib <= 0:
+        raise ValueError(f"budget must be positive, got {budget_kib} KiB")
+    return budget_words
 
 
 def validate_mix(mix) -> tuple:
@@ -258,6 +284,7 @@ def design_space_exploration(
     """
     if engine is None:
         engine = get_default_engine()
+    budget_words = validate_budget(budget_kib)
     objectives = validate_objectives(objectives or ("dram", "energy", "time"))
     explorer = validate_explorer(explorer)
     weights = None
@@ -273,9 +300,6 @@ def design_space_exploration(
         layers = resolve_layers(layers, "vgg16")
     if space is None:
         space = CandidateSpace()
-    if budget_kib <= 0:
-        raise ValueError(f"budget must be positive, got {budget_kib} KiB")
-    budget_words = kib_to_words(budget_kib)
     slice_spec = validate_shard(*slice_spec)
 
     if weights is None:
@@ -390,6 +414,7 @@ def _validate_dse_params(params: dict) -> None:
     hand-edited spec dies at manifest expansion with one exit-2 one-liner
     instead of N failed units at execution time.
     """
+    validate_budget(params["budget_kib"])
     mix = params.get("mix")
     if mix is not None:
         validate_mix(mix)

@@ -213,19 +213,45 @@ def dataflow_signature(dataflow) -> tuple:
     return (dataflow.name,) + state
 
 
-def task_key(dataflow, layer: ConvLayer, capacity_words: int) -> tuple:
-    """Cache key for one search task.
+def whole_capacity(capacity_words) -> int:
+    """``capacity_words`` as an ``int``; ``ValueError`` unless it is whole.
 
-    ``capacity_words`` must be a whole number of words: silently truncating a
-    fractional capacity would alias distinct searches to one cache entry.
-    (KiB capacities are converted with :func:`repro.core.layer.kib_to_words`.)
+    Silently truncating a fractional capacity would alias distinct searches
+    to one cache entry.  (KiB capacities are converted with
+    :func:`repro.core.layer.kib_to_words`.)
     """
     capacity = int(capacity_words)
     if capacity != capacity_words:
         raise ValueError(
             f"capacity_words must be a whole word count, got {capacity_words!r}"
         )
-    return (dataflow_signature(dataflow), layer_signature(layer), capacity)
+    return capacity
+
+
+def task_key(dataflow, layer: ConvLayer, capacity_words: int) -> tuple:
+    """Cache key for one search task (the capacity must be whole)."""
+    return (dataflow_signature(dataflow), layer_signature(layer), whole_capacity(capacity_words))
+
+
+def task_keys(tasks) -> list:
+    """:func:`task_key` of every ``(dataflow, layer, capacity_words)`` task.
+
+    A batch names a few dataflow and layer objects many times over, so each
+    distinct object is signed once, memoised by identity (``tasks`` keeps
+    every object alive while the keys are built).
+    """
+    dataflows = {}
+    layers = {}
+    keys = []
+    for dataflow, layer, capacity_words in tasks:
+        dataflow_key = dataflows.get(id(dataflow))
+        if dataflow_key is None:
+            dataflow_key = dataflows[id(dataflow)] = dataflow_signature(dataflow)
+        layer_key = layers.get(id(layer))
+        if layer_key is None:
+            layer_key = layers[id(layer)] = layer_signature(layer)
+        keys.append((dataflow_key, layer_key, whole_capacity(capacity_words)))
+    return keys
 
 
 @dataclass
@@ -239,14 +265,16 @@ class CacheStats:
     cache or deduplicated against an identical task in the same batch.
 
     ``grid_evaluations`` counts the NumPy backend's vectorized
-    ``traffic_grid`` invocations -- one per ``(dataflow, layer)`` group,
-    covering *every* missed capacity of that pair at once -- so the sweep
-    paths report both how many tasks ran (``misses``) and how many backend
-    invocations that took (``grid_evaluations``).  For the grid dataflows
-    one invocation is literally one candidate-grid evaluation; ``Ours``
-    evaluates a capacity-dependent refinement neighbourhood per capacity
-    inside its single invocation (its candidate set is analytic, not a
-    shared dense grid).
+    ``traffic_grid_many`` invocations -- one per engine group, covering
+    *every* missed task of that group at once -- so the sweep paths report
+    both how many tasks ran (``misses``) and how many backend invocations
+    that took (``grid_evaluations``).  A grid dataflow's group is one
+    ``(dataflow, layer)`` pair, and its invocation is literally one
+    candidate-grid evaluation.  ``Ours`` groups every split on a layer
+    (the free split and each fixed one); its invocation evaluates one
+    refinement neighbourhood per distinct shrunken seed, shared by every
+    task whose capacity and split shrink to it (its candidate set is
+    analytic, not a shared dense grid).
 
     ``coalesced`` and ``batched`` are the serving counters (zero outside
     the daemon of :mod:`repro.server`): a *coalesced* request attached to

@@ -13,8 +13,11 @@ the CLI and the benchmarks) runs ``dataflow.search(layer, capacity)``:
   (``backend="numpy"``) that materializes each dataflow's whole candidate
   grid as arrays and answers every missed capacity of a ``(dataflow,
   layer)`` pair with a single grid evaluation (see
-  :mod:`repro.dataflows.grid`).  ``backend="auto"`` (the default) picks
-  NumPy when it is importable and falls back to the scalar path otherwise;
+  :mod:`repro.dataflows.grid`) -- and every missed task of the paper's
+  dataflow on a layer, whatever its memory split, with one
+  (:meth:`~repro.dataflows.ours.OptimalDataflow.traffic_grid_many`).
+  ``backend="auto"`` (the default) picks NumPy when it is importable and
+  falls back to the scalar path otherwise;
 * independent tasks fan out across a :class:`~concurrent.futures.
   ProcessPoolExecutor` when ``workers > 1``; with ``workers=1`` everything
   runs serially in-process, so tests stay deterministic and debuggable.
@@ -27,17 +30,17 @@ vice versa, on disk and in memory, under the same
 Cached results are bit-identical to direct ``dataflow.search`` calls: the
 engine stores the :class:`~repro.dataflows.base.DataflowResult` itself and
 only re-labels the layer name when a shape-equal layer with a different name
-hits the same entry.
+hits the same entry.  A batch signs each distinct dataflow and layer object
+once (:func:`~repro.engine.cache.task_keys`), not once per task.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 from repro.core.traffic import TrafficBreakdown, sum_traffic
-from repro.engine.cache import INFEASIBLE, CacheStats, SearchCache, task_key
+from repro.engine.cache import INFEASIBLE, CacheStats, SearchCache, task_keys
 
 #: Accepted values of the ``backend`` option.
 BACKENDS = ("auto", "numpy", "python")
@@ -54,15 +57,15 @@ def _execute_search(dataflow, layer, capacity_words):
         return INFEASIBLE
 
 
-def _execute_grid(dataflow, layer, capacities):
-    """Vectorized multi-capacity search for one ``(dataflow, layer)`` pair.
+def _execute_grid(layer, requests):
+    """Vectorized search of one grid group's ``(dataflow, capacity)`` requests.
 
-    Returns one cache entry per capacity; module-level so a parallel engine
+    Returns one cache entry per request; module-level so a parallel engine
     can fan grid evaluations out across worker processes.
     """
     return [
         INFEASIBLE if result is None else result
-        for result in dataflow.traffic_grid(layer, capacities)
+        for result in requests[0][0].traffic_grid_many(layer, requests)
     ]
 
 
@@ -193,39 +196,46 @@ class SearchEngine:
         Duplicate tasks (and tasks already cached) are searched only once;
         infeasible tasks yield ``None`` in the result list.
         """
+        # Imported here: repro.dataflows imports this package back.
+        from repro.dataflows.base import DataflowResult
+
         tasks = list(tasks)
-        keys = [task_key(dataflow, layer, capacity) for dataflow, layer, capacity in tasks]
-        pending = {}
+        keys = task_keys(tasks)
         # Hits are resolved immediately: under an LRU-bounded cache, storing
         # this batch's fresh entries could evict an entry that was counted
-        # as a hit before it is read back.
-        resolved = {}
+        # as a hit before it is read back.  A pending key maps to None until
+        # its search fills it in.
+        entries = {}
+        pending = {}
         for key, task in zip(keys, tasks):
-            if key in resolved or key in pending:
+            if key in entries:
                 # Deduplicated against an identical task in this batch.
-                self.stats.hits += 1
-            elif self.cache is not None and key in self.cache:
-                self.stats.hits += 1
-                resolved[key] = self.cache.get(key)
-            else:
+                continue
+            entry = None if self.cache is None else self.cache.get(key)
+            entries[key] = entry
+            if entry is None:
                 pending[key] = task
-                self.stats.misses += 1
+        self.stats.misses += len(pending)
+        self.stats.hits += len(tasks) - len(pending)
 
         fresh = self._execute(pending)
         if self.cache is not None:
             for key, entry in fresh.items():
                 self.cache.store(key, entry)
+        entries.update(fresh)
 
         results = []
-        for key, (dataflow, layer, capacity) in zip(keys, tasks):
-            entry = fresh[key] if key in fresh else resolved[key]
+        for key, (_, layer, _) in zip(keys, tasks):
+            entry = entries[key]
             if entry == INFEASIBLE:
                 results.append(None)
             else:
                 # Re-label shape-equal layers and detach the mutable tiling
                 # dict so callers can never corrupt the cached entry.
                 results.append(
-                    replace(entry, layer_name=layer.name, tiling=dict(entry.tiling))
+                    DataflowResult(
+                        entry.dataflow, layer.name, entry.capacity_words, dict(entry.tiling), entry.traffic
+                    )
                 )
         return results
 
@@ -234,20 +244,25 @@ class SearchEngine:
 
         On the NumPy backend, grid-capable tasks are grouped by their
         ``(dataflow, layer)`` signatures so each group costs one vectorized
-        grid evaluation regardless of how many capacities it covers;
-        everything else (and the whole map, on the scalar backend) runs
-        through the per-task reference search.
+        grid evaluation regardless of how many capacities it covers; a
+        dataflow whose splits share one evaluation (``grid_shares_splits``,
+        the constrained ``Ours`` family) groups by its name instead, so the
+        tasks of every split on a layer share one.  Everything else (and the
+        whole map, on the scalar backend) runs through the per-task
+        reference search.
         """
         if not pending:
             return {}
         grid_groups = {}
         scalar_items = []
         for key, task in pending.items():
-            supports_grid = getattr(task[0], "supports_grid", None)
+            dataflow = task[0]
+            supports_grid = getattr(dataflow, "supports_grid", None)
             if self.backend == "numpy" and supports_grid is not None and supports_grid():
-                # key = (dataflow signature, layer signature, capacity): the
-                # first two components identify the group.
-                grid_groups.setdefault(key[:2], []).append((key, task))
+                # key = (dataflow signature, layer signature, capacity); a
+                # signature is a tuple that starts with the dataflow's name.
+                family = key[0][0] if dataflow.grid_shares_splits else key[0]
+                grid_groups.setdefault((family, key[1]), []).append((key, task))
             else:
                 scalar_items.append((key, task))
         entries = self._execute_scalar(scalar_items)
@@ -276,30 +291,22 @@ class SearchEngine:
             return {key: entry for (key, _), entry in zip(items, entries)}
 
     def _execute_grids(self, groups: list) -> dict:
-        """Vectorized grid evaluations, one per ``(dataflow, layer)`` group."""
+        """Vectorized grid evaluations, one per group of :meth:`_execute`."""
         if not groups:
             return {}
         self.stats.grid_evaluations += len(groups)
-        entries = {}
+        layers = [group[0][1][1] for group in groups]
+        requests = [[(task[0], task[2]) for _, task in group] for group in groups]
         if self.workers == 1 or len(groups) == 1:
-            for group in groups:
-                dataflow, layer = group[0][1][0], group[0][1][1]
-                capacities = [task[2] for _, task in group]
-                for (key, _), entry in zip(group, _execute_grid(dataflow, layer, capacities)):
-                    entries[key] = entry
-            return entries
-        max_workers = min(self.workers, len(groups))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            batches = pool.map(
-                _execute_grid,
-                [group[0][1][0] for group in groups],
-                [group[0][1][1] for group in groups],
-                [[task[2] for _, task in group] for group in groups],
-            )
-            for group, batch in zip(groups, batches):
-                for (key, _), entry in zip(group, batch):
-                    entries[key] = entry
-        return entries
+            batches = list(map(_execute_grid, layers, requests))
+        else:
+            with ProcessPoolExecutor(max_workers=min(self.workers, len(groups))) as pool:
+                batches = list(pool.map(_execute_grid, layers, requests))
+        return {
+            key: entry
+            for group, batch in zip(groups, batches)
+            for (key, _), entry in zip(group, batch)
+        }
 
     # -------------------------------------------------- higher-level searches
 

@@ -155,9 +155,15 @@ def resolve_capacity(document: dict) -> int:
         return capacity
     if "capacity_kib" in document:
         kib = document["capacity_kib"]
-        if not isinstance(kib, (int, float)) or isinstance(kib, bool) or kib <= 0:
+        if not isinstance(kib, (int, float)) or isinstance(kib, bool):
             raise ProtocolError(f"capacity_kib must be a positive number, got {kib!r}")
-        return kib_to_words(kib)
+        try:
+            words = kib_to_words(kib)
+        except (OverflowError, ValueError) as error:
+            raise ProtocolError(f"capacity_kib must be finite, got {kib!r}") from error
+        if words < 1:
+            raise ProtocolError(f"capacity_kib must be at least one word, got {kib!r}")
+        return words
     raise ProtocolError("request needs 'capacity_words' or 'capacity_kib'")
 
 

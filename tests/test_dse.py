@@ -27,7 +27,16 @@ from repro.arch.accelerator import AcceleratorModel
 from repro.arch.config import PAPER_IMPLEMENTATIONS, paper_implementation
 from repro.cli import main
 from repro.dse.artifacts import merge_dse_artifacts
-from repro.dse.explore import design_space_exploration, slice_configs, validate_mix
+from repro.core.layer import ConvLayer
+from repro.dataflows.grid import numpy_available
+from repro.dataflows.registry import BASELINE_DATAFLOWS
+from repro.dse import explore
+from repro.dse.explore import (
+    co_search_families,
+    design_space_exploration,
+    slice_configs,
+    validate_mix,
+)
 from repro.dse.objectives import config_objectives, estimate_counts
 from repro.dse.pareto import (
     contains_or_dominates,
@@ -407,6 +416,54 @@ class TestExplore:
             )
 
 
+class TestCoSearchBatching:
+    """The co-search's two engine batches and their grouped evaluation."""
+
+    #: Three distinct shapes, so a parallel engine fans the groups out.
+    LAYERS = [
+        ConvLayer("a", 1, 32, 30, 30, 64, 3, 3),
+        ConvLayer("b", 1, 64, 16, 16, 64, 3, 3),
+        ConvLayer("c", 2, 16, 20, 20, 32, 3, 3),
+    ]
+    #: Six splits of one 4000-word total; on layer "b" the constrained
+    #: paper dataflow wins for some of them, at a total that depends on the
+    #: split.
+    FAMILIES = [
+        (psum, igbuf, 4000 - psum - igbuf) for psum in (1500, 2500, 3500) for igbuf in (150, 300)
+    ]
+
+    @pytest.mark.skipif(not numpy_available(), reason="the grouped path is the NumPy backend's")
+    def test_mixed_split_groups_match_across_workers_and_backends(self):
+        serial = co_search_families(SearchEngine(workers=1, backend="numpy"), self.LAYERS, self.FAMILIES)
+        # Each layer's constrained tasks form one group holding every split;
+        # a group answered with a single split would give every family the
+        # same "b" row.
+        assert len({tuple(rows) for rows in serial.values()}) > 2
+        engine = SearchEngine(workers=2, backend="numpy")
+        assert co_search_families(engine, self.LAYERS, self.FAMILIES) == serial
+        assert engine.stats.grid_evaluations == len(self.LAYERS) * (1 + len(BASELINE_DATAFLOWS))
+        scalar = SearchEngine(workers=1, backend="python")
+        assert co_search_families(scalar, self.LAYERS, self.FAMILIES) == serial
+        assert scalar.stats.as_dict() == dict(engine.stats.as_dict(), grid_evaluations=0)
+
+    def test_two_engine_batches(self, monkeypatch):
+        engine = SearchEngine()
+        sizes = []
+        search_tasks = engine.search_tasks
+
+        def counting(tasks):
+            tasks = list(tasks)
+            sizes.append(len(tasks))
+            return search_tasks(tasks)
+
+        monkeypatch.setattr(engine, "search_tasks", counting)
+        co_search_families(engine, self.LAYERS, self.FAMILIES)
+        assert sizes == [
+            len(BASELINE_DATAFLOWS) * len(self.LAYERS),
+            len(self.FAMILIES) * len(self.LAYERS),
+        ]
+
+
 # -------------------------------------------------- Table I cross-check (vgg16)
 
 
@@ -681,6 +738,24 @@ class TestMixValidation:
     def test_mix_rejects_unknown_override_keys(self):
         with pytest.raises(ValueError, match="unknown traffic-mix override keys"):
             validate_mix({"model": "llama_decode:32", "reqests": 10})
+
+    @pytest.mark.parametrize("budget_kib", [0.0, float("inf"), float("nan")])
+    def test_bad_budget_fails_before_the_mix_trace(self, budget_kib, monkeypatch):
+        def never(mix):
+            raise AssertionError("the mix trace was generated for an unusable budget")
+
+        monkeypatch.setattr(explore, "_mix_layers", never)
+        with pytest.raises(ValueError, match="budget|finite"):
+            design_space_exploration(
+                budget_kib=budget_kib, engine=SearchEngine(), mix={"model": "llama_decode:1"}
+            )
+
+    def test_zero_budget_fails_at_manifest_expansion(self):
+        spec = ManifestSpec(
+            workloads=("tiny",), experiments=("dse",), params={"dse": {"budget_kib": 0.0}}
+        )
+        with pytest.raises(ValueError, match="budget must be positive"):
+            RunManifest.from_spec(spec)
 
     def test_sweep_surfaces_mix_errors_as_value_errors(self):
         engine = SearchEngine()

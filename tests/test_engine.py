@@ -406,6 +406,34 @@ class TestGridEvaluationStats:
         assert engine.stats.grid_evaluations == pairs
         assert engine.stats.hits == pairs * 3
 
+    @requires_numpy
+    def test_ours_splits_share_one_grid_evaluation_per_layer(self, small_layers):
+        splits = [
+            OptimalDataflow(psum_words=psum, input_buffer_words=igbuf, weight_buffer_words=256)
+            for psum in (1024, 2048, 4096)
+            for igbuf in (256, 512)
+        ]
+        tasks = [
+            (dataflow, layer, capacity)
+            for dataflow in splits + [get_dataflow("Ours")]
+            for layer in small_layers
+            for capacity in (4096, 8192)
+        ]
+        engine = SearchEngine(backend="numpy")
+        results = engine.search_tasks(tasks)
+        assert engine.stats.grid_evaluations == len(small_layers)
+        assert engine.stats.misses == len(tasks)
+        assert results == SearchEngine(backend="python").search_tasks(tasks)
+        assert [result.dataflow for result in results if result] == ["Ours"] * sum(map(bool, results))
+
+    @pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=requires_numpy)])
+    def test_fractional_capacity_raises_through_search_tasks(self, layer, backend):
+        engine = SearchEngine(backend=backend)
+        tasks = [(get_dataflow("Ours"), layer, 8192), (get_dataflow("InR-A"), layer, 8192.5)]
+        with pytest.raises(ValueError, match="whole word count"):
+            engine.search_tasks(tasks)
+        assert engine.stats.lookups == 0 and len(engine.cache) == 0
+
     def test_python_backend_reports_zero_grid_evaluations(self, layer):
         engine = SearchEngine(backend="python")
         engine.search_many(layer, [512, 4096], get_dataflow("InR-A"))

@@ -144,3 +144,8 @@ class TestHelpers:
 
     def test_kib_to_words_floor(self):
         assert kib_to_words(0.001) == 0
+
+    @pytest.mark.parametrize("kib", [float("inf"), float("-inf"), float("nan"), 1e308])
+    def test_kib_to_words_rejects_non_finite(self, kib):
+        with pytest.raises(ValueError, match="finite"):
+            kib_to_words(kib)

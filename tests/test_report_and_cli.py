@@ -215,6 +215,21 @@ class TestCliErrorPaths:
         assert "no tiling" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig13", "--workload", "tiny", "--capacities", "inf"],
+            ["fig13", "--workload", "tiny", "--capacities", "nan"],
+            ["dse", "--workload", "tiny", "--budget", "inf"],
+            ["dse", "--workload", "tiny", "--budget", "nan"],
+        ],
+    )
+    def test_non_finite_capacity(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
+        assert "Traceback" not in err
+
     def test_negative_workers(self, capsys):
         assert main(["table1", "--workers", "-1"]) == 2
         err = capsys.readouterr().err

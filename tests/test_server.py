@@ -24,6 +24,7 @@ from repro.server.protocol import (
     ProtocolError,
     layer_from_wire,
     layer_to_wire,
+    resolve_capacities,
     resolve_capacity,
     result_from_wire,
     result_to_wire,
@@ -67,6 +68,20 @@ class TestProtocol:
             resolve_capacity({"capacity_words": 0})
         with pytest.raises(ProtocolError, match="positive"):
             resolve_capacity({"capacity_words": True})
+
+    @pytest.mark.parametrize("kib", [float("inf"), float("nan"), 10**400])
+    def test_non_finite_capacity_kib_is_rejected(self, kib):
+        with pytest.raises(ProtocolError, match="finite"):
+            resolve_capacity({"capacity_kib": kib})
+        with pytest.raises(ProtocolError, match="finite"):
+            resolve_capacities({"capacities_kib": [16, kib]})
+
+    @pytest.mark.parametrize("kib", [0.0001, 0.0019, -1])
+    def test_capacity_kib_under_one_word_is_rejected(self, kib):
+        # capacity_words: 0 is a 400; a KiB value that rounds to 0 words is too.
+        with pytest.raises(ProtocolError, match="at least one word"):
+            resolve_capacity({"capacity_kib": kib})
+        assert resolve_capacity({"capacity_kib": 0.002}) == 1
 
 
 class TestSearchService:
@@ -286,6 +301,15 @@ class TestDaemon:
             with pytest.raises(ServerError) as wrong_method:
                 client._json("GET", "/search")
             assert wrong_method.value.status == 405
+
+    @pytest.mark.parametrize("kib", [float("inf"), float("nan"), 0.0001])
+    def test_unusable_capacity_kib_is_a_bad_request(self, daemon, layer, kib):
+        # json.dumps writes Infinity/NaN, which the daemon's parser accepts.
+        document = {"dataflow": "Ours", "layer": layer_to_wire(layer), "capacity_kib": kib}
+        with SearchClient(port=daemon.port) as client:
+            with pytest.raises(ServerError) as bad:
+                client._json("POST", "/search", document)
+        assert bad.value.status == 400
 
     def test_experiment_run_streams_units_then_report(self, daemon):
         with SearchClient(port=daemon.port) as client:

@@ -11,6 +11,10 @@ incumbent on a strictly smaller total.
 Hypothesis generates random layers and random capacity lists; every dataflow
 (the seven Fig. 12 baselines, the free-split ``Ours`` and a fixed-split
 ``Ours``) is checked result-for-result, including feasibility (``None``).
+The batched paths are checked the same way: every constraint of one
+``choose_tiling_grid_many`` call against its own scalar ``choose_tiling``,
+and each baseline's one-selection grid search on up to 300 unsorted,
+duplicated or zero capacities against ``Dataflow.search``.
 The tile-exact accelerator model's tiling choice and the Eyeriss tile search
 are checked the same way against their scalar loops, on the paper's
 workloads and on random layers and configurations.
@@ -26,9 +30,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.arch.accelerator import AcceleratorModel  # noqa: E402
 from repro.arch.config import PAPER_IMPLEMENTATIONS, AcceleratorConfig  # noqa: E402
-from repro.core.layer import ConvLayer  # noqa: E402
+from repro.core.layer import ConvLayer, kib_to_words  # noqa: E402
+from repro.core.optimal_dataflow import (  # noqa: E402
+    _seed_and_fits,
+    choose_tiling,
+    choose_tiling_grid,
+    choose_tiling_grid_many,
+)
 from repro.dataflows.ours import OptimalDataflow  # noqa: E402
-from repro.dataflows.registry import ALL_DATAFLOWS  # noqa: E402
+from repro.dataflows.registry import ALL_DATAFLOWS, BASELINE_DATAFLOWS  # noqa: E402
 from repro.engine import SearchEngine, layer_signature  # noqa: E402
 from repro.eyeriss.model import EyerissConfig, EyerissModel  # noqa: E402
 from repro.workloads.registry import get_workload_spec  # noqa: E402
@@ -64,6 +74,35 @@ def conv_layers(draw):
 
 
 capacity_lists = st.lists(st.integers(0, 60_000), min_size=1, max_size=5)
+
+
+@st.composite
+def long_capacity_lists(draw):
+    """Up to 300 capacities, unsorted and duplicated, zero included.
+
+    Drawn from a pool of at most 12 values so the scalar reference, run
+    once per distinct value, stays affordable.
+    """
+    pool = draw(st.lists(st.integers(0, 60_000), min_size=1, max_size=11)) + [0]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+
+
+@st.composite
+def split_constraints(draw):
+    """1-40 ``choose_tiling_grid_many`` constraints on a few shared totals.
+
+    Few totals and many splits make constraints shrink to shared seeds;
+    totals under 8 words (no tiling at all), ``None`` caps and exact
+    duplicates all occur.
+    """
+    totals = draw(
+        st.lists(st.one_of(st.integers(0, 7), st.integers(8, 40_000)), min_size=1, max_size=4)
+    )
+    cap = st.one_of(st.none(), st.integers(0, 20_000))
+    constraints = draw(
+        st.lists(st.tuples(st.sampled_from(totals), cap, cap, cap), min_size=1, max_size=35)
+    )
+    return constraints + draw(st.lists(st.sampled_from(constraints), max_size=5))
 
 
 def scalar_reference(dataflow, layer, capacity):
@@ -123,6 +162,90 @@ class TestTrafficGridParity:
             if first_best is None or candidate.total < first_best[1].total:
                 first_best = (tiling, candidate)
         assert grid.tiling == first_best[0]
+
+
+def scalar_choice(layer, constraint):
+    """The scalar ``choose_tiling`` under one constraint, or None."""
+    on_chip_words, psum_words, input_buffer_words, weight_buffer_words = constraint
+    try:
+        return choose_tiling(
+            layer,
+            on_chip_words,
+            psum_words=psum_words,
+            input_buffer_words=input_buffer_words,
+            weight_buffer_words=weight_buffer_words,
+        )
+    except ValueError:
+        return None
+
+
+class TestChooseTilingGridMany:
+    """Every constraint of one batched call matches its own scalar search."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layer=conv_layers(), constraints=split_constraints())
+    def test_bit_identical_to_scalar_choose_tiling(self, layer, constraints):
+        choices = choose_tiling_grid_many(layer, constraints)
+        assert len(choices) == len(constraints)
+        for constraint, choice in zip(constraints, choices):
+            assert choice == scalar_choice(layer, constraint), constraint
+
+    def test_shared_seeds_keep_each_members_caps(self):
+        """Many splits of one total share few seeds but not their winners."""
+        layer = ConvLayer("conv", 1, 64, 30, 30, 128, 3, 3)
+        total = 12_000
+        constraints = [
+            (total, psum, igbuf, total - psum - igbuf)
+            for psum in range(6_000, 11_000, 1_000)
+            for igbuf in (128, 256, 512, 1_024)
+        ]
+        seeds = {_seed_and_fits(layer, *constraint)[0] for constraint in constraints}
+        assert len(seeds) < len(constraints)
+        choices = choose_tiling_grid_many(layer, constraints)
+        assert len({choice.tiling for choice in choices}) > len(seeds)
+        for constraint, choice in zip(constraints, choices):
+            assert choice == scalar_choice(layer, constraint), constraint
+
+    def test_single_constraint_form_raises_like_the_scalar_search(self):
+        layer = ConvLayer("l", 1, 8, 14, 14, 16, 3, 3, padding=1)
+        assert choose_tiling_grid(layer, 4096, psum_words=2048) == choose_tiling(
+            layer, 4096, psum_words=2048
+        )
+        with pytest.raises(ValueError, match="too small"):
+            choose_tiling_grid(layer, 7)
+        with pytest.raises(ValueError, match="too small"):
+            choose_tiling(layer, 7)
+
+
+class TestGridSearchManyCapacities:
+    """One selection answers hundreds of capacities like per-capacity searches."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layer=conv_layers(), capacities=long_capacity_lists())
+    def test_baselines_match_scalar_search(self, layer, capacities):
+        for dataflow in BASELINE_DATAFLOWS:
+            reference = {
+                capacity: scalar_reference(dataflow, layer, capacity)
+                for capacity in set(capacities)
+            }
+            assert dataflow.traffic_grid(layer, capacities) == [
+                reference[capacity] for capacity in capacities
+            ], dataflow.name
+
+    def test_every_family_total_of_the_default_sweep(self):
+        """The default VGG-16 sweep's 134 family totals on one conv shape."""
+        from repro.dse.space import CandidateSpace, enumerate_configs
+
+        configs = enumerate_configs(kib_to_words(140.0), CandidateSpace())
+        capacities = sorted(
+            {config.psum_words + config.igbuf_words + config.wgbuf_words for config in configs}
+        )
+        assert len(capacities) > 100
+        layer = ConvLayer("conv4_1", 1, 256, 30, 30, 512, 3, 3)
+        for dataflow in BASELINE_DATAFLOWS:
+            results = dataflow.traffic_grid(layer, capacities[::-1])
+            for capacity, result in zip(capacities[::-1][::13], results[::13]):
+                assert result == scalar_reference(dataflow, layer, capacity), (dataflow.name, capacity)
 
 
 class TestEngineBackendParity:
