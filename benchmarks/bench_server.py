@@ -1,7 +1,7 @@
 """Load benchmark for the search daemon; the CI serving-perf gate.
 
-Spawns a real daemon subprocess (SQLite-backed cache, default flush
-window), then drives it with a Zipf-distributed closed-loop load: a few
+Spawns a real daemon subprocess (SQLite-backed cache, default settings),
+then drives it with a Zipf-distributed closed-loop load: a few
 hundred requests drawn from a small task universe where a handful of hot
 tasks dominate -- the shape of real sweep traffic, and the shape request
 coalescing and caching exist for.  Reports requests/s, p50/p99 latency and

@@ -9,8 +9,8 @@ HTTP/1.1 server (stdlib only):
   concurrent requests **coalesce** into one computation via per-key futures
   (:class:`~repro.server.service.SearchService`);
 * compatible pending requests (same ``(dataflow, layer)``, different
-  capacities) **micro-batch** into one ``search_many`` grid evaluation
-  behind a short flush window;
+  capacities) that arrive in the same event-loop turn **micro-batch** into
+  one ``search_many`` grid evaluation;
 * the cache persists in a concurrency-safe **SQLite** store
   (:class:`~repro.engine.SqliteStore`) that survives restarts and is shared
   safely with orchestrator shards;

@@ -5,7 +5,9 @@ new runtime dependency -- because the protocol surface is deliberately tiny:
 JSON request bodies, JSON responses, and chunked NDJSON for streaming
 experiment progress.  Keep-alive is supported (the benchmark client reuses
 connections); request parsing enforces small hard limits so a malformed
-client cannot balloon memory.
+client cannot balloon memory, and a connection whose next request does not
+arrive within :data:`READ_TIMEOUT_S` is closed, so idle and half-open
+clients cannot hold sockets forever.
 
 Endpoints
 ---------
@@ -24,10 +26,12 @@ Endpoints
 
 All searches route through the :class:`~repro.server.service.SearchService`
 coalescer/batcher, so responses are bit-identical to direct engine calls
-while concurrent duplicates cost one computation.  On SIGTERM/SIGINT (or
-``POST /shutdown``) the daemon stops accepting connections, drains in-flight
-work, persists the cache (a SQLite-backed cache is already durable and is
-WAL-checkpointed) and exits 0.
+while concurrent duplicates cost one computation.  Searches queued in one
+event-loop turn reach the engine together at the next turn; ``serve
+--max-batch`` caps how many go in one engine call, and no timer delays a
+request.  On SIGTERM/SIGINT (or ``POST /shutdown``) the daemon stops
+accepting connections, drains in-flight work, persists the cache (a
+SQLite-backed cache is already durable and is WAL-checkpointed) and exits 0.
 """
 
 from __future__ import annotations
@@ -59,17 +63,17 @@ from repro.server.protocol import (
     resolve_layer,
     result_to_wire,
 )
-from repro.server.service import (
-    DEFAULT_FLUSH_WINDOW_S,
-    DEFAULT_MAX_BATCH,
-    SearchService,
-)
+from repro.server.service import DEFAULT_MAX_BATCH, SearchService
 from repro.workloads.registry import UnknownWorkloadError, get_workload_spec
 
 #: Hard parse limits; a request larger than this is a client bug.
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_LINES = 100
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Seconds a connection may take to deliver its next request before it is
+#: closed; responses, including experiment streams, are not timed.
+READ_TIMEOUT_S = 60.0
 
 _REASONS = {
     200: "OK",
@@ -97,7 +101,9 @@ class _Request:
             return {}
         try:
             document = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError: bad UTF-8, bad JSON, an integer past the digit
+            # limit; RecursionError: arrays or objects nested too deeply.
             raise ProtocolError(f"request body is not valid JSON: {error}") from error
         if not isinstance(document, dict):
             raise ProtocolError("request body must be a JSON object")
@@ -167,14 +173,11 @@ class SearchDaemon:
         engine: SearchEngine = None,
         host: str = "127.0.0.1",
         port: int = 8765,
-        flush_window_s: float = DEFAULT_FLUSH_WINDOW_S,
         max_batch: int = DEFAULT_MAX_BATCH,
         work_dir: str = None,
     ):
         self.engine = engine if engine is not None else SearchEngine()
-        self.service = SearchService(
-            self.engine, flush_window_s=flush_window_s, max_batch=max_batch
-        )
+        self.service = SearchService(self.engine, max_batch=max_batch)
         self.host = host
         self.port = port
         # Experiment trees are confined here; requests address them by
@@ -231,7 +234,11 @@ class SearchDaemon:
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
+                    request = await asyncio.wait_for(
+                        _read_request(reader), READ_TIMEOUT_S
+                    )
+                except asyncio.TimeoutError:
+                    break  # idle or half-open: close without a response
                 except _BadRequest as error:
                     body = _json_bytes({"error": str(error)})
                     writer.write(
@@ -555,17 +562,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="search backend (results are bit-identical either way)",
     )
     parser.add_argument(
-        "--flush-window-ms",
-        type=float,
-        default=DEFAULT_FLUSH_WINDOW_S * 1000.0,
-        help="micro-batch flush window in milliseconds (default 2.0): how "
-        "long a fresh search waits for compatible neighbours",
-    )
-    parser.add_argument(
         "--max-batch",
         type=int,
         default=DEFAULT_MAX_BATCH,
-        help="queue length that triggers an immediate flush (default 256)",
+        help="most searches one engine call takes (default 256); searches "
+        "queued in one event-loop turn go to the engine together at the next",
     )
     parser.add_argument(
         "--work-dir",
@@ -592,7 +593,6 @@ def main(argv: list = None) -> int:
             engine=engine,
             host=args.host,
             port=args.port,
-            flush_window_s=args.flush_window_ms / 1000.0,
             max_batch=args.max_batch,
             work_dir=args.work_dir,
         )

@@ -14,11 +14,15 @@ Requests name their layer either inline (a shape dictionary) or by
 reference into the workload registry (``{"workload": "vgg16",
 "layer_index": 3}``), and their capacity either in words or KiB
 (converted with the same :func:`~repro.core.layer.kib_to_words` the CLI
-uses).  Malformed requests raise :class:`ProtocolError`, which the daemon
-maps to HTTP 400 with the message in the body.
+uses).  A reference resolves through a small memo of built workloads, so
+a warm reference costs a lookup, not a rebuild.  Malformed requests raise
+:class:`ProtocolError`, which the daemon maps to HTTP 400 with the message
+in the body.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.core.layer import ConvLayer, kib_to_words
 from repro.core.traffic import TrafficBreakdown
@@ -59,6 +63,15 @@ def layer_from_wire(document: dict) -> ConvLayer:
     missing = set(LAYER_FIELDS[:-2]) - set(document)  # stride/padding default
     if missing:
         raise ProtocolError(f"layer is missing fields: {', '.join(sorted(missing))}")
+    # ConvLayer only range-checks its fields; a float or bool shape would be
+    # searched (and cached) as if it were a layer.
+    if not isinstance(document["name"], str):
+        raise ProtocolError(f"layer name must be a string, got {document['name']!r}")
+    for name in LAYER_FIELDS[1:]:
+        if name in document and not _is_int(document[name]):
+            raise ProtocolError(
+                f"layer field {name} must be an integer, got {document[name]!r}"
+            )
     try:
         return ConvLayer(**document)
     except (TypeError, ValueError) as error:
@@ -96,6 +109,19 @@ def result_from_wire(document: dict) -> DataflowResult:
 # ---------------------------------------------------------------- requests
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@functools.lru_cache(maxsize=32)
+def _built_layers(workload, batch) -> tuple:
+    """A registered workload's layers at ``batch``, built once and shared by
+    every request that names them (``ConvLayer`` is frozen).  Keyed on the
+    registry entry, so a replaced registration is rebuilt; bounded, since
+    clients choose the specs; failures are not cached."""
+    return tuple(workload.build(batch=batch))
+
+
 def resolve_dataflow(document: dict):
     """The registry dataflow a request names (``{"dataflow": "Ours"}``)."""
     # Imported here: the registry pulls in every dataflow module.
@@ -112,7 +138,7 @@ def resolve_dataflow(document: dict):
 
 def resolve_layer(document: dict) -> ConvLayer:
     """The layer a request describes, inline or by workload reference."""
-    from repro.workloads.registry import UnknownWorkloadError, get_workload_spec
+    from repro.workloads.registry import UnknownWorkloadError, parse_workload_spec
 
     if "layer" in document:
         return layer_from_wire(document["layer"])
@@ -123,12 +149,12 @@ def resolve_layer(document: dict) -> ConvLayer:
             "reference with 'layer_index' or 'layer_name'"
         )
     try:
-        layers = get_workload_spec(workload)
+        layers = _built_layers(*parse_workload_spec(workload))
     except (UnknownWorkloadError, ValueError) as error:
         raise ProtocolError(str(error)) from error
     if "layer_index" in document:
         index = document["layer_index"]
-        if not isinstance(index, int) or not 0 <= index < len(layers):
+        if not _is_int(index) or not 0 <= index < len(layers):
             raise ProtocolError(
                 f"layer_index must be an int in [0, {len(layers)}), got {index!r}"
             )
@@ -148,7 +174,7 @@ def resolve_capacity(document: dict) -> int:
         raise ProtocolError("pass capacity_words or capacity_kib, not both")
     if "capacity_words" in document:
         capacity = document["capacity_words"]
-        if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
+        if not _is_int(capacity) or capacity < 1:
             raise ProtocolError(
                 f"capacity_words must be a positive integer, got {capacity!r}"
             )

@@ -11,13 +11,15 @@ concurrent ``search`` awaits into few engine invocations:
   *not* touch the hit/miss counters, preserving the engine invariant that
   ``hits + misses`` equals the number of tasks actually submitted.
 
-* **Micro-batching** -- fresh keys are not executed immediately: they queue
-  behind a short flush window (default 2 ms).  Everything pending at flush
-  time goes to the engine as *one* ``search_tasks`` call, whose internal
-  grouping turns same-``(dataflow, layer)`` tasks into a single
-  ``search_many``-style grid evaluation on the NumPy backend.  Tasks that
-  shared their flush group with at least one compatible neighbour count in
-  ``stats.batched``.
+* **Micro-batching** -- fresh keys queue until the event loop's next turn
+  (or until ``max_batch`` of them are pending), so every search that
+  arrives in the same turn -- a ``search_many`` gather, or requests read
+  together off several connections -- goes to the engine as *one*
+  ``search_tasks`` call, whose internal grouping turns
+  same-``(dataflow, layer)`` tasks into a single ``search_many``-style grid
+  evaluation on the NumPy backend.  Tasks that shared their flush group
+  with at least one compatible neighbour count in ``stats.batched``.  No
+  timer holds a request back: a warm key costs one engine-thread hop.
 
 The engine itself is synchronous and not thread-safe, so every engine call
 funnels through a dedicated single-thread executor; the event loop stays
@@ -35,32 +37,21 @@ from dataclasses import replace
 
 from repro.engine import SearchEngine, task_key
 
-#: Seconds a fresh key waits for compatible neighbours before flushing.
-DEFAULT_FLUSH_WINDOW_S = 0.002
-
-#: Queue length that triggers an immediate flush regardless of the window.
+#: Queue length that flushes at once instead of at the loop's next turn.
 DEFAULT_MAX_BATCH = 256
 
 
 class SearchService:
     """Coalescing, micro-batching async facade over one ``SearchEngine``."""
 
-    def __init__(
-        self,
-        engine: SearchEngine,
-        flush_window_s: float = DEFAULT_FLUSH_WINDOW_S,
-        max_batch: int = DEFAULT_MAX_BATCH,
-    ):
-        if flush_window_s < 0:
-            raise ValueError(f"flush_window_s must be >= 0, got {flush_window_s}")
+    def __init__(self, engine: SearchEngine, max_batch: int = DEFAULT_MAX_BATCH):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.engine = engine
-        self.flush_window_s = flush_window_s
         self.max_batch = max_batch
         self._inflight = {}  # task_key -> asyncio.Future resolving to a result
         self._queue = []  # [(key, (dataflow, layer, capacity_words))] awaiting flush
-        self._flush_handle = None  # armed window timer, if any
+        self._flush_handle = None  # flush scheduled for the loop's next turn, if any
         # One thread: the engine is synchronous and not thread-safe, so all
         # its work serializes here while the event loop keeps coalescing.
         self._executor = ThreadPoolExecutor(
@@ -94,8 +85,8 @@ class SearchService:
     async def search_many(self, dataflow, layer, capacities) -> list:
         """One result (or ``None``) per capacity, like ``engine.search_many``.
 
-        Submitted concurrently, so the capacities land in one flush window
-        and execute as a single grid evaluation per ``(dataflow, layer)``.
+        Submitted concurrently, so the capacities queue in the same loop
+        turn and execute as a single grid evaluation per ``(dataflow, layer)``.
         """
         return list(
             await asyncio.gather(
@@ -119,9 +110,11 @@ class SearchService:
                 self._flush_handle = None
             self._flush()
         elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.flush_window_s, self._on_window)
+            # call_soon runs after every callback already ready this turn,
+            # so the searches those callbacks start join the same batch.
+            self._flush_handle = loop.call_soon(self._on_next_turn)
 
-    def _on_window(self) -> None:
+    def _on_next_turn(self) -> None:
         self._flush_handle = None
         self._flush()
 

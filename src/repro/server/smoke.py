@@ -56,8 +56,6 @@ def start_daemon(cache_path: str, work_dir: str) -> tuple:
             cache_path,
             "--work-dir",
             work_dir,
-            "--flush-window-ms",
-            "5",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -11,13 +11,19 @@ subprocess/SIGTERM path is covered by ``python -m repro.server.smoke``.
 """
 
 import asyncio
+import http.client
+import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.core.layer import ConvLayer, kib_to_words
 from repro.dataflows.registry import get_dataflow
-from repro.engine import SearchEngine
+from repro.engine import SearchEngine, task_key
+from repro.server import daemon as daemon_module
+from repro.server import protocol
 from repro.server.client import SearchClient, ServerError
 from repro.server.daemon import SearchDaemon
 from repro.server.protocol import (
@@ -26,11 +32,12 @@ from repro.server.protocol import (
     layer_to_wire,
     resolve_capacities,
     resolve_capacity,
+    resolve_layer,
     result_from_wire,
     result_to_wire,
 )
 from repro.server.service import SearchService
-from repro.workloads.registry import get_workload_spec
+from repro.workloads.registry import Workload, get_workload_spec
 
 
 @pytest.fixture
@@ -52,6 +59,28 @@ class TestProtocol:
             layer_from_wire(dict(layer_to_wire(layer), bogus=1))
         with pytest.raises(ProtocolError, match="missing"):
             layer_from_wire({"name": "l"})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("stride", 1.5),
+            ("in_channels", 16.5),
+            ("batch", True),
+            ("padding", "1"),
+            ("kernel_width", None),
+            ("name", ["x"]),
+            ("name", 7),
+        ],
+    )
+    def test_layer_rejects_non_integer_shapes(self, layer, field, value):
+        # ConvLayer only range-checks, so these used to reach the engine.
+        with pytest.raises(ProtocolError, match=field):
+            layer_from_wire(dict(layer_to_wire(layer), **{field: value}))
+
+    def test_layer_index_must_not_be_a_bool(self):
+        assert resolve_layer({"workload": "tiny", "layer_index": 1}) == get_workload_spec("tiny")[1]
+        with pytest.raises(ProtocolError, match="layer_index"):
+            resolve_layer({"workload": "tiny", "layer_index": True})
 
     def test_result_round_trip_is_exact(self, layer):
         engine = SearchEngine()
@@ -84,16 +113,79 @@ class TestProtocol:
         assert resolve_capacity({"capacity_kib": 0.002}) == 1
 
 
+class TestWorkloadReferenceMemo:
+    def test_repeated_references_build_the_workload_once(self, monkeypatch):
+        spec = "llama_decode:1"
+        expected = get_workload_spec(spec)
+        protocol._built_layers.cache_clear()
+        builds = []
+        build = Workload.build
+
+        def counting_build(workload, *args, **kwargs):
+            builds.append(workload.name)
+            return build(workload, *args, **kwargs)
+
+        monkeypatch.setattr(Workload, "build", counting_build)
+        for index in (0, 20, 22, 0, 735):
+            layer = resolve_layer({"workload": spec, "layer_index": index})
+            assert layer == expected[index]
+        assert builds == ["llama_decode"]
+
+    def test_memo_is_bounded(self):
+        assert protocol._built_layers.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("spec", ["no_such_network", "tiny:0", "tiny:x"])
+    def test_unusable_workload_is_a_protocol_error_every_time(self, spec):
+        for _ in range(3):
+            with pytest.raises(ProtocolError):
+                resolve_layer({"workload": spec, "layer_index": 0})
+
+
+def _record_batches(engine: SearchEngine) -> list:
+    """Wrap ``engine.search_tasks`` to log the task count of every call."""
+    sizes = []
+    search_tasks = engine.search_tasks
+
+    def recording(tasks):
+        sizes.append(len(tasks))
+        return search_tasks(tasks)
+
+    engine.search_tasks = recording
+    return sizes
+
+
 class TestSearchService:
     def _run(self, coroutine):
         return asyncio.run(coroutine)
+
+    def test_cached_key_is_served_without_a_timer(self, layer):
+        engine = SearchEngine()
+        dataflow = get_dataflow("Ours")
+        direct = engine.try_search(dataflow, layer, 8192)  # the one miss
+        batches = _record_batches(engine)
+
+        async def scenario():
+            def no_timers(*args, **kwargs):
+                raise AssertionError("a search armed a timer")
+
+            asyncio.get_running_loop().call_later = no_timers
+            service = SearchService(engine)
+            try:
+                return await service.search(dataflow, layer, 8192)
+            finally:
+                await service.drain()
+                service.close()
+
+        assert self._run(scenario()) == direct
+        assert batches == [1]
+        assert (engine.stats.hits, engine.stats.misses) == (1, 1)
 
     def test_duplicate_inflight_requests_coalesce(self, layer):
         engine = SearchEngine()
         dataflow = get_dataflow("Ours")
 
         async def scenario():
-            service = SearchService(engine, flush_window_s=0.005)
+            service = SearchService(engine)
             try:
                 return await asyncio.gather(
                     *(service.search(dataflow, layer, 8192) for _ in range(5))
@@ -116,7 +208,7 @@ class TestSearchService:
         capacities = [4096, 8192, 16384]
 
         async def scenario():
-            service = SearchService(engine, flush_window_s=0.005)
+            service = SearchService(engine)
             try:
                 return await service.search_many(dataflow, layer, capacities)
             finally:
@@ -138,7 +230,7 @@ class TestSearchService:
         twin = ConvLayer("twin", 1, 8, 14, 14, 16, 3, 3, stride=1, padding=1)
 
         async def scenario():
-            service = SearchService(engine, flush_window_s=0.005)
+            service = SearchService(engine)
             try:
                 return await asyncio.gather(
                     service.search(dataflow, layer, 8192),
@@ -165,7 +257,7 @@ class TestSearchService:
         engine.search_tasks = explode
 
         async def scenario():
-            service = SearchService(engine, flush_window_s=0.005)
+            service = SearchService(engine)
             try:
                 return await asyncio.gather(
                     *(service.search(dataflow, layer, 8192) for _ in range(3)),
@@ -184,29 +276,29 @@ class TestSearchService:
     def test_max_batch_flushes_immediately(self, layer):
         engine = SearchEngine()
         dataflow = get_dataflow("Ours")
+        capacities = [2048, 4096, 8192, 16384, 32768]
+        batch_sizes = _record_batches(engine)
 
         async def scenario():
-            # A huge window would stall forever if max_batch didn't flush.
-            service = SearchService(engine, flush_window_s=30.0, max_batch=2)
+            service = SearchService(engine, max_batch=2)
             try:
                 return await asyncio.wait_for(
-                    asyncio.gather(
-                        service.search(dataflow, layer, 4096),
-                        service.search(dataflow, layer, 8192),
-                    ),
-                    timeout=20,
+                    service.search_many(dataflow, layer, capacities), timeout=20
                 )
             finally:
                 await service.drain()
                 service.close()
 
         results = self._run(scenario())
-        assert len(results) == 2
+        reference = SearchEngine()
+        assert results == [
+            reference.try_search(dataflow, layer, capacity) for capacity in capacities
+        ]
+        assert sum(batch_sizes) == len(capacities)
+        assert max(batch_sizes) <= 2
 
     def test_invalid_tuning_rejected(self):
         engine = SearchEngine()
-        with pytest.raises(ValueError, match="flush_window_s"):
-            SearchService(engine, flush_window_s=-1)
         with pytest.raises(ValueError, match="max_batch"):
             SearchService(engine, max_batch=0)
 
@@ -218,7 +310,6 @@ def daemon(tmp_path):
     instance = SearchDaemon(
         engine=engine,
         port=0,
-        flush_window_s=0.005,
         work_dir=str(tmp_path / "runs"),
     )
     loop = asyncio.new_event_loop()
@@ -301,6 +392,64 @@ class TestDaemon:
             with pytest.raises(ServerError) as wrong_method:
                 client._json("GET", "/search")
             assert wrong_method.value.status == 405
+
+    @pytest.mark.parametrize("field, value", [("stride", 1.5), ("in_channels", 16.5)])
+    def test_malformed_inline_layer_fails_alone(self, daemon, layer, field, value):
+        """A bad layer sent with a good one is a 400; the good one is served."""
+        bad = dict(layer_to_wire(layer), name="bad", **{field: value})
+        direct = SearchEngine().try_search(get_dataflow("Ours"), layer, 8192)
+        outcomes = {}
+        barrier = threading.Barrier(2)
+
+        def send(slot, document):
+            with SearchClient(port=daemon.port) as client:
+                barrier.wait(timeout=30)
+                try:
+                    outcomes[slot] = client._json("POST", "/search", document)
+                except ServerError as error:
+                    outcomes[slot] = error
+
+        documents = {
+            "good": {"dataflow": "Ours", "layer": layer_to_wire(layer), "capacity_words": 8192},
+            "bad": {"dataflow": "Ours", "layer": bad, "capacity_words": 8192},
+        }
+        threads = [
+            threading.Thread(target=send, args=item) for item in documents.items()
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert result_from_wire(outcomes["good"]["result"]) == direct
+        assert isinstance(outcomes["bad"], ServerError)
+        assert outcomes["bad"].status == 400
+        cache = daemon.engine.cache
+        assert task_key(get_dataflow("Ours"), ConvLayer(**bad), 8192) not in cache
+        assert len(cache) == 1
+
+    def test_deeply_nested_body_is_a_bad_request(self, daemon):
+        connection = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
+        try:
+            connection.request("POST", "/search", body=b"[" * 100_000)
+            response = connection.getresponse()
+            status, document = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert status == 400
+        assert "not valid JSON" in document["error"]
+
+    def test_stalled_client_is_disconnected(self, daemon, layer, monkeypatch):
+        monkeypatch.setattr(daemon_module, "READ_TIMEOUT_S", 0.2)
+        direct = SearchEngine().try_search(get_dataflow("Ours"), layer, 8192)
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=30) as stalled:
+            stalled.sendall(b"POST /search HTTP/1.1\r\nContent-Len")  # half a request
+            with SearchClient(port=daemon.port) as client:
+                assert client.search("Ours", layer=layer, capacity_words=8192) == direct
+                # Idle past the timeout: the client reconnects and is served.
+                time.sleep(0.5)
+                assert client.search("Ours", layer=layer, capacity_words=8192) == direct
+            assert stalled.recv(1024) == b""  # closed by the daemon, no response
 
     @pytest.mark.parametrize("kib", [float("inf"), float("nan"), 0.0001])
     def test_unusable_capacity_kib_is_a_bad_request(self, daemon, layer, kib):
