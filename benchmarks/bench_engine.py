@@ -81,7 +81,7 @@ def test_engine_parallel_parity_with_serial(benchmark, vgg_layers):
 
 
 def test_engine_disk_cache_roundtrip(benchmark, vgg_layers, tmp_path):
-    path = str(tmp_path / "engine-cache.pkl")
+    path = str(tmp_path / "engine-cache.sqlite")
     layers = vgg_layers[:4]
 
     cold_engine = SearchEngine(cache_path=path)

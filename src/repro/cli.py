@@ -10,15 +10,15 @@ Examples::
     repro-experiments goldens --write             # re-pin every pinned payload
     repro-experiments timing --bandwidths 3.2 6.4 # stall-accurate sweep
     repro-experiments table3 --no-cache           # force cold searches
-    repro-experiments all --cache-file /tmp/repro-cache.pkl
+    repro-experiments all --cache-file /tmp/repro-cache.sqlite
 
 Every search-based experiment routes through a
 :class:`repro.engine.SearchEngine`; ``--workers`` fans the exhaustive tiling
 searches out across processes, ``--backend {auto,numpy,python}`` selects the
 vectorized (NumPy) or scalar-reference search backend (bit-identical
 results; ``auto`` uses numpy when installed), ``--no-cache`` disables
-memoization, and ``--cache-file`` persists results so later invocations
-start warm.  ``--workload NAME[:batch]`` runs any figure on any workload
+memoization, and ``--cache-file`` persists results to a SQLite file so
+later invocations start warm.  ``--workload NAME[:batch]`` runs any figure on any workload
 registered in :mod:`repro.workloads.registry` (default: the paper's VGG-16
 at batch 3).
 
@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-file",
         default=None,
-        help="pickle file to load the search cache from and save it back to",
+        help="SQLite file the search cache persists to (later runs start warm; "
+        "other processes may share it)",
     )
     parser.add_argument(
         "--stats",

@@ -94,6 +94,37 @@ def meshgrid_ravel(*value_lists):
 NO_CAP = 2**63 - 1
 
 
+def int64_safe(layer: ConvLayer) -> bool:
+    """Whether every ``int64`` term a grid evaluation of ``layer`` computes fits.
+
+    Bounds, in Python ints, the largest footprint, traffic component and
+    partial product of every grid dataflow (the Fig. 12 baselines'
+    ``grid_arrays`` and ``Ours``' :func:`~repro.core.optimal_dataflow.
+    exact_traffic_grid`): each factor is at most its tile count or tile
+    size at the extreme candidate, and all factors are >= 1.  A layer past
+    the bound would wrap around or overflow, so the engine sends its grid
+    groups to the scalar reference instead.
+    """
+    batch, ci, co = layer.batch, layer.in_channels, layer.out_channels
+    ho, wo, hk, wk = layer.out_height, layer.out_width, layer.kernel_height, layer.kernel_width
+    stride = layer.stride
+    # A staged input patch, and Ours' separable row/column factor
+    # ``stride * Ho + (Hk - stride) * Ny`` at either end of ``1 <= Ny <= Ho``.
+    rows = max((ho - 1) * stride + hk, hk * ho)
+    cols = max((wo - 1) * stride + wk, wk * wo)
+    outputs = batch * ho * wo
+    largest = max(
+        outputs * co * ci * rows * cols,  # OutR-A / Ours input reads
+        2 * outputs * ci * rows * cols,  # InR-A input reads (channel blocks round up)
+        outputs * layer.num_weights,  # weight reads streamed per output block
+        co * layer.num_inputs,  # WtR input reads
+        layer.num_outputs * ci,  # Psum spills
+        outputs * co + batch * rows * cols + co,  # Ours on-chip footprint
+        ci * layer.in_height * layer.in_width,  # InR-B footprint
+    )
+    return largest <= NO_CAP
+
+
 def capacity_array(capacities):
     """Word capacities as an ``int64`` array for comparing against footprints.
 

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 from repro.engine.cache import (
     INFEASIBLE,
-    STORE_BACKENDS,
     CacheStats,
     SearchCache,
     SqliteStore,
     dataflow_signature,
     fleet_cache_filename,
     layer_signature,
-    migrate_cache,
-    resolve_store,
     shard_cache_filename,
     signature_layer,
     task_key,
@@ -51,7 +48,6 @@ __all__ = [
     "BACKENDS",
     "CacheStats",
     "INFEASIBLE",
-    "STORE_BACKENDS",
     "SearchCache",
     "SearchEngine",
     "SqliteStore",
@@ -59,9 +55,7 @@ __all__ = [
     "fleet_cache_filename",
     "get_default_engine",
     "layer_signature",
-    "migrate_cache",
     "resolve_backend",
-    "resolve_store",
     "resolve_workers",
     "set_default_engine",
     "shard_cache_filename",

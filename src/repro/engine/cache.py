@@ -18,19 +18,16 @@ Infeasible searches (the dataflow has no tiling that fits) are cached too,
 as the :data:`INFEASIBLE` sentinel -- re-proving infeasibility is exactly as
 expensive as a successful search.
 
-The cache can persist to disk through one of two interchangeable stores:
-
-* a single **pickle** file (the original backend) -- loaded wholesale at
-  construction, written atomically by :meth:`SearchCache.save`; and
-* a **SQLite** database (:class:`SqliteStore`) -- entries are written
-  through as they are stored, so the cache survives crashes without an
-  explicit save, and WAL journalling makes it safe for several processes
-  (orchestrator shards, the :mod:`repro.server` daemon) to read and write
-  the same file concurrently.
-
-Both stores serve byte-identical entries under the same
-:data:`SCHEMA_VERSION` and the same LRU-eviction semantics, and
-:func:`migrate_cache` copies a cache between them in either direction.
+Without a path the cache lives in memory.  With one it persists to a
+single **SQLite** database (:class:`SqliteStore`): entries are written
+through as they are stored, so the cache survives crashes without an
+explicit save, and WAL journalling makes it safe for several processes
+(orchestrator shards, fleet workers, the :mod:`repro.server` daemon) to
+read and write the same file concurrently.  A file at that path that is not
+such a database -- garbage bytes, a pickle payload, another schema or
+package version -- is replaced by a fresh one after one ``starting cold``
+warning; a database that another process keeps locked is an error, and is
+never replaced.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from __future__ import annotations
 import os
 import pickle
 import sqlite3
-import tempfile
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -49,19 +45,9 @@ from repro.core.layer import ConvLayer
 #: tiling.  A plain string so that on-disk caches stay portable across runs.
 INFEASIBLE = "__infeasible__"
 
-#: On-disk payload marker; bump when the pickle layout itself changes.
-CACHE_FORMAT = "repro-search-cache-v1"
-
-#: SQLite counterpart of :data:`CACHE_FORMAT`; bump when the table layout
-#: itself changes (entry schema changes are guarded by :data:`SCHEMA_VERSION`
-#: like the pickle store).
+#: Marker in the SQLite ``meta`` table; bump when the table layout itself
+#: changes (entry layout changes are guarded by :data:`SCHEMA_VERSION`).
 SQLITE_FORMAT = "repro-search-cache-sqlite-v1"
-
-#: Accepted persistent-store kinds; ``"auto"`` picks by file extension.
-STORE_BACKENDS = ("auto", "pickle", "sqlite")
-
-#: File extensions that make ``store="auto"`` choose the SQLite backend.
-SQLITE_EXTENSIONS = (".sqlite", ".sqlite3", ".db")
 
 #: Seconds a SQLite writer waits on a locked database before failing.
 SQLITE_BUSY_TIMEOUT_S = 30.0
@@ -84,68 +70,30 @@ def validate_shard(shard_index: int, shard_count: int) -> tuple:
     return shard_index, shard_count
 
 
-def resolve_store(store, path) -> str:
-    """Normalise a persistent-store option to ``"pickle"`` or ``"sqlite"``.
-
-    ``"auto"`` (or ``None``) picks SQLite when the path carries one of
-    :data:`SQLITE_EXTENSIONS` and the pickle store otherwise, so existing
-    ``--cache-file foo.pkl`` invocations keep their behaviour unchanged.
-    """
-    if store is None:
-        store = "auto"
-    if store not in STORE_BACKENDS:
-        choices = ", ".join(repr(choice) for choice in STORE_BACKENDS)
-        raise ValueError(f"store must be one of {choices}, got {store!r}")
-    if store == "auto":
-        if path and os.path.splitext(path)[1].lower() in SQLITE_EXTENSIONS:
-            return "sqlite"
-        return "pickle"
-    return store
-
-
-def shard_cache_filename(
-    backend: str, shard_index: int, shard_count: int, store: str = "pickle"
-) -> str:
+def shard_cache_filename(backend: str, shard_index: int, shard_count: int) -> str:
     """Cache file name for one shard of an orchestrated run.
 
-    Shards of the same run must never share a *pickle* cache file (they may
-    execute on different machines and upload their trees independently), so
-    the shard coordinates and the backend are baked into the name; a resumed
-    shard finds exactly the entries its own earlier attempt persisted.  With
-    ``store="sqlite"`` the name keeps the same scheme (only the extension
-    changes); co-located shards *may* point their engines at one shared
-    SQLite file instead -- the store is multi-writer safe.
+    The shard coordinates and the backend are baked into the name, so a
+    resumed shard finds exactly the entries its own earlier attempt
+    persisted, and shards that run on different machines and upload their
+    trees independently never share a file.  Co-located shards *may* point
+    their engines at one shared file instead -- the store is multi-writer
+    safe.
     """
     validate_shard(shard_index, shard_count)
-    if store not in ("pickle", "sqlite"):
-        raise ValueError(f"store must be 'pickle' or 'sqlite', got {store!r}")
-    extension = "pkl" if store == "pickle" else "sqlite"
-    return f"search-{backend}-shard{shard_index}of{shard_count}.{extension}"
+    return f"search-{backend}-shard{shard_index}of{shard_count}.sqlite"
 
 
-def fleet_cache_filename(
-    backend: str, worker_index: int = None, store: str = "sqlite"
-) -> str:
-    """Cache file name for the workers of a fleet run.
+def fleet_cache_filename(backend: str) -> str:
+    """Cache file name shared by every worker of a fleet run.
 
     Fleet workers claim units late, so no worker knows its unit set up
     front and the shard-scoped naming of :func:`shard_cache_filename` does
-    not apply.  With ``store="sqlite"`` (the fleet default) every worker
-    shares **one** multi-writer file -- the :class:`SqliteStore` is
-    process-safe and a search any worker finished warms all of them.  With
-    ``store="pickle"`` each worker needs its own file (``worker_index``
-    required): a pickle save rewrites the whole payload, so sharing one
-    would silently drop the other workers' entries on every checkpoint.
+    not apply.  Every worker attaches to **one** multi-writer file: the
+    :class:`SqliteStore` is process-safe and a search any worker finished
+    warms all of them.
     """
-    if store not in ("pickle", "sqlite"):
-        raise ValueError(f"store must be 'pickle' or 'sqlite', got {store!r}")
-    if store == "sqlite":
-        return f"search-{backend}-fleet.sqlite"
-    if worker_index is None:
-        raise ValueError(
-            "pickle fleet caches are per-worker; pass worker_index"
-        )
-    return f"search-{backend}-fleet-worker{worker_index:03d}.pkl"
+    return f"search-{backend}-fleet.sqlite"
 
 
 def _code_version() -> str:
@@ -156,19 +104,17 @@ def _code_version() -> str:
     return __version__
 
 
-def _valid_entry(key, entry) -> bool:
-    """Structural check of one on-disk cache entry.
+def _valid_entry(entry) -> bool:
+    """Structural check of one stored cache entry.
 
-    A truncated or hand-edited pickle can satisfy the payload header checks
-    while carrying garbage entries; serving those would silently corrupt
-    every figure, so the whole file is rejected instead.
+    A row that unpickles to anything but a result or :data:`INFEASIBLE`
+    would silently corrupt every figure that reads it, so it is dropped
+    instead of served.
     """
     # Imported lazily to avoid a cycle (dataflows.search routes through the
     # engine package).
     from repro.dataflows.base import DataflowResult
 
-    if not (isinstance(key, tuple) and len(key) == 3):
-        return False
     return entry == INFEASIBLE or isinstance(entry, DataflowResult)
 
 
@@ -358,25 +304,31 @@ def _key_text(key: tuple) -> str:
     return repr(key)
 
 
+class CorruptCacheError(ValueError):
+    """The file at a cache path is not a usable search-cache database."""
+
+
 class SqliteStore:
     """Concurrency-safe persistent entry store backed by one SQLite file.
 
-    The store speaks the same language as the pickle payloads --
-    :func:`task_key` tuples mapping to ``DataflowResult`` / ``INFEASIBLE``
-    entries under the same :data:`SCHEMA_VERSION` and package-version guard
-    -- but entries are written through *individually* inside immediate
-    transactions, with WAL journalling and a busy timeout, so several
-    processes can read and write one file at the same time: readers never
-    block behind a writer, and concurrent writers of the same key converge
-    (entries are pure functions of their keys, so last-write-wins is
-    correct by construction).
+    Rows map :func:`task_key` tuples to pickled ``DataflowResult`` /
+    ``INFEASIBLE`` entries, guarded by :data:`SCHEMA_VERSION` and the
+    package version in a ``meta`` table.  Entries are written through
+    *individually* inside immediate transactions, with WAL journalling and a
+    busy timeout, so several processes can read and write one file at the
+    same time: readers never block behind a writer, and concurrent writers
+    of the same key converge (entries are pure functions of their keys, so
+    last-write-wins is correct by construction).
 
     ``max_entries`` bounds the table with the same LRU semantics as the
     in-memory cache: every store (and, when bounded, every read) refreshes
     the entry's access sequence number, and overflow deletes the stalest
-    rows.  A mismatched format/schema/version or an unreadable database
-    raises ``ValueError`` at construction, mirroring the pickle loader --
-    :class:`SearchCache` catches that, warns, and recreates the file cold.
+    rows.  A file that is not a database, or whose ``meta`` rows name
+    another format, schema or version, raises :class:`CorruptCacheError` at
+    construction -- :class:`SearchCache` catches that, warns, and recreates
+    the file cold.  A database another process keeps locked past
+    :data:`SQLITE_BUSY_TIMEOUT_S` raises a plain ``ValueError`` naming the
+    path: it is live, so nothing is discarded.
     """
 
     def __init__(self, path: str, max_entries: int = None):
@@ -402,7 +354,13 @@ class SqliteStore:
             self._initialise()
         except sqlite3.DatabaseError as error:
             self.close()
-            raise ValueError(f"corrupt search cache at {path!r}: {error}") from error
+            # SQLITE_BUSY and SQLITE_LOCKED arrive as OperationalError
+            # "database is locked" / "database table is locked".
+            if isinstance(error, sqlite3.OperationalError) and "locked" in str(error):
+                raise ValueError(
+                    f"search cache at {path!r} is locked by another process: {error}"
+                ) from error
+            raise CorruptCacheError(f"corrupt search cache at {path!r}: {error}") from error
         except BaseException:
             self.close()
             raise
@@ -439,7 +397,7 @@ class SqliteStore:
             stored = dict(connection.execute("SELECT name, value FROM meta"))
         for name, value in expected.items():
             if stored.get(name) != value:
-                raise ValueError(
+                raise CorruptCacheError(
                     f"search cache at {self.path!r} has {name} "
                     f"{stored.get(name)!r}, not {value!r}; ignoring it"
                 )
@@ -467,7 +425,7 @@ class SqliteStore:
             return None
         try:
             entry = pickle.loads(row[0])
-            if not _valid_entry(key, entry):
+            if not _valid_entry(entry):
                 raise ValueError(f"malformed entry for key {key!r}")
         except Exception as error:  # noqa: BLE001 - any unpickling failure
             # Self-heal: one bad row (e.g. written by a killed process midway
@@ -585,7 +543,7 @@ class _SqliteTransaction:
 
 @dataclass
 class SearchCache:
-    """In-memory search-result store with optional persistence.
+    """Search-result store: in memory, or persisted to one SQLite file.
 
     The cache is dumb storage: keys are :func:`task_key` tuples and entries
     are either a :class:`~repro.dataflows.base.DataflowResult` or
@@ -599,18 +557,15 @@ class SearchCache:
     orchestrator's shard caches accrete entries across resumes and would
     otherwise grow without bound).
 
-    ``store`` selects the persistence backend for ``path``: ``"pickle"``
-    (the original single-file payload, loaded wholesale here and written by
-    :meth:`save`) or ``"sqlite"`` (a write-through :class:`SqliteStore`
-    shared safely between processes; the in-memory dict then acts as a
-    look-aside read cache and the SQLite file is the authoritative LRU
-    store).  ``"auto"`` (default) picks by file extension, so existing
-    ``.pkl`` paths behave exactly as before.
+    With a ``path`` -- whatever its extension -- the cache opens a
+    write-through :class:`SqliteStore` there, shared safely between
+    processes; the in-memory dict then acts as a look-aside read cache and
+    the SQLite file is the authoritative LRU store.  Without one the cache
+    lives in memory only.
     """
 
     path: str = None
     max_entries: int = None
-    store_backend: str = "auto"
     _entries: dict = field(default_factory=dict, repr=False)
 
     #: Entries dropped by the LRU limit over this cache's lifetime.
@@ -619,31 +574,20 @@ class SearchCache:
     def __post_init__(self) -> None:
         if self.max_entries is not None and self.max_entries < 1:
             raise ValueError(f"max_entries must be >= 1 (or None), got {self.max_entries}")
-        self.store_backend = resolve_store(self.store_backend, self.path)
         self._persistent = None
-        if self.store_backend == "sqlite":
-            if not self.path:
-                raise ValueError("store 'sqlite' needs a cache path")
-            try:
-                self._persistent = SqliteStore(self.path, max_entries=self.max_entries)
-            except ValueError as error:
-                # Same degradation as a corrupt pickle: warn, start cold --
-                # which for SQLite means recreating the file.
-                warnings.warn(f"starting cold: {error}", stacklevel=2)
-                for suffix in ("", "-wal", "-shm"):
-                    stale = self.path + suffix
-                    if os.path.exists(stale):
-                        os.unlink(stale)
-                self._persistent = SqliteStore(self.path, max_entries=self.max_entries)
-        elif self.path and os.path.exists(self.path):
-            # A stale, corrupt or version-mismatched cache file must never
-            # take the tool down: degrade to a cold cache and let the next
-            # save overwrite it.
-            try:
-                self.load(self.path)
-            except Exception as error:  # noqa: BLE001 - any unpickling failure
-                warnings.warn(f"starting cold: {error}", stacklevel=2)
-                self._entries.clear()
+        if not self.path:
+            return
+        try:
+            self._persistent = SqliteStore(self.path, max_entries=self.max_entries)
+        except CorruptCacheError as error:
+            # A stale, corrupt or foreign file must never take the tool
+            # down: warn, and recreate the database cold.
+            warnings.warn(f"starting cold: {error}", stacklevel=2)
+            for suffix in ("", "-wal", "-shm"):
+                stale = self.path + suffix
+                if os.path.exists(stale):
+                    os.unlink(stale)
+            self._persistent = SqliteStore(self.path, max_entries=self.max_entries)
 
     def get(self, key: tuple):
         """Entry for ``key`` or ``None`` when absent (``INFEASIBLE`` is an entry)."""
@@ -708,7 +652,7 @@ class SearchCache:
         return list(self._entries.items())
 
     def close(self) -> None:
-        """Release the persistent store's connection (no-op for pickle)."""
+        """Release the persistent store's connection (no-op in memory)."""
         if self._persistent is not None:
             self._persistent.close()
 
@@ -724,126 +668,13 @@ class SearchCache:
 
     # ------------------------------------------------------------- persistence
 
-    def load(self, path: str = None) -> int:
-        """Merge entries pickled at ``path`` into the cache; return the count.
+    def save(self) -> int:
+        """Fold the SQLite write-ahead log into the database; return the entry count.
 
-        The payload carries the package version that produced it: results are
-        functions of the traffic/search code, so entries written by any other
-        version are rejected (``ValueError``) rather than silently served.
-
-        On a SQLite-backed cache ``path`` must name a *pickle* payload (the
-        SQLite file itself is always live); its entries are written through,
-        which is how a pickle cache migrates into a SQLite one.
+        Every entry is already durable once stored, so this is a checkpoint,
+        not a write.  An in-memory cache has nothing to save.
         """
-        path = path or self.path
-        if path is None:
+        if self._persistent is None:
             raise ValueError("no cache path configured")
-        if self._persistent is not None and os.path.abspath(path) == os.path.abspath(
-            self.path
-        ):
-            raise ValueError(
-                "a SQLite-backed cache is always live; load() takes a pickle "
-                "payload to merge, not the cache's own path"
-            )
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != CACHE_FORMAT
-            or not isinstance(payload.get("entries"), dict)
-        ):
-            raise ValueError(f"corrupt search cache at {path!r}")
-        if payload.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"search cache at {path!r} uses entry schema "
-                f"{payload.get('schema')!r}, not {SCHEMA_VERSION!r}; ignoring it"
-            )
-        version = _code_version()
-        if payload.get("version") != version:
-            raise ValueError(
-                f"search cache at {path!r} was written by version "
-                f"{payload.get('version')!r}, not {version!r}; ignoring it"
-            )
-        entries = payload["entries"]
-        for key, entry in entries.items():
-            if not _valid_entry(key, entry):
-                raise ValueError(
-                    f"search cache at {path!r} holds a malformed entry for "
-                    f"key {key!r}; ignoring the file"
-                )
-        if self._persistent is not None:
-            for key, entry in entries.items():
-                self.store(key, entry)
-            return len(entries)
-        self._entries.update(entries)
-        # A bounded cache must honour its limit even when the file holds
-        # more: the freshly loaded entries are the youngest, so the
-        # pre-existing (stalest) ones are evicted first.
-        self._evict_overflow()
-        return len(entries)
-
-    def save(self, path: str = None) -> int:
-        """Persist the cache; return the entry count.
-
-        Pickle-backed caches atomically rewrite their payload at ``path``.
-        A SQLite-backed cache is already durable -- save with no (or its
-        own) path folds the WAL back into the database file; save with a
-        *different* path exports every entry as a pickle payload (the
-        SQLite-to-pickle migration direction).
-        """
-        path = path or self.path
-        if path is None:
-            raise ValueError("no cache path configured")
-        if self._persistent is not None and os.path.abspath(path) == os.path.abspath(
-            self.path
-        ):
-            self._persistent.checkpoint()
-            return len(self._persistent)
-        entries = dict(self.items()) if self._persistent is not None else self._entries
-        payload = {
-            "format": CACHE_FORMAT,
-            "schema": SCHEMA_VERSION,
-            "version": _code_version(),
-            "entries": entries,
-        }
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-        return len(entries)
-
-
-def migrate_cache(
-    source_path: str,
-    dest_path: str,
-    source_store: str = "auto",
-    dest_store: str = "auto",
-    max_entries: int = None,
-) -> int:
-    """Copy every entry of one persistent cache into another; return the count.
-
-    Works in either direction (pickle -> SQLite and SQLite -> pickle) and
-    between same-kind stores; entries round-trip byte-identically (both
-    stores pickle the same objects).  The destination is created if absent
-    and existing destination entries are kept (the copy merges over them).
-    """
-    source = SearchCache(path=source_path, store_backend=source_store)
-    dest = SearchCache(
-        path=dest_path, store_backend=dest_store, max_entries=max_entries
-    )
-    try:
-        items = source.items()
-        for key, entry in items:
-            dest.store(key, entry)
-        dest.save()
-        return len(items)
-    finally:
-        source.close()
-        dest.close()
+        self._persistent.checkpoint()
+        return len(self._persistent)

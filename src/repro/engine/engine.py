@@ -6,7 +6,7 @@ the CLI and the benchmarks) runs ``dataflow.search(layer, capacity)``:
 
 * results are memoized behind a :class:`~repro.engine.cache.SearchCache`
   keyed by ``(dataflow signature, layer signature, capacity_words)``, with
-  hit/miss statistics and optional on-disk persistence;
+  hit/miss statistics and an optional SQLite file that persists them;
 * two interchangeable execution backends produce **bit-identical** results:
   the always-available scalar reference (``backend="python"``, the original
   pure-Python candidate loop) and a NumPy-vectorized backend
@@ -116,14 +116,8 @@ class SearchEngine:
         Set to ``False`` to disable memoization entirely (every task then
         counts as a miss and re-runs the search).
     cache_path:
-        Optional persistence file for the cache.  Pickle payloads are loaded
-        wholesale at construction (call :meth:`save` to persist new
-        entries); SQLite stores (``cache_store="sqlite"``, or ``"auto"``
-        with a ``.sqlite``/``.db`` path) are live write-through databases
-        safe to share between concurrent processes.
-    cache_store:
-        Persistence backend for ``cache_path``: ``"auto"`` (default, picks
-        by extension), ``"pickle"`` or ``"sqlite"``.
+        Optional SQLite file the cache persists to: a live write-through
+        database, safe to share between concurrent processes.
     cache_max_entries:
         Optional LRU bound on the cache (see
         :class:`~repro.engine.cache.SearchCache`); ``None`` (the default)
@@ -141,18 +135,11 @@ class SearchEngine:
         cache_path: str = None,
         backend: str = "auto",
         cache_max_entries: int = None,
-        cache_store: str = "auto",
     ):
         self.workers = resolve_workers(workers)
         self.backend = resolve_backend(backend)
         self.cache = (
-            SearchCache(
-                path=cache_path,
-                max_entries=cache_max_entries,
-                store_backend=cache_store,
-            )
-            if cache
-            else None
+            SearchCache(path=cache_path, max_entries=cache_max_entries) if cache else None
         )
         self.stats = CacheStats()
 
@@ -249,8 +236,13 @@ class SearchEngine:
         the constrained ``Ours`` family) groups by its name instead, so the
         tasks of every split on a layer share one.  Everything else (and the
         whole map, on the scalar backend) runs through the per-task
-        reference search.
+        reference search -- as does a group whose layer is too large for
+        the grid's exact ``int64`` arithmetic (:func:`~repro.dataflows.grid.
+        int64_safe`).
         """
+        # Imported here: repro.dataflows imports this package back.
+        from repro.dataflows.grid import int64_safe
+
         if not pending:
             return {}
         grid_groups = {}
@@ -265,8 +257,14 @@ class SearchEngine:
                 grid_groups.setdefault((family, key[1]), []).append((key, task))
             else:
                 scalar_items.append((key, task))
+        groups = []
+        for group in grid_groups.values():
+            if int64_safe(group[0][1][1]):
+                groups.append(group)
+            else:
+                scalar_items.extend(group)
         entries = self._execute_scalar(scalar_items)
-        entries.update(self._execute_grids(list(grid_groups.values())))
+        entries.update(self._execute_grids(groups))
         return entries
 
     def _execute_scalar(self, items: list) -> dict:
@@ -392,11 +390,11 @@ class SearchEngine:
 
     # ------------------------------------------------------------ maintenance
 
-    def save(self, path: str = None) -> int:
-        """Persist the cache to disk; returns the number of entries written."""
+    def save(self) -> int:
+        """Checkpoint the persistent cache; returns its entry count."""
         if self.cache is None:
             return 0
-        return self.cache.save(path)
+        return self.cache.save()
 
     def clear(self) -> None:
         """Drop all cached entries and reset the statistics."""

@@ -122,11 +122,10 @@ def build_orchestration_parser() -> argparse.ArgumentParser:
     )
     spec_parent.add_argument(
         "--cache-store",
-        choices=["pickle", "sqlite"],
+        choices=["sqlite"],
         default="sqlite",
-        help="persistence backend for the search caches (default sqlite: "
-        "concurrency-safe, shared by fleet workers and shareable with a "
-        "running 'serve' daemon; pickle is a single-process file)",
+        help="search-cache store; sqlite is the only one (the pickle store "
+        "was removed) and the flag remains for existing invocations",
     )
     spec_parent.add_argument(
         "--force",
@@ -241,13 +240,6 @@ def build_orchestration_parser() -> argparse.ArgumentParser:
     resume.add_argument("--workers", type=int, default=None)
     resume.add_argument("--max-units", type=int, default=None)
     resume.add_argument(
-        "--cache-store",
-        choices=["pickle", "sqlite"],
-        default=None,
-        help="persistence backend for the search caches (default: the one "
-        "the original run recorded, or sqlite when it recorded none)",
-    )
-    resume.add_argument(
         "--fleet-workers",
         type=int,
         default=None,
@@ -345,9 +337,7 @@ def _cmd_run(args) -> int:
     if not args.out_dir:
         raise ValueError("--out-dir is required (or pass --list-experiments)")
     manifest = RunManifest.from_spec(_build_spec(args))
-    runner = Runner(
-        manifest, args.out_dir, workers=args.workers, cache_store=args.cache_store
-    )
+    runner = Runner(manifest, args.out_dir, workers=args.workers)
     report = runner.run(
         shard=parse_shard(args.shard),
         resume=not args.force,
@@ -419,7 +409,6 @@ def _cmd_fleet(args) -> int:
         unit_budget=args.unit_budget,
         priorities=_parse_experiment_values(args.priority, "--priority", int),
         deadlines=_parse_experiment_values(args.due, "--due", float),
-        cache_store=args.cache_store,
         search_workers=args.workers,
     )
     report = run_fleet(
@@ -449,8 +438,6 @@ def _resume_fleet(args, metadata, manifest) -> int:
         overrides["workers"] = args.fleet_workers
     if args.workers is not None:
         overrides["search_workers"] = args.workers
-    if args.cache_store is not None:
-        overrides["cache_store"] = args.cache_store
     if args.no_unit_budget:
         overrides["unit_budget"] = None
     elif args.unit_budget is not None:
@@ -486,12 +473,7 @@ def _cmd_resume(args) -> int:
     from repro.engine import resolve_workers
 
     resolve_workers(workers)
-    runner = Runner(
-        manifest,
-        args.out_dir,
-        workers=workers,
-        cache_store=args.cache_store or metadata.get("cache_store", "sqlite"),
-    )
+    runner = Runner(manifest, args.out_dir, workers=workers)
     report = runner.run(shard=shard, resume=True, max_units=args.max_units)
     _emit_report(report, args.json)
     return 0 if report.ok else 1

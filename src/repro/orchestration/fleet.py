@@ -71,7 +71,6 @@ class FleetConfig:
     unit_budget: int = None
     priorities: dict = field(default_factory=dict)
     deadlines: dict = field(default_factory=dict)
-    cache_store: str = "sqlite"
     search_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -82,10 +81,6 @@ class FleetConfig:
                 f"lease_seconds must be > 0, got {self.lease_seconds}"
             )
         validate_policy(self.policy)
-        if self.cache_store not in ("pickle", "sqlite"):
-            raise ValueError(
-                f"cache_store must be 'pickle' or 'sqlite', got {self.cache_store!r}"
-            )
 
     def as_dict(self) -> dict:
         return {
@@ -96,7 +91,6 @@ class FleetConfig:
             "unit_budget": self.unit_budget,
             "priorities": dict(self.priorities),
             "deadlines": dict(self.deadlines),
-            "cache_store": self.cache_store,
             "search_workers": self.search_workers,
         }
 
@@ -104,12 +98,13 @@ class FleetConfig:
     def from_dict(cls, data: dict) -> "FleetConfig":
         if not isinstance(data, dict):
             raise ValueError("fleet configuration must be an object")
+        # Other keys are ignored, such as the "cache_store" older trees
+        # recorded when a fleet could choose its store.
         known = {
             key: data[key]
             for key in (
                 "workers", "lease_seconds", "poll_seconds", "policy",
-                "unit_budget", "priorities", "deadlines", "cache_store",
-                "search_workers",
+                "unit_budget", "priorities", "deadlines", "search_workers",
             )
             if key in data
         }
@@ -162,7 +157,6 @@ class FleetWorker:
         queue: WorkQueue = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_seconds: float = DEFAULT_POLL_SECONDS,
-        cache_store: str = "sqlite",
         search_workers: int = 1,
         heartbeat_interval: float = None,
         chaos_kill_after: int = None,
@@ -181,12 +175,7 @@ class FleetWorker:
         )
         self.units = {unit.unit_id: unit for unit in manifest.units}
         self.executor = UnitExecutor(
-            out_dir,
-            workers=search_workers,
-            cache_store=cache_store,
-            cache_filename=lambda backend: fleet_cache_filename(
-                backend, worker_index=worker_index, store=cache_store
-            ),
+            out_dir, workers=search_workers, cache_filename=fleet_cache_filename
         )
         self.report = RunReport(shard=(1, 1), units_total=len(self.units))
 
@@ -343,7 +332,6 @@ def _worker_entry(out_dir: str, worker_index: int, config_dict: dict, chaos_kill
         worker_index,
         lease_seconds=config.lease_seconds,
         poll_seconds=config.poll_seconds,
-        cache_store=config.cache_store,
         search_workers=config.search_workers,
         chaos_kill_after=chaos_kill_after,
     )

@@ -11,11 +11,10 @@ Every completed unit leaves two files under ``out_dir``:
 
 On restart the runner skips any unit whose artifact and ``completed`` status
 already exist, so resuming after a kill recomputes nothing that finished.
-Search results of *completed* units also persist: each backend's engine
-writes its :class:`~repro.engine.SearchCache` to a shard-scoped pickle
-(:func:`repro.engine.shard_cache_filename`) after every unit -- or, with
-``cache_store="sqlite"``, through a write-through SQLite store -- so even
-the units that were still pending at the kill restart against a warm cache.
+Search results persist too: each backend's engine writes its
+:class:`~repro.engine.SearchCache` through to a shard-scoped SQLite file
+(:func:`repro.engine.shard_cache_filename`) as it searches, so even the
+units that were still pending at the kill restart against a warm cache.
 
 The actual unit computation lives in :class:`UnitExecutor`, which the
 static-shard :class:`Runner` and the work-queue fleet workers
@@ -39,9 +38,9 @@ from repro.orchestration.experiments import ExperimentContext, get_experiment
 from repro.orchestration.manifest import NO_BACKEND, RunManifest
 
 #: LRU bound of each per-backend shard cache.  Shard caches persist across
-#: resumes (and are reloaded on every restart), so without a bound they
+#: resumes (and are reopened on every restart), so without a bound they
 #: accrete entries from every attempt forever; the limit comfortably covers
-#: any single unit's working set while capping the pickle's growth.
+#: any single unit's working set while capping the database's growth.
 SHARD_CACHE_MAX_ENTRIES = 100_000
 
 MANIFEST_FILENAME = "manifest.json"
@@ -233,22 +232,11 @@ class UnitExecutor:
     ``units/`` trees byte-identical by construction.
     """
 
-    def __init__(
-        self,
-        out_dir: str,
-        workers: int = 1,
-        cache_store: str = "pickle",
-        cache_filename=None,
-    ):
-        if cache_store not in ("pickle", "sqlite"):
-            raise ValueError(
-                f"cache_store must be 'pickle' or 'sqlite', got {cache_store!r}"
-            )
+    def __init__(self, out_dir: str, workers: int = 1, cache_filename=None):
         self.out_dir = out_dir
         self.workers = workers
-        self.cache_store = cache_store
         self._cache_filename = cache_filename or (
-            lambda backend: shard_cache_filename(backend, 1, 1, store=cache_store)
+            lambda backend: shard_cache_filename(backend, 1, 1)
         )
         self._engines = {}
 
@@ -264,8 +252,8 @@ class UnitExecutor:
             unit_artifact_path(self.out_dir, unit.unit_id), dump_document(document)
         )
         if engine is not None:
-            # Checkpoint after every unit so a kill loses at most one unit's
-            # worth of search results.
+            # Entries are durable as they are stored; fold the WAL into the
+            # database after every unit so the file stays compact.
             engine.save()
 
     def _engine_for(self, backend: str):
@@ -280,7 +268,6 @@ class UnitExecutor:
                 cache_path=cache_path,
                 backend=backend,
                 cache_max_entries=SHARD_CACHE_MAX_ENTRIES,
-                cache_store=self.cache_store,
             )
         return self._engines[backend]
 
@@ -349,10 +336,11 @@ class RunReport:
 class Runner:
     """Execute one shard of a manifest into an artifact tree under ``out_dir``.
 
-    ``cache_store`` selects the persistence backend of the per-backend shard
-    caches: ``"pickle"`` (the default, one atomic payload written after
-    every unit) or ``"sqlite"`` (write-through, multi-process safe -- the
-    store the :mod:`repro.server` daemon shares with orchestrated runs).
+    The per-backend shard caches are SQLite files (write-through and
+    multi-process safe -- the store the :mod:`repro.server` daemon shares
+    with orchestrated runs).  ``cache_store`` selects nothing: it accepts
+    only ``"sqlite"``, which ``perfbench/harness.py`` still passes from
+    ``--cache-store``, and names the removed pickle store otherwise.
     """
 
     def __init__(
@@ -360,16 +348,16 @@ class Runner:
         manifest: RunManifest,
         out_dir: str,
         workers: int = 1,
-        cache_store: str = "pickle",
+        cache_store: str = "sqlite",
     ):
-        if cache_store not in ("pickle", "sqlite"):
+        if cache_store != "sqlite":
             raise ValueError(
-                f"cache_store must be 'pickle' or 'sqlite', got {cache_store!r}"
+                f"cache_store {cache_store!r} is not available: the pickle store "
+                "was removed and every search cache is SQLite"
             )
         self.manifest = manifest
         self.out_dir = out_dir
         self.workers = workers
-        self.cache_store = cache_store
 
     # ------------------------------------------------------------- execution
 
@@ -398,21 +386,12 @@ class Runner:
         index, count = shard
         units = self.manifest.shard(index, count)
         write_manifest(self.manifest, self.out_dir)
-        write_run_metadata(
-            self.out_dir,
-            self.manifest.spec.as_dict(),
-            shard,
-            self.workers,
-            extra={"cache_store": self.cache_store},
-        )
+        write_run_metadata(self.out_dir, self.manifest.spec.as_dict(), shard, self.workers)
         report = RunReport(shard=(index, count), units_total=len(units))
         executor = UnitExecutor(
             self.out_dir,
             workers=self.workers,
-            cache_store=self.cache_store,
-            cache_filename=lambda backend: shard_cache_filename(
-                backend, index, count, store=self.cache_store
-            ),
+            cache_filename=lambda backend: shard_cache_filename(backend, index, count),
         )
 
         def _emit(unit, state, started, error=None):

@@ -196,7 +196,6 @@ class SearchClient:
         params: dict = None,
         workers: int = None,
         shard: str = None,
-        cache_store: str = None,
         max_units: int = None,
     ):
         """Start an orchestrated run; yields one event dict per unit.
@@ -215,8 +214,6 @@ class SearchClient:
             document["workers"] = workers
         if shard is not None:
             document["shard"] = shard
-        if cache_store is not None:
-            document["cache_store"] = cache_store
         if max_units is not None:
             document["max_units"] = max_units
         return self._stream("/experiments/run", document)
@@ -225,15 +222,12 @@ class SearchClient:
         self,
         out_dir: str,
         workers: int = None,
-        cache_store: str = None,
         max_units: int = None,
     ):
         """Resume a previous run in the daemon's work dir; yields events."""
         document = {"out_dir": out_dir}
         if workers is not None:
             document["workers"] = workers
-        if cache_store is not None:
-            document["cache_store"] = cache_store
         if max_units is not None:
             document["max_units"] = max_units
         return self._stream("/experiments/resume", document)

@@ -30,8 +30,9 @@ while concurrent duplicates cost one computation.  Searches queued in one
 event-loop turn reach the engine together at the next turn; ``serve
 --max-batch`` caps how many go in one engine call, and no timer delays a
 request.  On SIGTERM/SIGINT (or ``POST /shutdown``) the daemon stops
-accepting connections, drains in-flight work, persists the cache (a
-SQLite-backed cache is already durable and is WAL-checkpointed) and exits 0.
+accepting connections, drains in-flight work, checkpoints the SQLite
+cache's write-ahead log (entries are durable as they are stored) and
+exits 0.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import sys
 import time
 
 from repro import __version__
-from repro.engine import SearchEngine, resolve_store
+from repro.engine import SearchEngine
 from repro.orchestration.experiments import resolve_experiment_name
 from repro.orchestration.manifest import (
     DEFAULT_WORKLOADS,
@@ -70,6 +71,13 @@ from repro.workloads.registry import UnknownWorkloadError, get_workload_spec
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_LINES = 100
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Largest batch a workload reference may name.  A workload grows with its
+#: batch and is built on the event loop, so one ``llama_decode:256`` (131 296
+#: layers) would stall every connection.  32 is the largest default batch in
+#: the registry (``llama_decode``, ``mixtral_decode``); the largest build it
+#: admits is ``bert_large:32``, 24 720 layers.
+MAX_REFERENCE_BATCH = 32
 
 #: Seconds a connection may take to deliver its next request before it is
 #: closed; responses, including experiment streams, are not timed.
@@ -216,8 +224,7 @@ class SearchDaemon:
         for writer in list(self._connections):
             with contextlib.suppress(Exception):
                 writer.close()
-        # Flush search results: pickle caches need an explicit save; a
-        # SQLite cache is already durable and save() checkpoints its WAL.
+        # Entries are durable as they are stored; save() checkpoints the WAL.
         if self.engine.cache is not None and self.engine.cache.path:
             await self.service.run_in_engine_thread(self.engine.save)
         self.service.close()
@@ -328,7 +335,6 @@ class SearchDaemon:
             "workers": self.engine.workers,
             "cache_entries": len(cache) if cache is not None else None,
             "cache_path": cache.path if cache is not None else None,
-            "cache_store": cache.store_backend if cache is not None else None,
         }
 
     async def _handle_stats(self, request: _Request):
@@ -428,8 +434,7 @@ class SearchDaemon:
         manifest = RunManifest.from_spec(spec)
         out_dir = self._resolve_out_dir(document.get("out_dir"))
         workers = int(document.get("workers", 1))
-        cache_store = document.get("cache_store", "sqlite")
-        runner = Runner(manifest, out_dir, workers=workers, cache_store=cache_store)
+        runner = Runner(manifest, out_dir, workers=workers)
         shard = parse_shard(str(document.get("shard", "1/1")))
         return runner, shard, document.get("max_units")
 
@@ -444,8 +449,7 @@ class SearchDaemon:
         metadata = load_run_metadata(out_dir)
         manifest = RunManifest.from_spec(ManifestSpec.from_dict(metadata["spec"]))
         workers = int(document.get("workers", metadata.get("workers", 1)))
-        cache_store = document.get("cache_store", metadata.get("cache_store", "sqlite"))
-        runner = Runner(manifest, out_dir, workers=workers, cache_store=cache_store)
+        runner = Runner(manifest, out_dir, workers=workers)
         shard = tuple(metadata["shard"])
         await self._stream_runner(
             writer, runner, shard, document.get("max_units"), resume=True
@@ -533,15 +537,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-file",
         default=None,
-        help="persistent cache path; a .sqlite/.db extension (recommended "
-        "for serving) selects the concurrency-safe SQLite store, .pkl the "
-        "single-payload pickle store",
-    )
-    parser.add_argument(
-        "--cache-store",
-        choices=["auto", "pickle", "sqlite"],
-        default="auto",
-        help="persistence backend for --cache-file (default: by extension)",
+        help="SQLite file the search cache persists to, shareable with "
+        "orchestrated runs and other daemons (default: in memory only)",
     )
     parser.add_argument(
         "--cache-max-entries",
@@ -581,13 +578,11 @@ def main(argv: list = None) -> int:
     """``repro-experiments serve``: run the daemon until SIGTERM/SIGINT."""
     args = build_serve_parser().parse_args(argv)
     try:
-        resolve_store(args.cache_store, args.cache_file)
         engine = SearchEngine(
             workers=args.workers,
             cache_path=args.cache_file,
             backend=args.backend,
             cache_max_entries=args.cache_max_entries,
-            cache_store=args.cache_store,
         )
         daemon = SearchDaemon(
             engine=engine,

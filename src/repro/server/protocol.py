@@ -137,7 +137,14 @@ def resolve_dataflow(document: dict):
 
 
 def resolve_layer(document: dict) -> ConvLayer:
-    """The layer a request describes, inline or by workload reference."""
+    """The layer a request describes, inline or by workload reference.
+
+    A reference whose batch (named, or the workload's default) exceeds
+    :data:`~repro.server.daemon.MAX_REFERENCE_BATCH` is rejected before
+    anything is built.
+    """
+    # Imported here: the daemon imports this module back.
+    from repro.server.daemon import MAX_REFERENCE_BATCH
     from repro.workloads.registry import UnknownWorkloadError, parse_workload_spec
 
     if "layer" in document:
@@ -149,7 +156,14 @@ def resolve_layer(document: dict) -> ConvLayer:
             "reference with 'layer_index' or 'layer_name'"
         )
     try:
-        layers = _built_layers(*parse_workload_spec(workload))
+        entry, batch = parse_workload_spec(workload)
+        size = entry.default_batch if batch is None else batch
+        if size > MAX_REFERENCE_BATCH:
+            raise ValueError(
+                f"workload {workload!r} names batch {size}; references are "
+                f"limited to batch {MAX_REFERENCE_BATCH}"
+            )
+        layers = _built_layers(entry, batch)
     except (UnknownWorkloadError, ValueError) as error:
         raise ProtocolError(str(error)) from error
     if "layer_index" in document:

@@ -199,7 +199,7 @@ class TestParallelParity:
 
 class TestPersistence:
     def test_save_and_reload(self, tmp_path, layer):
-        path = str(tmp_path / "cache.pkl")
+        path = str(tmp_path / "cache.sqlite")
         cold = SearchEngine(cache_path=path)
         result = cold.search(get_dataflow("Ours"), layer, 8192)
         assert cold.save() == 1
@@ -213,109 +213,38 @@ class TestPersistence:
         assert SearchEngine(cache=False).save() == 0
 
     def test_corrupt_cache_file_degrades_to_cold(self, tmp_path, layer):
-        path = tmp_path / "cache.pkl"
-        path.write_text("not a pickle")
+        path = tmp_path / "cache.sqlite"
+        path.write_text("not a database")
         with pytest.warns(UserWarning, match="starting cold"):
             engine = SearchEngine(cache_path=str(path))
         engine.search(get_dataflow("Ours"), layer, 8192)
         assert engine.stats.misses == 1
-        # Saving overwrites the corrupt file with a valid cache.
+        # The corrupt file was replaced by a working database.
         engine.save()
         warm = SearchEngine(cache_path=str(path))
         warm.search(get_dataflow("Ours"), layer, 8192)
         assert warm.stats.hits == 1
 
     def test_version_mismatched_cache_is_rejected(self, tmp_path, layer):
-        import pickle
+        import sqlite3
 
-        from repro.engine.cache import CACHE_FORMAT
-
-        path = tmp_path / "cache.pkl"
-        cold = SearchEngine(cache_path=str(path))
+        path = str(tmp_path / "cache.sqlite")
+        cold = SearchEngine(cache_path=path)
         cold.search(get_dataflow("Ours"), layer, 8192)
-        cold.save()
-        # Rewrite the payload as if an older package version produced it.
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        assert payload["format"] == CACHE_FORMAT
-        payload["version"] = "0.0.0"
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
+        cold.cache.close()
+        # Rewrite the meta rows as if an older package version wrote them.
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("UPDATE meta SET value = '0.0.0' WHERE name = 'version'")
+        connection.close()
 
-        with pytest.warns(UserWarning, match="written by version"):
-            stale = SearchEngine(cache_path=str(path))
+        with pytest.warns(UserWarning, match="has version"):
+            stale = SearchEngine(cache_path=path)
         stale.search(get_dataflow("Ours"), layer, 8192)
         assert stale.stats.misses == 1, "stale entries must not be served"
 
-    def test_schema_mismatched_cache_is_discarded(self, tmp_path, layer):
-        """A pickle with an incompatible entry schema must start cold, not serve."""
-        import pickle
-
-        path = tmp_path / "cache.pkl"
-        cold = SearchEngine(cache_path=str(path))
-        cold.search(get_dataflow("Ours"), layer, 8192)
-        cold.save()
-        # Rewrite as if an older code base with a different DataflowResult
-        # layout (schema 0) produced the file.
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        payload["schema"] = 0
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
-
-        with pytest.warns(UserWarning, match="entry schema"):
-            stale = SearchEngine(cache_path=str(path))
-        stale.search(get_dataflow("Ours"), layer, 8192)
-        assert stale.stats.misses == 1, "schema-mismatched entries must not be served"
-
-    def test_pre_schema_cache_file_is_discarded(self, tmp_path, layer):
-        """Files written before the schema field existed lack it entirely."""
-        import pickle
-
-        path = tmp_path / "cache.pkl"
-        cold = SearchEngine(cache_path=str(path))
-        cold.search(get_dataflow("Ours"), layer, 8192)
-        cold.save()
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        del payload["schema"]
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
-
-        with pytest.warns(UserWarning, match="entry schema"):
-            SearchEngine(cache_path=str(path))
-
-    def test_corrupted_entries_round_trip_to_cold_then_warm(self, tmp_path, layer):
-        """Garbage entries behind a valid header are rejected, then healed.
-
-        Round trip: save valid -> corrupt one entry value -> reload warns and
-        starts cold -> save again -> reload is warm and serves the result.
-        """
-        import pickle
-
-        path = tmp_path / "cache.pkl"
-        cold = SearchEngine(cache_path=str(path))
-        result = cold.search(get_dataflow("Ours"), layer, 8192)
-        cold.save()
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        key = next(iter(payload["entries"]))
-        payload["entries"][key] = {"not": "a DataflowResult"}
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
-
-        with pytest.warns(UserWarning, match="malformed entry"):
-            recovered = SearchEngine(cache_path=str(path))
-        assert recovered.search(get_dataflow("Ours"), layer, 8192) == result
-        assert recovered.stats.misses == 1
-        recovered.save()
-
-        warm = SearchEngine(cache_path=str(path))
-        assert warm.search(get_dataflow("Ours"), layer, 8192) == result
-        assert warm.stats.hits == 1 and warm.stats.misses == 0
-
     def test_infeasible_entries_persist(self, tmp_path):
-        path = str(tmp_path / "cache.pkl")
+        path = str(tmp_path / "cache.sqlite")
         layer = ConvLayer("l", 1, 8, 20, 20, 16, 3, 3)
         cold = SearchEngine(cache_path=path)
         assert cold.try_search(get_dataflow("WtR-B"), layer, 0) is None
@@ -484,8 +413,8 @@ class TestBackendCacheParity:
         assert scalar.stats.misses == 0
         assert results == expected
 
-    def test_cache_parity_across_pickle_round_trip(self, tmp_path, small_layers):
-        path = str(tmp_path / "cache.pkl")
+    def test_cache_parity_across_disk_round_trip(self, tmp_path, small_layers):
+        path = str(tmp_path / "cache.sqlite")
         scalar = SearchEngine(backend="python", cache_path=path)
         expected = scalar.search_tasks(self._tasks(small_layers))
         scalar.save()
@@ -496,7 +425,7 @@ class TestBackendCacheParity:
         assert results == expected
 
         # And the reverse direction through a fresh file.
-        reverse_path = str(tmp_path / "reverse.pkl")
+        reverse_path = str(tmp_path / "reverse.sqlite")
         warm_vectorized = SearchEngine(backend="numpy", cache_path=reverse_path)
         warm_vectorized.search_tasks(self._tasks(small_layers))
         warm_vectorized.save()
@@ -630,21 +559,23 @@ class TestLruEviction:
         with pytest.raises(ValueError, match="max_entries"):
             SearchCache(max_entries=0)
 
-    def test_load_respects_the_limit(self, tmp_path):
-        from repro.engine import SearchCache
+    def test_reopen_with_a_smaller_limit_trims_at_the_first_store(self, tmp_path):
+        from repro.engine import INFEASIBLE, SearchCache
 
-        path = str(tmp_path / "cache.pkl")
-        unbounded = SearchCache(path=path)
+        path = str(tmp_path / "cache.sqlite")
         engine = SearchEngine(cache_path=path)
         layer = ConvLayer("l", 1, 8, 14, 14, 16, 3, 3, stride=1, padding=1)
         dataflow = get_dataflow("Ours")
         for capacity in (4096, 8192, 16384):
             engine.search(dataflow, layer, capacity)
         assert engine.save() == 3
-        del unbounded
+        engine.cache.close()
         bounded = SearchCache(path=path, max_entries=2)
+        bounded.store(task_key(dataflow, layer, 32768), INFEASIBLE)
         assert len(bounded) == 2
-        assert bounded.evictions == 1
+        assert task_key(dataflow, layer, 32768) in bounded  # the youngest stays
+        assert bounded.evictions == 2
+        bounded.close()
 
     def test_engine_results_are_bit_identical_under_tiny_limit(self, small_layers):
         """A pathologically small cache changes cost, never results."""

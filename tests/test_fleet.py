@@ -346,8 +346,11 @@ class TestFleetConfig:
             FleetConfig(lease_seconds=0)
         with pytest.raises(ValueError, match="policy"):
             FleetConfig(policy="lifo")
-        with pytest.raises(ValueError, match="cache_store"):
-            FleetConfig(cache_store="dbm")
+
+    def test_recorded_cache_store_is_ignored(self):
+        """Older fleet trees recorded the store they could choose."""
+        config = FleetConfig(workers=3)
+        assert FleetConfig.from_dict(dict(config.as_dict(), cache_store="pickle")) == config
 
     def test_build_schedule_expands_experiments_to_units(self):
         manifest = fleet_manifest()
@@ -390,6 +393,30 @@ class TestFleetProcesses:
         assert resumed["units_skipped"] == resumed["units_total"]
         assert resumed["worker_exit_codes"] == []  # no workers even spawned
         assert read_tree(out_dir) == static_tree
+
+    def test_resume_of_a_recorded_pickle_store_finishes_on_sqlite(
+        self, tmp_path, static_tree, capsys
+    ):
+        out_dir = str(tmp_path / "fleet")
+        base = ["--workloads", "tiny", "--experiments", "fig14", "fig16", "goldens"]
+        assert main([
+            "fleet", "--out-dir", out_dir, "--fleet-workers", "1",
+            "--unit-budget", "1", "--json", *base,
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["units_deferred"] == 2
+        path = os.path.join(out_dir, "run.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document["fleet"]["cache_store"] = "pickle"
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        capsys.readouterr()
+        assert main(["resume", "--out-dir", out_dir, "--no-unit-budget", "--json"]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert resumed["mode"] == "fleet"
+        assert resumed["units_completed"] == 2 and resumed["units_failed"] == 0
+        assert read_tree(out_dir) == static_tree
+        assert os.listdir(os.path.join(out_dir, "cache")) == ["search-auto-fleet.sqlite"]
 
     def test_chaos_killed_worker_is_stolen_from(self, tmp_path, static_tree):
         out_dir = str(tmp_path / "fleet")

@@ -998,10 +998,19 @@ class TestTruncatedArtifacts:
 
 
 class TestRecordedCacheStore:
-    """Regression: ``fleet``'s ``set_defaults`` used to rewrite the shared
+    """Every search cache is SQLite; ``--cache-store`` selects nothing.
+
+    Regression: ``fleet``'s ``set_defaults`` used to rewrite the shared
     ``--cache-store`` action, so ``run`` silently defaulted to SQLite while
     a static ``resume`` fell back to pickle and started cold next to the
-    orphaned SQLite cache."""
+    orphaned SQLite cache.  Trees written while a store could be chosen
+    record it in ``run.json``; resume ignores the record.
+    """
+
+    RUN = [
+        "run", "--workloads", "tiny",
+        "--experiments", "fig13", "fig14", "--capacities", "66.5",
+    ]
 
     def test_every_spec_command_defaults_to_sqlite(self):
         from repro.orchestration.cli import build_orchestration_parser
@@ -1009,17 +1018,21 @@ class TestRecordedCacheStore:
         parser = build_orchestration_parser()
         for command in ("run", "reproduce-all", "fleet"):
             assert parser.parse_args([command]).cache_store == "sqlite"
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--cache-store", "pickle"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["resume", "--out-dir", "x", "--cache-store", "sqlite"])
 
-    @pytest.mark.parametrize("store, other", [("sqlite", ".pkl"), ("pickle", ".sqlite")])
-    def test_static_resume_reuses_the_recorded_store(self, tmp_path, capsys, store, other):
+    def test_runner_rejects_the_removed_pickle_store(self, tmp_path):
+        with pytest.raises(ValueError, match="pickle store was removed") as error:
+            Runner(tiny_manifest(), str(tmp_path / "run"), cache_store="pickle")
+        assert "\n" not in str(error.value)
+
+    def test_static_resume_reuses_the_sqlite_cache(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
-        assert main([
-            "run", "--out-dir", out_dir, "--workloads", "tiny",
-            "--experiments", "fig13", "fig14", "--capacities", "66.5",
-            "--cache-store", store, "--max-units", "1",
-        ]) == 0
+        assert main([*self.RUN, "--out-dir", out_dir, "--max-units", "1"]) == 0
         with open(os.path.join(out_dir, "run.json")) as handle:
-            assert json.load(handle)["cache_store"] == store
+            assert "cache_store" not in json.load(handle)
         capsys.readouterr()
         assert main(["resume", "--out-dir", out_dir, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -1027,26 +1040,25 @@ class TestRecordedCacheStore:
         # fig13 and fig14 share their 66.5 KB searches: the resumed unit
         # starts from the first unit's cache instead of a cold one.
         assert sum(stats["hits"] for stats in report["engine_stats"].values()) > 0
-        cache_files = os.listdir(os.path.join(out_dir, "cache"))
-        assert cache_files and not [name for name in cache_files if name.endswith(other)]
+        assert os.listdir(os.path.join(out_dir, "cache")) == [shard_cache_filename("auto", 1, 1)]
 
-    def test_resume_of_a_run_json_without_a_store_uses_sqlite(self, tmp_path, capsys):
+    def test_resume_ignores_a_recorded_pickle_store(self, tmp_path, capsys):
+        reference = str(tmp_path / "reference")
+        assert main([*self.RUN, "--out-dir", reference]) == 0
         out_dir = str(tmp_path / "run")
-        assert main([
-            "run", "--out-dir", out_dir, "--workloads", "tiny",
-            "--experiments", "fig13", "fig14", "--capacities", "66.5", "--max-units", "1",
-        ]) == 0
+        assert main([*self.RUN, "--out-dir", out_dir, "--max-units", "1"]) == 0
         path = os.path.join(out_dir, "run.json")
         with open(path) as handle:
             document = json.load(handle)
-        del document["cache_store"]
+        document["cache_store"] = "pickle"
         with open(path, "w") as handle:
             json.dump(document, handle)
         capsys.readouterr()
         assert main(["resume", "--out-dir", out_dir, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert report["units_completed"] == 1 and report["units_failed"] == 0
         assert sum(stats["hits"] for stats in report["engine_stats"].values()) > 0
-        assert not [name for name in os.listdir(os.path.join(out_dir, "cache")) if name.endswith(".pkl")]
+        assert read_tree(out_dir) == read_tree(reference)
 
     def test_resume_with_a_misspelled_param_key_exits_2(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")

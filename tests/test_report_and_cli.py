@@ -118,7 +118,7 @@ class TestCliEngineFlags:
 
     def test_build_engine_rejects_conflicting_flags(self, tmp_path):
         args = build_parser().parse_args(
-            ["fig13", "--no-cache", "--cache-file", str(tmp_path / "c.pkl")]
+            ["fig13", "--no-cache", "--cache-file", str(tmp_path / "c.sqlite")]
         )
         with pytest.raises(SystemExit):
             build_engine(args)
@@ -130,7 +130,7 @@ class TestCliEngineFlags:
         assert "engine:" in captured.err
 
     def test_main_saves_cache_file(self, tmp_path, capsys):
-        path = tmp_path / "cache.pkl"
+        path = tmp_path / "cache.sqlite"
         assert main(["table1", "--cache-file", str(path)]) == 0
         assert path.exists()
 

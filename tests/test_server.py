@@ -134,6 +134,30 @@ class TestWorkloadReferenceMemo:
     def test_memo_is_bounded(self):
         assert protocol._built_layers.cache_info().maxsize is not None
 
+    def test_reference_past_the_batch_cap_builds_nothing(self, monkeypatch):
+        # serve-zipf's references, and llama_decode's default batch of 32.
+        accepted = ("vgg16", "llama_decode:1", "llama_decode")
+        expected = {spec: get_workload_spec(spec)[0] for spec in accepted}
+        protocol._built_layers.cache_clear()
+        builds = []
+        build = Workload.build
+
+        def counting_build(workload, *args, **kwargs):
+            builds.append(workload.name)
+            return build(workload, *args, **kwargs)
+
+        monkeypatch.setattr(Workload, "build", counting_build)
+        cap = daemon_module.MAX_REFERENCE_BATCH
+        for spec in ("llama_decode:256", f"bert_large:{cap + 1}"):
+            with pytest.raises(ProtocolError, match=f"limited to batch {cap}") as error:
+                resolve_layer({"workload": spec, "layer_index": 0})
+            assert "\n" not in str(error.value)
+        assert builds == []
+        for spec in accepted:
+            layer = resolve_layer({"workload": spec, "layer_index": 0})
+            assert layer == expected[spec]
+        assert builds == ["vgg16", "llama_decode", "llama_decode"]
+
     @pytest.mark.parametrize("spec", ["no_such_network", "tiny:0", "tiny:x"])
     def test_unusable_workload_is_a_protocol_error_every_time(self, spec):
         for _ in range(3):
@@ -336,7 +360,8 @@ class TestDaemon:
         with SearchClient(port=daemon.port) as client:
             health = client.healthz()
         assert health["status"] == "ok"
-        assert health["cache_store"] == "sqlite"
+        assert health["cache_path"].endswith("cache.sqlite")
+        assert "cache_store" not in health
         assert health["backend"] in ("numpy", "python")
 
     def test_served_search_is_bit_identical(self, daemon, layer):
@@ -427,6 +452,52 @@ class TestDaemon:
         cache = daemon.engine.cache
         assert task_key(get_dataflow("Ours"), ConvLayer(**bad), 8192) not in cache
         assert len(cache) == 1
+
+    def test_reference_past_the_batch_cap_is_a_bad_request(self, daemon):
+        with SearchClient(port=daemon.port) as client:
+            with pytest.raises(ServerError) as error:
+                client.search("Ours", workload="llama_decode:256", layer_index=0, capacity_words=8192)
+        assert error.value.status == 400
+        assert "limited to batch" in error.value.message
+
+    def test_layer_past_int64_is_served_the_scalar_result(self, daemon):
+        """Regression: the grid served (and cached) a negative total here."""
+        layer = ConvLayer("x", 1, 2**50, 14, 14, 16, 3, 3, 1, 1)
+        direct = SearchEngine(backend="python").try_search(get_dataflow("Ours"), layer, 8192)
+        with SearchClient(port=daemon.port) as client:
+            served = client.search("Ours", layer=layer, capacity_words=8192)
+        assert served == direct and served.total > 0
+
+    def test_overflowing_layer_beside_a_good_request_leaves_it_served(self, daemon, layer):
+        """Regression: a 2**60 layer's OverflowError used to fan out to the
+        whole batch, answering both requests 500."""
+        huge = ConvLayer("huge", 1, 2**60, 14, 14, 16, 3, 3, 1, 1)
+        documents = {
+            "good": {"dataflow": "Ours", "layer": layer_to_wire(layer), "capacity_words": 8192},
+            "huge": {"dataflow": "Ours", "layer": layer_to_wire(huge), "capacity_words": 8192},
+        }
+        outcomes = {}
+        barrier = threading.Barrier(2)
+
+        def send(slot, document):
+            with SearchClient(port=daemon.port) as client:
+                barrier.wait(timeout=30)
+                try:
+                    outcomes[slot] = client._json("POST", "/search", document)
+                except ServerError as error:
+                    outcomes[slot] = error
+
+        threads = [threading.Thread(target=send, args=item) for item in documents.items()]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        reference = SearchEngine(backend="python")
+        for slot, sent in (("good", layer), ("huge", huge)):
+            assert not isinstance(outcomes[slot], ServerError), outcomes[slot]
+            expected = reference.try_search(get_dataflow("Ours"), sent, 8192)
+            assert result_from_wire(outcomes[slot]["result"]) == expected
 
     def test_deeply_nested_body_is_a_bad_request(self, daemon):
         connection = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)

@@ -1,25 +1,30 @@
-"""Concurrency, recovery and migration tests for the SQLite cache store.
+"""Concurrency, recovery and locking tests for the SQLite cache store.
 
-The SQLite backend exists so many processes (orchestrator shards, the serve
-daemon, ad-hoc CLIs) can share one persistent search cache safely.  These
-tests pin exactly that contract:
+SQLite is the only persistent store, so many processes (orchestrator
+shards, fleet workers, the serve daemon, ad-hoc CLIs) can share one search
+cache safely.  These tests pin exactly that contract:
 
+* any cache path opens the store, whatever its extension, and holds
+  entries byte-identical to the in-memory cache;
 * two processes hammering the *same* keys leave a consistent store holding
   results bit-identical to a direct engine run;
 * a reader sees a coherent store while a writer is mid-stream;
-* a corrupt database degrades to a cold start (mirroring the corrupt-pickle
-  behaviour) instead of crashing or serving garbage;
-* pickle -> SQLite -> pickle migration round-trips entries exactly;
-* a shard cache written by an orchestrated ``run --cache-store sqlite`` is
-  served as *hits* by a fresh engine pointed at the same file (the daemon's
-  warm-start path).
+* a file that is not this package's database (garbage, a pickle payload,
+  another schema) degrades to a cold start instead of crashing or serving
+  garbage;
+* a database another process keeps locked is *not* corrupt: nothing is
+  discarded, and every surface reports the lock in one line;
+* a shard cache written by an orchestrated ``run`` is served as *hits* by a
+  fresh engine pointed at the same file (the daemon's warm-start path).
 """
 
 import os
 import pickle
+import sqlite3
 import subprocess
 import sys
 import threading
+import warnings
 
 import pytest
 
@@ -30,11 +35,10 @@ from repro.engine import (
     SearchCache,
     SearchEngine,
     SqliteStore,
-    migrate_cache,
-    resolve_store,
     shard_cache_filename,
     task_key,
 )
+from repro.engine import cache as cache_module
 from repro.engine.cache import SCHEMA_VERSION
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -54,54 +58,40 @@ def layers():
     ]
 
 
-class TestStoreResolution:
-    def test_sqlite_extensions_select_sqlite(self):
-        for extension in (".sqlite", ".sqlite3", ".db", ".SQLITE"):
-            assert resolve_store("auto", f"cache{extension}") == "sqlite"
-
-    def test_other_paths_select_pickle(self):
-        assert resolve_store("auto", "cache.pkl") == "pickle"
-        assert resolve_store("auto", None) == "pickle"
-
-    def test_explicit_backend_wins_over_extension(self):
-        assert resolve_store("pickle", "cache.sqlite") == "pickle"
-        assert resolve_store("sqlite", "cache.pkl") == "sqlite"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="store"):
-            resolve_store("mongodb", "cache.db")
-
-    def test_sqlite_without_path_rejected(self):
-        with pytest.raises(ValueError, match="path"):
-            SearchCache(store_backend="sqlite")
-
-    def test_shard_cache_filename_by_store(self):
-        assert shard_cache_filename("numpy", 1, 4).endswith(".pkl")
-        assert shard_cache_filename("numpy", 1, 4, store="sqlite").endswith(".sqlite")
-
-
 class TestPersistenceParity:
-    """SQLite must hold exactly what the pickle store would hold."""
+    """SQLite must hold exactly what the in-memory cache holds."""
 
-    def _populate(self, cache_path: str, layers) -> SearchEngine:
+    def _populate(self, cache_path, layers) -> SearchEngine:
         engine = SearchEngine(cache_path=cache_path)
         dataflow = get_dataflow("Ours")
         for layer in layers:
             for capacity in (4096, 16384):
                 engine.try_search(dataflow, layer, capacity)
-        engine.save()
+        if cache_path:
+            engine.save()
         return engine
 
-    def test_entries_identical_to_pickle_store(self, tmp_path, layers):
+    def test_entries_identical_to_in_memory_cache(self, tmp_path, layers):
         sqlite_engine = self._populate(str(tmp_path / "cache.sqlite"), layers)
-        pickle_engine = self._populate(str(tmp_path / "cache.pkl"), layers)
+        memory_engine = self._populate(None, layers)
         sqlite_entries = dict(sqlite_engine.cache.items())
-        pickle_entries = dict(pickle_engine.cache.items())
-        assert sqlite_entries == pickle_entries
-        # Byte-identical, not merely equal: the serialized form of every
-        # entry matches what the pickle store persists.
+        memory_entries = dict(memory_engine.cache.items())
+        assert sqlite_entries == memory_entries
+        # Byte-identical, not merely equal: every entry the database hands
+        # back serializes exactly like the one the search produced.
         for key, entry in sqlite_entries.items():
-            assert pickle.dumps(entry) == pickle.dumps(pickle_entries[key])
+            assert pickle.dumps(entry) == pickle.dumps(memory_entries[key])
+        sqlite_engine.cache.close()
+
+    @pytest.mark.parametrize("name", ["cache.pkl", "cache", "cache.db"])
+    def test_any_path_opens_the_sqlite_store(self, tmp_path, layer, name):
+        path = str(tmp_path / name)
+        cache = SearchCache(path=path)
+        cache.store(task_key(get_dataflow("Ours"), layer, 4096), INFEASIBLE)
+        cache.close()
+        with sqlite3.connect(path) as connection:
+            assert connection.execute("SELECT COUNT(*) FROM entries").fetchone() == (1,)
+        connection.close()
 
     def test_survives_restart_and_serves_hits(self, tmp_path, layers):
         path = str(tmp_path / "cache.sqlite")
@@ -126,11 +116,11 @@ class TestPersistenceParity:
         assert warm.stats.hits == len(expected)
         warm.cache.close()
 
-    def test_lru_eviction_matches_pickle_semantics(self, tmp_path, layer):
+    def test_lru_eviction_matches_in_memory_semantics(self, tmp_path, layer):
         dataflow = get_dataflow("Ours")
         caches = [
             SearchCache(path=str(tmp_path / "a.sqlite"), max_entries=2),
-            SearchCache(max_entries=2),  # the in-memory/pickle reference
+            SearchCache(max_entries=2),  # the in-memory reference
         ]
         keys = [task_key(dataflow, layer, capacity) for capacity in (1024, 2048, 4096)]
         for cache in caches:
@@ -239,7 +229,7 @@ class TestConcurrency:
 
 class TestRecovery:
     def test_corrupt_database_starts_cold(self, tmp_path, layer):
-        """Garbage bytes degrade to an empty cache, like a corrupt pickle."""
+        """Garbage bytes degrade to an empty, working cache."""
         path = str(tmp_path / "cache.sqlite")
         with open(path, "wb") as handle:
             handle.write(b"this is not a sqlite database at all")
@@ -271,71 +261,173 @@ class TestRecovery:
         assert len(cache) == 0
         cache.close()
 
-    def test_unreadable_row_is_dropped_not_fatal(self, tmp_path, layer):
+    @pytest.mark.parametrize(
+        "blob", [b"not a pickle", pickle.dumps({"not": "a DataflowResult"})]
+    )
+    def test_unreadable_row_is_dropped_not_fatal(self, tmp_path, layer, blob):
         path = str(tmp_path / "cache.sqlite")
         store = SqliteStore(path)
         dataflow = get_dataflow("Ours")
         key = task_key(dataflow, layer, 4096)
         store.store(key, INFEASIBLE)
         with store._transaction():
-            store._connection.execute(
-                "UPDATE entries SET entry = ?", (b"not a pickle",)
-            )
+            store._connection.execute("UPDATE entries SET entry = ?", (blob,))
         with pytest.warns(UserWarning, match="unreadable"):
             assert store.get(key) is None
         assert key not in store  # the poisoned row was deleted
         store.close()
 
 
-class TestMigration:
-    def _fill(self, cache: SearchCache, layers) -> dict:
-        engine = SearchEngine()
-        dataflow = get_dataflow("Ours")
-        entries = {}
-        for layer in layers:
-            for capacity in (4096, 16384):
-                key = task_key(dataflow, layer, capacity)
-                entries[key] = engine.try_search(dataflow, layer, capacity)
-                cache.store(key, entries[key])
-        return entries
-
-    def test_pickle_to_sqlite_to_pickle_round_trip(self, tmp_path, layers):
-        pickle_path = str(tmp_path / "cache.pkl")
-        sqlite_path = str(tmp_path / "cache.sqlite")
-        back_path = str(tmp_path / "back.pkl")
-
-        source = SearchCache(path=pickle_path)
-        entries = self._fill(source, layers)
-        source.save()
-
-        assert migrate_cache(pickle_path, sqlite_path) == len(entries)
-        migrated = SearchCache(path=sqlite_path)
-        assert dict(migrated.items()) == entries
-        migrated.close()
-
-        assert migrate_cache(sqlite_path, back_path) == len(entries)
-        back = SearchCache(path=back_path)
-        back.load()
-        assert dict(back.items()) == entries
-
-    def test_load_pickle_into_live_sqlite_cache(self, tmp_path, layers):
-        """SearchCache.load() on a SQLite cache is the migration path."""
-        pickle_path = str(tmp_path / "cache.pkl")
-        source = SearchCache(path=pickle_path)
-        entries = self._fill(source, layers)
-        source.save()
-
-        cache = SearchCache(path=str(tmp_path / "cache.sqlite"))
-        assert cache.load(pickle_path) == len(entries)
-        assert dict(cache.items()) == entries
-        cache.close()
-
-    def test_sqlite_cache_refuses_to_load_itself(self, tmp_path):
+    def test_version_mismatch_starts_cold(self, tmp_path, layer):
+        """``meta`` written by another package version is never served."""
         path = str(tmp_path / "cache.sqlite")
-        cache = SearchCache(path=path)
-        with pytest.raises(ValueError, match="live"):
-            cache.load(path)
+        store = SqliteStore(path)
+        store.store(task_key(get_dataflow("Ours"), layer, 4096), INFEASIBLE)
+        with store._transaction():
+            store._connection.execute("UPDATE meta SET value = '0.0.0' WHERE name = 'version'")
+        store.close()
+        with pytest.warns(UserWarning, match="starting cold.*version '0.0.0'"):
+            cache = SearchCache(path=path)
+        assert len(cache) == 0
         cache.close()
+
+    def test_pickle_payload_at_cache_file_starts_cold_once(self, tmp_path, capsys):
+        """A pickle left by the removed pickle store is replaced, not imported."""
+        from repro.cli import main
+
+        path = tmp_path / "cache.pkl"
+        with open(path, "wb") as handle:
+            pickle.dump({"format": "repro-search-cache-v1", "entries": {}}, handle)
+        argv = ["fig13", "--workload", "tiny", "--capacities", "16", "--cache-file", str(path), "--stats"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        cold = [w for w in caught if "starting cold" in str(w.message)]
+        assert len(cold) == 1, [str(w.message) for w in caught]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert not [w for w in caught if "starting cold" in str(w.message)]
+        assert " 0 misses" in capsys.readouterr().err
+
+
+@pytest.fixture
+def fast_busy_timeout(monkeypatch):
+    """Give up on a locked database after 0.2 s instead of 30 s."""
+    monkeypatch.setattr(cache_module, "SQLITE_BUSY_TIMEOUT_S", 0.2)
+
+
+def hold_write_lock(path: str) -> sqlite3.Connection:
+    """A second connection holding the write lock until it is closed."""
+    connection = sqlite3.connect(path, isolation_level=None)
+    connection.execute("BEGIN IMMEDIATE")
+    return connection
+
+
+@pytest.mark.usefixtures("fast_busy_timeout")
+class TestLockedCache:
+    """A lock held past the busy timeout is an error, never corruption."""
+
+    def test_locked_database_is_not_discarded(self, tmp_path, layer):
+        path = str(tmp_path / "cache.sqlite")
+        first = SearchCache(path=path)
+        key = task_key(get_dataflow("Ours"), layer, 4096)
+        first.store(key, INFEASIBLE)
+        holder = hold_write_lock(path)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no "starting cold"
+                with pytest.raises(ValueError, match="locked") as error:
+                    SearchCache(path=path)
+            assert not isinstance(error.value, cache_module.CorruptCacheError)
+            assert repr(path) in str(error.value)
+        finally:
+            holder.close()
+        # Still the first cache's file: a recreated one would be empty.
+        reopened = SearchCache(path=path)
+        assert key in reopened and len(reopened) == 1
+        reopened.close()
+        first.close()
+
+    def test_flat_cli_exits_2_naming_the_path(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "cache.sqlite")
+        SearchCache(path=path).close()
+        holder = hold_write_lock(path)
+        try:
+            assert main(["table1", "--cache-file", path]) == 2
+        finally:
+            holder.close()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "locked" in err and path in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_serve_exits_2_naming_the_path(self, tmp_path):
+        # A subprocess with a deadline: a daemon that wrongly starts cold
+        # would otherwise serve forever.
+        script = (
+            "import sys\n"
+            "from repro.engine import cache\n"
+            "cache.SQLITE_BUSY_TIMEOUT_S = 0.2\n"
+            "from repro.server.daemon import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        path = str(tmp_path / "cache.sqlite")
+        SearchCache(path=path).close()
+        holder = hold_write_lock(path)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-c", script, "--port", "0", "--cache-file", path],
+                env=dict(os.environ, PYTHONPATH=SRC_DIR),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            holder.close()
+        assert completed.returncode == 2, completed.stdout
+        err = completed.stderr
+        assert err.startswith("error:") and "locked" in err and path in err
+        assert err.count("\n") == 1
+
+    def test_runner_unit_fails_then_resume_completes_identically(self, tmp_path):
+        from repro.orchestration.manifest import ManifestSpec, RunManifest
+        from repro.orchestration.runner import Runner
+
+        manifest = RunManifest.from_spec(
+            ManifestSpec(
+                workloads=("tiny",),
+                experiments=("table1", "fig13", "fig16"),
+                params={"fig13": {"capacities_kib": [16]}},
+            )
+        )
+        reference = str(tmp_path / "reference")
+        assert Runner(manifest, reference).run().complete
+
+        out_dir = str(tmp_path / "run")
+        path = os.path.join(out_dir, "cache", shard_cache_filename("auto", 1, 1))
+        SearchCache(path=path).close()
+        holder = hold_write_lock(path)
+        try:
+            report = Runner(manifest, out_dir).run()
+        finally:
+            holder.close()
+        assert report.units_failed == 1  # fig13, the one search-based unit
+        (failure,) = report.failures
+        assert "locked" in failure["error"] and path in failure["error"]
+        assert report.units_completed == 2  # table1 and fig16 need no engine
+
+        resumed = Runner(manifest, out_dir).run()
+        assert resumed.complete and resumed.units_completed == 1
+        units = sorted(os.listdir(os.path.join(reference, "units")))
+        assert sorted(os.listdir(os.path.join(out_dir, "units"))) == units
+        for name in units:
+            with open(os.path.join(reference, "units", name), "rb") as handle:
+                expected = handle.read()
+            with open(os.path.join(out_dir, "units", name), "rb") as handle:
+                assert handle.read() == expected, name
 
 
 class TestShardCacheCrossCheck:
@@ -357,16 +449,12 @@ class TestShardCacheCrossCheck:
                 "--capacities",
                 "16",
                 "64",
-                "--cache-store",
-                "sqlite",
             ]
         )
         assert status == 0
         # Shard caches are named by the *spec* backend ("auto"), not the
         # resolved one -- the daemon must look the file up the same way.
-        cache_file = os.path.join(
-            out_dir, "cache", shard_cache_filename("auto", 1, 1, store="sqlite")
-        )
+        cache_file = os.path.join(out_dir, "cache", shard_cache_filename("auto", 1, 1))
         assert os.path.exists(cache_file)
 
         warm = SearchEngine(cache_path=cache_file)

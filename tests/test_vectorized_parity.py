@@ -259,6 +259,24 @@ class TestEngineBackendParity:
             scalar = python_engine.search_many(layer, capacities, dataflow)
             assert vectorized == scalar
 
+    @pytest.mark.parametrize("exponent", [50, 53, 55, 57, 60])
+    def test_layers_past_int64_match_the_scalar_backend(self, exponent):
+        """Regression: at ``in_channels`` 2**50 the grid wrapped around to a
+        negative total, and from 2**57 it raised ``OverflowError``."""
+        layer = ConvLayer("x", 1, 2**exponent, 14, 14, 16, 3, 3, 1, 1)
+        tasks = [(dataflow, layer, 8192) for dataflow in CHECKED_DATAFLOWS]
+        vectorized = SearchEngine(backend="numpy")
+        assert vectorized.search_tasks(tasks) == SearchEngine(backend="python").search_tasks(tasks)
+        assert vectorized.stats.grid_evaluations == 0  # every group ran scalar
+
+    def test_int64_guard_admits_every_registered_workload(self):
+        from repro.dataflows.grid import int64_safe
+        from repro.workloads.registry import list_workloads
+
+        for workload in list_workloads():
+            for layer in workload.build():
+                assert int64_safe(layer), (workload.name, layer)
+
     def test_found_minimum_identical_across_backends(self):
         layer = ConvLayer("fm", 2, 16, 14, 14, 24, 3, 3, padding=1)
         for capacity in (512, 4096, 32768):

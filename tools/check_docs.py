@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Documentation checks: dead relative links, undocumented subcommands and flags.
+"""Documentation checks: dead links, undocumented subcommands and flags, stale flags.
 
 Run by CI's docs job (and runnable locally)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Two checks, both against the working tree:
+Three checks, all against the working tree:
 
 1. **Relative links.** Every ``[text](target)`` markdown link in README.md,
    EXPERIMENTS.md and docs/*.md that is not an absolute URL or a pure
@@ -18,12 +18,18 @@ Two checks, both against the working tree:
    be mentioned in at least one checked document. A subcommand or flag
    nobody can discover might as well not exist; adding one means
    documenting it.
+3. **No stale flags.** Every ``--flag`` a checked document names must be
+   defined by a ``repro-experiments`` parser -- the flat experiment
+   parser, every orchestration subparser, or ``serve`` -- or be one of the
+   other tools' flags in :data:`FOREIGN_FLAGS`. Removing a flag means
+   removing it from the docs too.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import sys
@@ -34,6 +40,13 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+#: A ``--flag`` token; one glued to a preceding word (the unit id
+#: ``fig13--vgg16--auto--<hash>``) is not a flag.
+FLAG_PATTERN = re.compile(r"(?<![\w-])--[a-z][a-z0-9]*(?:-[a-z0-9]+)*")
+
+#: Flags the documents name that belong to other tools (pytest-cov).
+FOREIGN_FLAGS = {"--cov", "--cov-fail-under"}
 
 
 def documentation_files() -> list:
@@ -103,14 +116,51 @@ def check_cli_coverage(paths: list) -> list:
     return problems
 
 
+def parser_flags() -> set:
+    """Every long option a ``repro-experiments`` parser defines."""
+    from repro.cli import build_parser
+    from repro.orchestration.cli import build_orchestration_parser
+    from repro.server.daemon import build_serve_parser
+
+    orchestration = build_orchestration_parser()
+    parsers = [build_parser(), build_serve_parser(), orchestration]
+    for action in orchestration._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.extend(action.choices.values())
+    return {
+        option
+        for parser in parsers
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+
+
+def check_stale_flags(paths: list) -> list:
+    known = parser_flags() | FOREIGN_FLAGS
+    problems = []
+    for path in paths:
+        with open(path) as handle:
+            named = set(FLAG_PATTERN.findall(handle.read()))
+        relative = os.path.relpath(path, REPO_ROOT)
+        for flag in sorted(named - known):
+            problems.append(
+                f"{relative}: flag {flag!r} is not defined by any repro-experiments parser"
+            )
+    return problems
+
+
 def main() -> int:
     paths = documentation_files()
-    problems = check_links(paths) + check_cli_coverage(paths)
+    problems = check_links(paths) + check_cli_coverage(paths) + check_stale_flags(paths)
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     if problems:
         return 1
-    print(f"docs check: {len(paths)} files, all links live, all subcommands and flags covered")
+    print(
+        f"docs check: {len(paths)} files, all links live, all subcommands and flags "
+        "covered, no stale flags"
+    )
     return 0
 
 
