@@ -3,22 +3,65 @@
 The paper sweeps 16-256 KB in 16 KB steps; to keep the harness fast this
 bench uses a representative subset of capacities that still covers the whole
 range (including 66.5 KB and 173.5 KB, the capacities used in later figures).
+
+The sweep is a shape census: the engine answers one task per (capacity,
+dataflow, distinct layer shape), and every searched series must equal the
+per-layer, left-to-right float sum it replaced.
 """
 
+import json
 import math
 
 from repro.analysis.report import format_memory_sweep
 from repro.analysis.sweep import memory_sweep
+from repro.core.layer import kib_to_words
+from repro.dataflows.registry import ALL_DATAFLOWS
+from repro.engine import SearchEngine, layer_signature
 
 from conftest import run_once
 
 CAPACITIES_KIB = [16, 32, 66.5, 128, 173.5, 256]
 
 
+def per_layer_series(capacities_kib, layers, engine) -> dict:
+    """The searched series as the per-layer loop summed them: one task per
+    layer, totals added left to right, NaN where any layer fits nothing."""
+    series = {dataflow.name: [] for dataflow in ALL_DATAFLOWS}
+    series["Found minimum"] = []
+    for capacity_kib in capacities_kib:
+        best = [math.inf] * len(layers)
+        for dataflow in ALL_DATAFLOWS:
+            results = engine.search_tasks(
+                [(dataflow, layer, kib_to_words(capacity_kib)) for layer in layers]
+            )
+            totals = 0.0
+            for index, result in enumerate(results):
+                if result is not None:
+                    totals += result.total
+                    best[index] = min(best[index], result.total)
+            feasible = None not in results
+            series[dataflow.name].append(totals * 2 / 1024**3 if feasible else math.nan)
+        minimum = sum(value for value in best if value != math.inf)
+        series["Found minimum"].append(minimum * 2 / 1024**3)
+    return series
+
+
 def test_fig13_memory_sweep(benchmark, vgg_layers):
-    sweep = run_once(benchmark, memory_sweep, capacities_kib=CAPACITIES_KIB, layers=vgg_layers)
+    engine = SearchEngine()
+    sweep = run_once(
+        benchmark, memory_sweep, capacities_kib=CAPACITIES_KIB, layers=vgg_layers, engine=engine
+    )
     print("\nFig. 13: DRAM access volume (GB) vs effective on-chip memory")
     print(format_memory_sweep(sweep))
+
+    # The census: one task per (capacity, dataflow, shape), not per layer.
+    shapes = len({layer_signature(layer) for layer in vgg_layers})
+    tasks = engine.stats.hits + engine.stats.misses
+    assert tasks == len(CAPACITIES_KIB) * len(ALL_DATAFLOWS) * shapes
+    print(f"census: {len(vgg_layers)} layers, {shapes} shapes, {tasks} engine tasks")
+    reference = per_layer_series(CAPACITIES_KIB, vgg_layers, engine)
+    for name, values in reference.items():
+        assert json.dumps(sweep["series"][name]) == json.dumps(values), name
 
     series = sweep["series"]
     bound = series["Lower bound"]

@@ -2,19 +2,23 @@
 
 The tile-exact accelerator model (Table IV, Figs. 14 and 16-20, the timing
 extension) and the Eyeriss baseline (Figs. 15/16) pick a tiling per
-(configuration, layer shape).  Their NumPy paths must return the scalar
-loops' choices exactly, and much faster.  Every check starts from cold
-shape memos and reports a work rate -- milliseconds per (implementation,
-shape) pair -- next to the wall-clock, so a regression reads as either
-"more pairs" or "slower per pair":
+(configuration, layer shape), and the model and the timing simulator walk
+each (configuration, bandwidth, shape, tiling) once.  Their NumPy paths
+must return the scalar loops' choices exactly, and much faster.  Every
+check starts from cold shape memos and reports a work rate -- milliseconds
+per (implementation, shape) pair -- next to the wall-clock, so a regression
+reads as either "more pairs" or "slower per pair":
 
 (a) the tiling choice over VGG-16's 45 (implementation, shape) pairs is
     >= 10x faster than the scalar reference, with identical tilings;
 (b) the same for the Eyeriss tile search on VGG-16's 9 shapes;
 (c) both choices match the scalar loops on every shape of nine workloads;
 (d) Fig. 16 (``gbuf_per_layer``) on ``llama_decode:4`` -- 2 272 layers of
-    6 shapes -- finishes within 10 s;
-(e) fresh-process ``fig16``/``fig19`` CLI runs, timed for the record.
+    6 shapes -- finishes within 2 s;
+(e) the timing sweep (``bandwidth_utilization_sweep``) on ``llama_decode:4``
+    -- 5 implementations x 3 bandwidths x 2 272 layers, 90 distinct walks --
+    finishes within 2 s;
+(f) fresh-process ``fig16``/``fig19`` CLI runs, timed for the record.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_tile_model.py -q -s``
 """
@@ -29,17 +33,22 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.analysis.sweep import gbuf_per_layer  # noqa: E402
-from repro.arch.accelerator import AcceleratorModel, shape_tiling  # noqa: E402
+from repro.analysis.timing_report import DEFAULT_BANDWIDTHS_GBPS, bandwidth_utilization_sweep  # noqa: E402
+from repro.arch.accelerator import AcceleratorModel, shape_run, shape_tiling  # noqa: E402
 from repro.arch.config import PAPER_IMPLEMENTATIONS  # noqa: E402
 from repro.engine import layer_signature  # noqa: E402
 from repro.eyeriss.model import EyerissModel, shape_best_tile  # noqa: E402
+from repro.timing.simulator import shape_timing  # noqa: E402
 from repro.workloads.registry import get_workload_spec  # noqa: E402
 
 #: The acceptance bar: vectorized >= 10x the scalar loop.
 MIN_VECTORIZED_SPEEDUP = 10.0
 
 #: Wall-clock ceiling of Fig. 16 on llama_decode:4 with cold memos.
-MAX_LLAMA_FIG16_SECONDS = 10.0
+MAX_LLAMA_FIG16_SECONDS = 2.0
+
+#: Wall-clock ceiling of the timing sweep on llama_decode:4 with cold memos.
+MAX_LLAMA_TIMING_SECONDS = 2.0
 
 #: Workloads of the wide parity sweep (c).
 PARITY_WORKLOADS = (
@@ -52,8 +61,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    shape_tiling.cache_clear()
-    shape_best_tile.cache_clear()
+    for memo in (shape_tiling, shape_best_tile, shape_run, shape_timing):
+        memo.cache_clear()
 
 
 def unique_shapes(*workloads) -> list:
@@ -141,6 +150,23 @@ def test_llama_decode_fig16_wall_clock():
     assert len(rows) == len(layers)
     assert elapsed <= MAX_LLAMA_FIG16_SECONDS, (
         f"fig16 on llama_decode:4 took {elapsed:.1f} s (limit {MAX_LLAMA_FIG16_SECONDS} s)"
+    )
+
+
+def test_llama_decode_timing_sweep_wall_clock():
+    layers = get_workload_spec("llama_decode:4")
+    shapes = len({layer_signature(layer) for layer in layers})
+    start = time.perf_counter()
+    payload = bandwidth_utilization_sweep(layers)
+    elapsed = time.perf_counter() - start
+    walks = shape_timing.cache_info()
+    assert walks.misses == shapes * len(PAPER_IMPLEMENTATIONS) * len(DEFAULT_BANDWIDTHS_GBPS)
+    print(
+        f"\ntiming sweep on llama_decode:4: {len(layers)} layers, {len(payload['rows'])} rows, "
+        f"{walks.misses} timed walks ({walks.hits} memo hits), {elapsed:.2f} s"
+    )
+    assert elapsed <= MAX_LLAMA_TIMING_SECONDS, (
+        f"timing sweep on llama_decode:4 took {elapsed:.1f} s (limit {MAX_LLAMA_TIMING_SECONDS} s)"
     )
 
 

@@ -46,14 +46,21 @@ def memory_sweep(
     every series is the whole-network DRAM volume in gigabytes, including the
     theoretical lower bound and (optionally) the per-layer found minimum.
 
-    The whole ``(dataflow, layer, capacity)`` grid is submitted to the
-    engine as one batch, so the exhaustive searches run at most once per
-    unique triple (the found minimum reuses the per-dataflow results), a
+    The searched series are summed over a shape census: the engine gets one
+    ``(capacity, dataflow, shape)`` task per distinct
+    :func:`~repro.engine.cache.layer_signature`, not one per layer, and each
+    shape's total counts once per layer of that shape.  Every searched total
+    is an integer-valued float, so the census sums ``count * total`` in
+    Python ints and converts to float once; while a network total stays
+    below 2**53 words this equals the per-layer, left-to-right float sum bit
+    for bit (every partial sum of that loop is then exact too).  The Eq. (15)
+    bound is not an integer, so it is still summed per layer, in layer
+    order, from one evaluation per shape.
+
+    The whole task grid is submitted to the engine as one batch, so a
     parallel engine fans the entire sweep out across its workers, and the
-    vectorized (NumPy) backend collapses each (dataflow, layer) pair's
-    capacity column into a single candidate-grid evaluation -- the whole
-    sweep then costs one grid evaluation per pair instead of
-    ``len(capacities)`` independent searches, with bit-identical results.
+    vectorized (NumPy) backend collapses each (dataflow, shape) pair's
+    capacity column into a single candidate-grid evaluation.
     """
     if capacities_kib is None:
         capacities_kib = [16 * i for i in range(1, 17)]
@@ -66,15 +73,26 @@ def memory_sweep(
         else [get_dataflow(name) for name in dataflow_names]
     )
 
+    # The census: each shape's first layer and its layer count, in the
+    # order the shapes first appear.
+    layer_shapes = [layer_signature(layer) for layer in layers]
+    shapes = {}
+    counts = {}
+    for signature, layer in zip(layer_shapes, layers):
+        shapes.setdefault(signature, layer)
+        counts[signature] = counts.get(signature, 0) + 1
+    census = list(shapes.values())
+    weights = list(counts.values())
+
     capacities_words = [kib_to_words(capacity_kib) for capacity_kib in capacities_kib]
-    # Task order is (capacity, dataflow, layer), so each (capacity,
-    # dataflow) pair's per-layer results are one contiguous window.
+    # Task order is (capacity, dataflow, shape), so each (capacity,
+    # dataflow) pair's per-shape results are one contiguous window.
     results = engine.search_tasks(
         [
             (dataflow, layer, capacity_words)
             for capacity_words in capacities_words
             for dataflow in dataflows
-            for layer in layers
+            for layer in census
         ]
     )
 
@@ -84,10 +102,6 @@ def memory_sweep(
     if include_found_minimum:
         series["Found minimum"] = []
 
-    # The bound depends on the shape alone: one evaluation per shape and
-    # capacity, summed per layer in layer order.
-    layer_shapes = [layer_signature(layer) for layer in layers]
-    shapes = dict(zip(layer_shapes, layers))
     for capacity_index, capacity_words in enumerate(capacities_words):
         shape_bounds = {
             signature: practical_lower_bound(layer, capacity_words)
@@ -95,26 +109,31 @@ def memory_sweep(
         }
         bound = sum(shape_bounds[signature] for signature in layer_shapes)
         series["Lower bound"].append(words_to_mb(bound) / 1024.0)
-        per_layer_best = [float("inf")] * len(layers)
+        # Per shape: each dataflow's total as an int (None: nothing fits),
+        # and the least of them (None: no dataflow fits).
+        shape_best = [None] * len(census)
         for dataflow_index, dataflow in enumerate(dataflows):
-            start = (capacity_index * len(dataflows) + dataflow_index) * len(layers)
-            totals = 0.0
-            feasible = True
-            for index, result in enumerate(results[start : start + len(layers)]):
-                if result is None:
-                    feasible = False
-                    continue
-                total = result.total
-                totals += total
-                if total < per_layer_best[index]:
-                    per_layer_best[index] = total
+            start = (capacity_index * len(dataflows) + dataflow_index) * len(census)
+            totals = [
+                None if result is None else int(result.total)
+                for result in results[start : start + len(census)]
+            ]
+            for index, total in enumerate(totals):
+                if total is not None and (shape_best[index] is None or total < shape_best[index]):
+                    shape_best[index] = total
             series[dataflow.name].append(
-                words_to_mb(totals) / 1024.0 if feasible else float("nan")
+                float("nan") if None in totals else _census_gb(totals, weights)
             )
         if include_found_minimum:
-            minimum = sum(value for value in per_layer_best if value != float("inf"))
-            series["Found minimum"].append(words_to_mb(minimum) / 1024.0)
+            series["Found minimum"].append(_census_gb(shape_best, weights))
     return {"capacities_kib": list(capacities_kib), "series": series}
+
+
+def _census_gb(totals: list, weights: list) -> float:
+    """GB of ``sum(weight * total)`` over the shapes whose total is not
+    ``None``, summed exactly and converted to float once."""
+    words = sum(weight * total for total, weight in zip(totals, weights) if total is not None)
+    return words_to_mb(float(words)) / 1024.0
 
 
 # --------------------------------------------------------------------- Fig. 14

@@ -21,7 +21,7 @@ from repro.core.layer import ConvLayer, ceil_div
 from repro.core.optimal_dataflow import choose_tiling, choose_tiling_grid, dataflow_traffic, exact_traffic_grid
 from repro.core.tiling import Tiling
 from repro.core.traffic import BYTES_PER_WORD, TrafficBreakdown
-from repro.engine.cache import layer_signature, signature_layer
+from repro.engine.cache import SHAPE_MEMO_SIZE, layer_signature, signature_layer
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,27 @@ class LayerRunResult:
     @property
     def dram_accesses(self) -> float:
         return self.dram.total
+
+    def relabelled(self, layer_name: str) -> "LayerRunResult":
+        """This result under ``layer_name``, with its own ``utilization`` dict."""
+        return LayerRunResult(
+            layer_name,
+            self.config_name,
+            self.tiling,
+            self.macs,
+            self.useful_macs,
+            self.dram,
+            self.igbuf_reads,
+            self.igbuf_writes,
+            self.wgbuf_reads,
+            self.wgbuf_writes,
+            self.greg_writes,
+            self.lreg_writes,
+            self.lreg_reads,
+            self.compute_cycles,
+            self.waiting_cycles,
+            dict(self.utilization),
+        )
 
 
 @dataclass(frozen=True)
@@ -341,11 +362,22 @@ class AcceleratorModel:
     # --------------------------------------------------------------------- run
 
     def run_layer(self, layer: ConvLayer, tiling: Tiling = None) -> LayerRunResult:
-        """Execute one layer's schedule analytically and return all counters."""
-        if tiling is None:
-            tiling = self.choose_layer_tiling(layer)
-        tiling = tiling.clip(layer)
+        """Execute one layer's schedule analytically and return all counters.
 
+        The counters depend only on the configuration, the DRAM bandwidth,
+        the layer's shape and the clipped tiling, so the walk runs once per
+        such key in the bounded :func:`shape_run` memo.  Every call gets the
+        memoized result relabelled with ``layer.name`` and with its own
+        ``utilization`` dict.
+        """
+        # The chosen tiling is already clipped.
+        tiling = self.choose_layer_tiling(layer) if tiling is None else tiling.clip(layer)
+        return shape_run(
+            self.config, self.dram_bandwidth_bytes_per_s, layer_signature(layer), tiling
+        ).relabelled(layer.name)
+
+    def _walk(self, layer: ConvLayer, tiling: Tiling) -> LayerRunResult:
+        """The uncached schedule walk behind :meth:`run_layer` (``tiling`` clipped)."""
         totals = {
             "dram_input_reads": 0,
             "dram_weight_reads": 0,
@@ -501,12 +533,7 @@ class AcceleratorModel:
         }
 
 
-#: Entries of the :func:`shape_tiling` memo: one per (configuration, layer
-#: shape), which a whole paper run or a long LLM trace stays well within.
-TILING_MEMO_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=TILING_MEMO_SIZE)
+@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def shape_tiling(config: AcceleratorConfig, signature: tuple):
     """:meth:`AcceleratorModel.choose_layer_tiling` of one layer shape.
 
@@ -522,6 +549,21 @@ def shape_tiling(config: AcceleratorConfig, signature: tuple):
     if numpy_available():
         return model._choose_tiling_grid(layer)
     return model._choose_tiling_scalar(layer)
+
+
+@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE, typed=True)
+def shape_run(
+    config: AcceleratorConfig, dram_bandwidth_bytes_per_s, signature: tuple, tiling: Tiling
+) -> LayerRunResult:
+    """:meth:`AcceleratorModel.run_layer` of one layer shape under a clipped tiling.
+
+    The result carries an empty layer name; :meth:`~AcceleratorModel.
+    run_layer` relabels it.  ``typed``: a float bandwidth and an equal
+    ``int`` or ``Fraction`` are distinct keys, so each caller gets its own
+    bandwidth's arithmetic.
+    """
+    model = AcceleratorModel(config, dram_bandwidth_bytes_per_s)
+    return model._walk(signature_layer(signature), tiling)
 
 
 def block_shapes(layer: ConvLayer, tiling: Tiling):

@@ -32,6 +32,7 @@ never replaced.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import sqlite3
@@ -116,6 +117,15 @@ def _valid_entry(entry) -> bool:
     from repro.dataflows.base import DataflowResult
 
     return entry == INFEASIBLE or isinstance(entry, DataflowResult)
+
+
+#: Entries of each shape-keyed model memo: the tile model's tiling choice
+#: (``shape_tiling``) and walk (``shape_run``), the timing simulator's walk
+#: (``shape_timing``) and the Eyeriss tile search (``shape_best_tile``).
+#: A key is a configuration and a layer shape (plus the bandwidth and the
+#: tiling for the walks); the timing sweep of the most varied registered
+#: workload needs a few hundred.
+SHAPE_MEMO_SIZE = 4096
 
 
 def layer_signature(layer: ConvLayer) -> tuple:
@@ -308,14 +318,33 @@ class CorruptCacheError(ValueError):
     """The file at a cache path is not a usable search-cache database."""
 
 
+@contextlib.contextmanager
+def _lock_errors(path: str):
+    """Raise SQLite's "database is locked" as one line naming ``path``.
+
+    SQLITE_BUSY and SQLITE_LOCKED arrive as ``OperationalError`` "database
+    is locked" / "database table is locked" once the busy timeout has run
+    out.  The database is live, so this is a plain ``ValueError``, never a
+    :class:`CorruptCacheError`: nothing is discarded.
+    """
+    try:
+        yield
+    except sqlite3.OperationalError as error:
+        if "locked" not in str(error):
+            raise
+        raise ValueError(
+            f"search cache at {path!r} is locked by another process: {error}"
+        ) from error
+
+
 class SqliteStore:
     """Concurrency-safe persistent entry store backed by one SQLite file.
 
     Rows map :func:`task_key` tuples to pickled ``DataflowResult`` /
     ``INFEASIBLE`` entries, guarded by :data:`SCHEMA_VERSION` and the
-    package version in a ``meta`` table.  Entries are written through
-    *individually* inside immediate transactions, with WAL journalling and a
-    busy timeout, so several processes can read and write one file at the
+    package version in a ``meta`` table.  Entries are written through, one
+    immediate transaction per :meth:`store` batch, with WAL journalling and
+    a busy timeout, so several processes can read and write one file at the
     same time: readers never block behind a writer, and concurrent writers
     of the same key converge (entries are pure functions of their keys, so
     last-write-wins is correct by construction).
@@ -327,7 +356,8 @@ class SqliteStore:
     another format, schema or version, raises :class:`CorruptCacheError` at
     construction -- :class:`SearchCache` catches that, warns, and recreates
     the file cold.  A database another process keeps locked past
-    :data:`SQLITE_BUSY_TIMEOUT_S` raises a plain ``ValueError`` naming the
+    :data:`SQLITE_BUSY_TIMEOUT_S` -- at construction, at a transaction's
+    start or at a read -- raises a plain one-line ``ValueError`` naming the
     path: it is live, so nothing is discarded.
     """
 
@@ -345,21 +375,16 @@ class SqliteStore:
         os.makedirs(directory, exist_ok=True)
         self._connection = None
         try:
-            self._connection = sqlite3.connect(
-                path,
-                timeout=SQLITE_BUSY_TIMEOUT_S,
-                check_same_thread=False,
-                isolation_level=None,  # autocommit; transactions are explicit
-            )
-            self._initialise()
+            with _lock_errors(path):
+                self._connection = sqlite3.connect(
+                    path,
+                    timeout=SQLITE_BUSY_TIMEOUT_S,
+                    check_same_thread=False,
+                    isolation_level=None,  # autocommit; transactions are explicit
+                )
+                self._initialise()
         except sqlite3.DatabaseError as error:
             self.close()
-            # SQLITE_BUSY and SQLITE_LOCKED arrive as OperationalError
-            # "database is locked" / "database table is locked".
-            if isinstance(error, sqlite3.OperationalError) and "locked" in str(error):
-                raise ValueError(
-                    f"search cache at {path!r} is locked by another process: {error}"
-                ) from error
             raise CorruptCacheError(f"corrupt search cache at {path!r}: {error}") from error
         except BaseException:
             self.close()
@@ -402,9 +427,12 @@ class SqliteStore:
                     f"{stored.get(name)!r}, not {value!r}; ignoring it"
                 )
 
+    @contextlib.contextmanager
     def _transaction(self):
-        """Immediate write transaction (the lock spans BEGIN..COMMIT)."""
-        return _SqliteTransaction(self._connection, self._lock)
+        """Immediate write transaction (the lock spans BEGIN..COMMIT); a
+        database locked past the busy timeout is the one-line error."""
+        with _lock_errors(self.path), _SqliteTransaction(self._connection, self._lock) as connection:
+            yield connection
 
     @staticmethod
     def _next_seq_sql() -> str:
@@ -417,7 +445,7 @@ class SqliteStore:
     def get(self, key: tuple):
         """Entry for ``key`` or ``None``; refreshes recency when bounded."""
         text = _key_text(key)
-        with self._lock:
+        with self._lock, _lock_errors(self.path):
             row = self._connection.execute(
                 "SELECT entry FROM entries WHERE key = ?", (text,)
             ).fetchone()
@@ -447,30 +475,44 @@ class SqliteStore:
                 (_key_text(key),),
             )
 
-    def store(self, key: tuple, entry) -> list:
-        """Write one entry through; returns the key tuples evicted (LRU)."""
-        key_blob = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    def store(self, pairs) -> list:
+        """Write ``(key, entry)`` pairs through in one transaction.
+
+        One ``MAX(seq)`` read numbers the pairs in order, one
+        ``executemany`` writes them (each pair is pickled as the generator
+        reaches it, so no batch of blobs is built) and one count trims the
+        overflow.  The rows and their LRU order end up as if the pairs had
+        been stored one at a time.  So does :attr:`evictions` for a batch of
+        distinct keys the store does not hold -- what the engine writes, its
+        misses.  A held or repeated key is refreshed in place, where storing
+        one pair at a time might have evicted and re-inserted it.  Returns
+        the key tuples evicted (LRU), which may include keys of this batch.
+        """
         evicted = []
-        with self._transaction():
-            self._connection.execute(
-                "INSERT INTO entries (key, key_blob, entry, seq) "
-                f"VALUES (?, ?, ?, {self._next_seq_sql()}) "
-                "ON CONFLICT(key) DO UPDATE SET "
-                "entry = excluded.entry, seq = excluded.seq",
-                (_key_text(key), key_blob, payload),
+        with self._transaction() as connection:
+            last = connection.execute("SELECT COALESCE(MAX(seq), 0) FROM entries").fetchone()[0]
+            connection.executemany(
+                "INSERT INTO entries (key, key_blob, entry, seq) VALUES (?, ?, ?, ?) "
+                "ON CONFLICT(key) DO UPDATE SET entry = excluded.entry, seq = excluded.seq",
+                (
+                    (
+                        _key_text(key),
+                        pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL),
+                        pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL),
+                        seq,
+                    )
+                    for seq, (key, entry) in enumerate(pairs, start=last + 1)
+                ),
             )
             if self.max_entries is not None:
-                count = self._connection.execute(
-                    "SELECT COUNT(*) FROM entries"
-                ).fetchone()[0]
+                count = connection.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
                 overflow = count - self.max_entries
                 if overflow > 0:
-                    rows = self._connection.execute(
+                    rows = connection.execute(
                         "SELECT key, key_blob FROM entries ORDER BY seq, key LIMIT ?",
                         (overflow,),
                     ).fetchall()
-                    self._connection.executemany(
+                    connection.executemany(
                         "DELETE FROM entries WHERE key = ?",
                         [(text,) for text, _ in rows],
                     )
@@ -611,19 +653,29 @@ class SearchCache:
         return entry
 
     def store(self, key: tuple, entry) -> None:
-        if self.max_entries is not None and key in self._entries:
-            del self._entries[key]
-        self._entries[key] = entry
-        if self._persistent is not None:
-            # Write-through; the SQLite store decides what the LRU evicts
-            # (it sees every process's accesses) and the look-aside dict
-            # follows, so a key never outlives its authoritative entry.
-            for evicted in self._persistent.store(key, entry):
-                self._entries.pop(evicted, None)
-                self.evictions += 1
-            self._trim_lookaside()
-        else:
-            self._evict_overflow()
+        self.store_many([(key, entry)])
+
+    def store_many(self, pairs) -> None:
+        """Store ``(key, entry)`` pairs in order (one SQLite transaction).
+
+        The write-through comes first, so a store that fails (a database
+        locked past the busy timeout) leaves the look-aside dict as it was.
+        The SQLite store decides what the LRU evicts (it sees every
+        process's accesses) and the look-aside dict follows, so a key never
+        outlives its authoritative entry.
+        """
+        pairs = list(pairs)
+        evicted = self._persistent.store(pairs) if self._persistent is not None else ()
+        for key, entry in pairs:
+            if self.max_entries is not None and key in self._entries:
+                del self._entries[key]
+            self._entries[key] = entry
+            if self._persistent is None:
+                self._evict_overflow()
+        for key in evicted:
+            self._entries.pop(key, None)
+            self.evictions += 1
+        self._trim_lookaside()
 
     def _evict_overflow(self) -> None:
         if self.max_entries is None:

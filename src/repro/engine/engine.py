@@ -206,9 +206,9 @@ class SearchEngine:
         self.stats.hits += len(tasks) - len(pending)
 
         fresh = self._execute(pending)
-        if self.cache is not None:
-            for key, entry in fresh.items():
-                self.cache.store(key, entry)
+        if self.cache is not None and fresh:
+            # One SQLite transaction for the whole batch.
+            self.cache.store_many(fresh.items())
         entries.update(fresh)
 
         results = []

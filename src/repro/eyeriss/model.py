@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from repro.core.layer import ConvLayer, ceil_div
 from repro.core.traffic import TrafficBreakdown, sum_traffic
 from repro.dataflows.base import candidate_extents
-from repro.engine.cache import layer_signature, signature_layer
+from repro.engine.cache import SHAPE_MEMO_SIZE, layer_signature, signature_layer
 
 #: On-chip (post-compression, with zero gating) energy efficiency reported for
 #: Eyeriss on VGGNet-16, used for the direct numeric comparison in Section VI-D.
@@ -239,11 +239,7 @@ class EyerissModel:
         return sum_traffic(parts)
 
 
-#: Entries of the :func:`shape_best_tile` memo (one per layer shape).
-TILE_MEMO_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=TILE_MEMO_SIZE)
+@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def shape_best_tile(config: EyerissConfig, signature: tuple):
     """Best RS ``(tile, dram)`` of one layer shape, or ``None`` when none fits.
 

@@ -79,6 +79,14 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: admits is ``bert_large:32``, 24 720 layers.
 MAX_REFERENCE_BATCH = 32
 
+#: Layers the daemon keeps built across workload references (least recently
+#: used workloads go first).  Twice the largest build a reference may name
+#: (``bert_large:32``, 24 720 layers), so that one stays resident together
+#: with the small references a warm client repeats; about 12 MB at ~245
+#: bytes per built layer, where an entry-count bound let 32 large builds
+#: keep ~150 MB.
+MAX_BUILT_LAYERS = 50_000
+
 #: Seconds a connection may take to deliver its next request before it is
 #: closed; responses, including experiment streams, are not timed.
 READ_TIMEOUT_S = 60.0

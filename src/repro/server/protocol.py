@@ -14,15 +14,16 @@ Requests name their layer either inline (a shape dictionary) or by
 reference into the workload registry (``{"workload": "vgg16",
 "layer_index": 3}``), and their capacity either in words or KiB
 (converted with the same :func:`~repro.core.layer.kib_to_words` the CLI
-uses).  A reference resolves through a small memo of built workloads, so
-a warm reference costs a lookup, not a rebuild.  Malformed requests raise
-:class:`ProtocolError`, which the daemon maps to HTTP 400 with the message
-in the body.
+uses).  A reference resolves through a memo of built workloads, bounded
+by the layers it holds, so a warm reference costs a lookup, not a
+rebuild.  Malformed requests raise :class:`ProtocolError`, which the
+daemon maps to HTTP 400 with the message in the body.
 """
 
 from __future__ import annotations
 
-import functools
+import collections
+import threading
 
 from repro.core.layer import ConvLayer, kib_to_words
 from repro.core.traffic import TrafficBreakdown
@@ -113,13 +114,35 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@functools.lru_cache(maxsize=32)
+#: Built workloads by ``(registry entry, batch)``, least recently used first.
+_BUILT = collections.OrderedDict()
+_BUILT_LOCK = threading.Lock()
+
+
 def _built_layers(workload, batch) -> tuple:
     """A registered workload's layers at ``batch``, built once and shared by
-    every request that names them (``ConvLayer`` is frozen).  Keyed on the
-    registry entry, so a replaced registration is rebuilt; bounded, since
-    clients choose the specs; failures are not cached."""
-    return tuple(workload.build(batch=batch))
+    every request that names them (``ConvLayer`` is frozen).
+
+    Keyed on the registry entry, so a replaced registration is rebuilt;
+    failures are not kept.  Clients choose the specs and a reference's size
+    grows with its batch, so the memo is bounded by the layers it holds
+    (:data:`~repro.server.daemon.MAX_BUILT_LAYERS`), not by its entries:
+    the least recently used workloads go first.
+    """
+    from repro.server.daemon import MAX_BUILT_LAYERS
+
+    key = (workload, batch)
+    with _BUILT_LOCK:
+        layers = _BUILT.get(key)
+        if layers is not None:
+            _BUILT.move_to_end(key)
+            return layers
+        layers = _BUILT[key] = tuple(workload.build(batch=batch))
+        held = sum(len(value) for value in _BUILT.values())
+        while held > MAX_BUILT_LAYERS:
+            _, dropped = _BUILT.popitem(last=False)
+            held -= len(dropped)
+        return layers
 
 
 def resolve_dataflow(document: dict):

@@ -33,6 +33,7 @@ recurrence as a prefix sum over the whole tile stream
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,7 @@ from repro.arch.mapping import BlockShape, iteration_cost, map_block
 from repro.core.layer import ConvLayer, ceil_div
 from repro.core.tiling import Tiling
 from repro.core.traffic import BYTES_PER_WORD, bytes_per_cycle_fraction, cycles_for_bytes
+from repro.engine.cache import SHAPE_MEMO_SIZE, layer_signature, signature_layer
 
 try:  # The vectorized backend is optional, exactly like the search engine's.
     import numpy as _np
@@ -223,6 +225,28 @@ class LayerTimingReport:
     def achieved_bandwidth_bytes_per_s(self) -> float:
         return self.achieved_bytes_per_cycle * self.clock_hz
 
+    def relabelled(self, layer_name: str) -> "LayerTimingReport":
+        """This report under ``layer_name``."""
+        return LayerTimingReport(
+            layer_name,
+            self.config_name,
+            self.tiling,
+            self.bandwidth_bytes_per_s,
+            self.clock_hz,
+            self.blocks,
+            self.tiles,
+            self.macs,
+            self.compute_cycles,
+            self.igbuf_fill_stall_cycles,
+            self.wgbuf_fill_stall_cycles,
+            self.igbuf_steady_stall_cycles,
+            self.wgbuf_steady_stall_cycles,
+            self.drain_stall_cycles,
+            self.dram_bytes_loaded,
+            self.dram_bytes_drained,
+            self.steady_breakeven_bytes_per_cycle,
+        )
+
 
 @dataclass(frozen=True)
 class NetworkTimingResult:
@@ -232,6 +256,8 @@ class NetworkTimingResult:
     so :func:`repro.arch.performance.performance_report` and
     :func:`~repro.arch.performance.throughput_macs_per_second` accept it
     exactly like an analytic :class:`~repro.arch.accelerator.NetworkRunResult`.
+    The layer reports are frozen, so each integer sum over them is computed
+    on first access and kept.
     """
 
     config_name: str
@@ -241,35 +267,35 @@ class NetworkTimingResult:
     def _sum(self, attribute: str) -> int:
         return sum(getattr(layer, attribute) for layer in self.layers)
 
-    @property
+    @functools.cached_property
     def macs(self) -> int:
         return self._sum("macs")
 
-    @property
+    @functools.cached_property
     def compute_cycles(self) -> int:
         return self._sum("compute_cycles")
 
-    @property
+    @functools.cached_property
     def igbuf_stall_cycles(self) -> int:
         return self._sum("igbuf_stall_cycles")
 
-    @property
+    @functools.cached_property
     def wgbuf_stall_cycles(self) -> int:
         return self._sum("wgbuf_stall_cycles")
 
-    @property
+    @functools.cached_property
     def drain_stall_cycles(self) -> int:
         return self._sum("drain_stall_cycles")
 
-    @property
+    @functools.cached_property
     def prologue_stall_cycles(self) -> int:
         return self._sum("prologue_stall_cycles")
 
-    @property
+    @functools.cached_property
     def steady_stall_cycles(self) -> int:
         return self._sum("steady_stall_cycles")
 
-    @property
+    @functools.cached_property
     def waiting_cycles(self) -> int:
         return self._sum("stall_cycles")
 
@@ -277,7 +303,7 @@ class NetworkTimingResult:
     def total_cycles(self) -> int:
         return self.compute_cycles + self.waiting_cycles
 
-    @property
+    @functools.cached_property
     def dram_bytes_moved(self) -> int:
         return self._sum("dram_bytes_moved")
 
@@ -323,12 +349,26 @@ class TimingSimulator:
 
     def run_layer(self, layer: ConvLayer, tiling: Tiling = None) -> LayerTimingReport:
         """Simulate one layer; the tiling defaults to the analytic model's
-        choice so both models walk the identical schedule."""
+        choice so both models walk the identical schedule.
+
+        The report depends only on the configuration, the bandwidth, the
+        backend, the layer's shape and the clipped tiling, so the walk runs
+        once per such key in the bounded :func:`shape_timing` memo and every
+        call gets the memoized report relabelled with ``layer.name``.
+        """
         if tiling is None:
             from repro.arch.accelerator import AcceleratorModel
 
+            # The chosen tiling is already clipped.
             tiling = AcceleratorModel(self.config).choose_layer_tiling(layer)
-        tiling = tiling.clip(layer)
+        else:
+            tiling = tiling.clip(layer)
+        return shape_timing(
+            self.config, self.dram_bandwidth_bytes_per_s, layer_signature(layer), tiling, self.backend
+        ).relabelled(layer.name)
+
+    def _walk(self, layer: ConvLayer, tiling: Tiling) -> LayerTimingReport:
+        """The uncached tile-stream walk behind :meth:`run_layer`."""
         groups = tile_groups(layer, tiling, self.config)
         if self.backend == "numpy":
             stats = _simulate_numpy(groups, self.bytes_per_cycle)
@@ -362,6 +402,21 @@ class TimingSimulator:
             bandwidth_bytes_per_s=self.dram_bandwidth_bytes_per_s,
             layers=tuple(self.run_layer(layer) for layer in layers),
         )
+
+
+@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE, typed=True)
+def shape_timing(
+    config: AcceleratorConfig, dram_bandwidth_bytes_per_s, signature: tuple, tiling: Tiling, backend: str
+) -> LayerTimingReport:
+    """:meth:`TimingSimulator.run_layer` of one layer shape under a clipped tiling.
+
+    The report carries an empty layer name; :meth:`~TimingSimulator.run_layer`
+    relabels it.  ``typed``: a float bandwidth and an equal ``int`` or
+    ``Fraction`` are distinct keys, so each report keeps its caller's
+    bandwidth object.
+    """
+    simulator = TimingSimulator(config, dram_bandwidth_bytes_per_s, backend=backend)
+    return simulator._walk(signature_layer(signature), tiling)
 
 
 # ------------------------------------------------------------------ backends
@@ -506,27 +561,35 @@ def timing_network_energy(layers, timing_result: NetworkTimingResult, config, en
     so they come from the analytic model; only the LReg *static* (leakage)
     term depends on runtime and is charged over the timed
     ``total_cycles``, so stalls lengthen the leakage window exactly as the
-    paper argues.
+    paper argues.  A layer's energy depends only on its shape and its timed
+    cycles, so each such pair is priced once; the per-layer sum keeps layer
+    order.
     """
     from repro.arch.accelerator import AcceleratorModel
     from repro.energy.model import EnergyBreakdown, EnergyModel
 
     if energy_model is None:
         energy_model = EnergyModel()
-    analytic = AcceleratorModel(config).run_network(layers)
+    model = AcceleratorModel(config)
+    priced = {}
     total = EnergyBreakdown()
-    for counts, timed in zip(analytic.layers, timing_result.layers):
-        total = total + energy_model.energy_from_counts(
-            config,
-            dram_words=counts.dram.total,
-            igbuf_reads=counts.igbuf_reads,
-            igbuf_writes=counts.igbuf_writes,
-            wgbuf_reads=counts.wgbuf_reads,
-            wgbuf_writes=counts.wgbuf_writes,
-            macs=counts.macs,
-            lreg_reads=counts.lreg_reads,
-            lreg_writes=counts.lreg_writes,
-            greg_writes=counts.greg_writes,
-            total_cycles=timed.total_cycles,
-        )
+    for layer, timed in zip(layers, timing_result.layers):
+        key = (layer_signature(layer), timed.total_cycles)
+        energy = priced.get(key)
+        if energy is None:
+            counts = model.run_layer(layer)
+            energy = priced[key] = energy_model.energy_from_counts(
+                config,
+                dram_words=counts.dram.total,
+                igbuf_reads=counts.igbuf_reads,
+                igbuf_writes=counts.igbuf_writes,
+                wgbuf_reads=counts.wgbuf_reads,
+                wgbuf_writes=counts.wgbuf_writes,
+                macs=counts.macs,
+                lreg_reads=counts.lreg_reads,
+                lreg_writes=counts.lreg_writes,
+                greg_writes=counts.greg_writes,
+                total_cycles=timed.total_cycles,
+            )
+        total = total + energy
     return total

@@ -17,6 +17,41 @@ from repro.core.layer import ConvLayer  # noqa: E402
 from repro.workloads.vgg import vgg16_conv_layers  # noqa: E402
 
 
+@pytest.fixture
+def daemon(tmp_path):
+    """A real search daemon on an ephemeral port, served from a background
+    thread; its engine's cache is ``tmp_path / "cache.sqlite"``."""
+    import asyncio
+    import threading
+
+    from repro.engine import SearchEngine
+    from repro.server.daemon import SearchDaemon
+
+    engine = SearchEngine(cache_path=str(tmp_path / "cache.sqlite"))
+    instance = SearchDaemon(
+        engine=engine,
+        port=0,
+        work_dir=str(tmp_path / "runs"),
+    )
+    loop = asyncio.new_event_loop()
+    started = threading.Event()
+
+    def serve():
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(instance.start())
+        started.set()
+        loop.run_until_complete(instance.serve_until_shutdown())
+        loop.close()
+
+    thread = threading.Thread(target=serve, name="test-daemon")
+    thread.start()
+    assert started.wait(timeout=30), "daemon did not start"
+    yield instance
+    loop.call_soon_threadsafe(instance.request_shutdown)
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "daemon did not shut down"
+
+
 @pytest.fixture(scope="session")
 def vgg_layers():
     """The paper's workload: VGG-16 convolutional layers at batch 3."""

@@ -25,7 +25,6 @@ from repro.engine import SearchEngine, task_key
 from repro.server import daemon as daemon_module
 from repro.server import protocol
 from repro.server.client import SearchClient, ServerError
-from repro.server.daemon import SearchDaemon
 from repro.server.protocol import (
     ProtocolError,
     layer_from_wire,
@@ -117,7 +116,7 @@ class TestWorkloadReferenceMemo:
     def test_repeated_references_build_the_workload_once(self, monkeypatch):
         spec = "llama_decode:1"
         expected = get_workload_spec(spec)
-        protocol._built_layers.cache_clear()
+        protocol._BUILT.clear()
         builds = []
         build = Workload.build
 
@@ -132,13 +131,25 @@ class TestWorkloadReferenceMemo:
         assert builds == ["llama_decode"]
 
     def test_memo_is_bounded(self):
-        assert protocol._built_layers.cache_info().maxsize is not None
+        # Cycling distinct large references holds at most the layer cap, not
+        # one entry per reference (16 of these hold ~300 000 layers).
+        protocol._BUILT.clear()
+        cap = daemon_module.MAX_BUILT_LAYERS
+        for batch in range(17, 33):
+            spec = f"bert_large:{batch}"
+            layer = resolve_layer({"workload": spec, "layer_index": 0})
+            assert layer == get_workload_spec(spec)[0]
+            held = sum(len(layers) for layers in protocol._BUILT.values())
+            assert held <= cap
+        # The newest build always stays: the cap admits the largest reference.
+        assert list(protocol._BUILT)[-1][1] == 32
+        assert len(get_workload_spec(f"bert_large:{daemon_module.MAX_REFERENCE_BATCH}")) <= cap
 
     def test_reference_past_the_batch_cap_builds_nothing(self, monkeypatch):
         # serve-zipf's references, and llama_decode's default batch of 32.
         accepted = ("vgg16", "llama_decode:1", "llama_decode")
         expected = {spec: get_workload_spec(spec)[0] for spec in accepted}
-        protocol._built_layers.cache_clear()
+        protocol._BUILT.clear()
         builds = []
         build = Workload.build
 
@@ -325,34 +336,6 @@ class TestSearchService:
         engine = SearchEngine()
         with pytest.raises(ValueError, match="max_batch"):
             SearchService(engine, max_batch=0)
-
-
-@pytest.fixture
-def daemon(tmp_path):
-    """A real daemon on an ephemeral port, served from a background thread."""
-    engine = SearchEngine(cache_path=str(tmp_path / "cache.sqlite"))
-    instance = SearchDaemon(
-        engine=engine,
-        port=0,
-        work_dir=str(tmp_path / "runs"),
-    )
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def serve():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(instance.start())
-        started.set()
-        loop.run_until_complete(instance.serve_until_shutdown())
-        loop.close()
-
-    thread = threading.Thread(target=serve, name="test-daemon")
-    thread.start()
-    assert started.wait(timeout=30), "daemon did not start"
-    yield instance
-    loop.call_soon_threadsafe(instance.request_shutdown)
-    thread.join(timeout=30)
-    assert not thread.is_alive(), "daemon did not shut down"
 
 
 class TestDaemon:

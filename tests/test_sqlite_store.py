@@ -12,8 +12,11 @@ cache safely.  These tests pin exactly that contract:
 * a file that is not this package's database (garbage, a pickle payload,
   another schema) degrades to a cold start instead of crashing or serving
   garbage;
-* a database another process keeps locked is *not* corrupt: nothing is
-  discarded, and every surface reports the lock in one line;
+* a batch of entries written in one transaction leaves the same rows, LRU
+  order and eviction count as storing them one at a time;
+* a database another process keeps locked -- when the cache opens, or
+  later, at a write or a read -- is *not* corrupt: nothing is discarded,
+  and every surface reports the lock in one line;
 * a shard cache written by an orchestrated ``run`` is served as *hits* by a
   fresh engine pointed at the same file (the daemon's warm-start path).
 """
@@ -23,10 +26,13 @@ import pickle
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.layer import ConvLayer
 from repro.dataflows.registry import get_dataflow
@@ -132,6 +138,65 @@ class TestPersistenceParity:
             assert keys[0] in cache and keys[2] in cache
             assert keys[1] not in cache
         caches[0].close()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bound=st.integers(1, 5),
+        stream=st.lists(st.integers(0, 9), min_size=1, max_size=24),
+        cuts=st.lists(st.integers(0, 24), max_size=6),
+        reads=st.lists(st.integers(0, 9), max_size=7),
+    )
+    @example(bound=2, stream=[0, 1, 2, 3, 4, 5, 6, 7], cuts=[], reads=[])  # one batch past the bound
+    def test_batched_stores_match_one_at_a_time_stores(self, bound, stream, cuts, reads):
+        """Batches of what the engine writes -- distinct keys the cache does
+        not hold -- end in the same entries, LRU order and eviction count as
+        storing their pairs one at a time, with hits between the batches."""
+        with tempfile.TemporaryDirectory() as directory:
+            batched = SearchCache(path=os.path.join(directory, "cache.sqlite"), max_entries=bound)
+            reference = SearchCache(max_entries=bound)
+            for index, (start, end) in enumerate(_batch_bounds(len(stream), cuts)):
+                batch = {}
+                for position in range(start, end):
+                    key = ("k", stream[position])
+                    if key not in reference and key not in batch:
+                        batch[key] = position
+                batched.store_many(batch.items())
+                for key, entry in batch.items():
+                    reference.store(key, entry)
+                if index < len(reads):  # a hit refreshes recency
+                    key = ("k", reads[index])
+                    assert batched.get(key) == reference.get(key)
+            assert batched.items() == reference.items()  # entries, oldest first
+            assert batched.evictions == batched._persistent.evictions == reference.evictions
+            batched.close()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bound=st.integers(1, 5),
+        stream=st.lists(st.integers(0, 9), min_size=1, max_size=24),
+        cuts=st.lists(st.integers(0, 24), max_size=6),
+    )
+    @example(bound=2, stream=[0, 1, 2, 3, 4, 5, 1, 6], cuts=[])  # key 1 evicted, then re-stored
+    def test_a_batch_that_restores_held_keys_keeps_entries_and_order(self, bound, stream, cuts):
+        """A held or repeated key is refreshed in place: the same entries in
+        the same LRU order, and at most the one-at-a-time evictions."""
+        with tempfile.TemporaryDirectory() as directory:
+            batched = SearchCache(path=os.path.join(directory, "cache.sqlite"), max_entries=bound)
+            reference = SearchCache(max_entries=bound)
+            for start, end in _batch_bounds(len(stream), cuts):
+                batch = [(("k", stream[position]), position) for position in range(start, end)]
+                batched.store_many(batch)
+                for key, entry in batch:
+                    reference.store(key, entry)
+            assert batched.items() == reference.items()
+            assert batched.evictions <= reference.evictions
+            batched.close()
+
+
+def _batch_bounds(length: int, cuts: list) -> list:
+    """``(start, end)`` of the batches that cutting ``range(length)`` makes."""
+    edges = sorted({0, length, *(cut for cut in cuts if cut < length)})
+    return list(zip(edges, edges[1:]))
 
 
 class TestConcurrency:
@@ -249,7 +314,7 @@ class TestRecovery:
         path = str(tmp_path / "cache.sqlite")
         store = SqliteStore(path)
         dataflow = get_dataflow("Ours")
-        store.store(task_key(dataflow, layer, 4096), INFEASIBLE)
+        store.store([(task_key(dataflow, layer, 4096), INFEASIBLE)])
         with store._transaction():
             store._connection.execute(
                 "UPDATE meta SET value = ? WHERE name = 'schema'",
@@ -269,7 +334,7 @@ class TestRecovery:
         store = SqliteStore(path)
         dataflow = get_dataflow("Ours")
         key = task_key(dataflow, layer, 4096)
-        store.store(key, INFEASIBLE)
+        store.store([(key, INFEASIBLE)])
         with store._transaction():
             store._connection.execute("UPDATE entries SET entry = ?", (blob,))
         with pytest.warns(UserWarning, match="unreadable"):
@@ -282,7 +347,7 @@ class TestRecovery:
         """``meta`` written by another package version is never served."""
         path = str(tmp_path / "cache.sqlite")
         store = SqliteStore(path)
-        store.store(task_key(get_dataflow("Ours"), layer, 4096), INFEASIBLE)
+        store.store([(task_key(get_dataflow("Ours"), layer, 4096), INFEASIBLE)])
         with store._transaction():
             store._connection.execute("UPDATE meta SET value = '0.0.0' WHERE name = 'version'")
         store.close()
@@ -323,6 +388,28 @@ def hold_write_lock(path: str) -> sqlite3.Connection:
     connection = sqlite3.connect(path, isolation_level=None)
     connection.execute("BEGIN IMMEDIATE")
     return connection
+
+
+def lock_before_first_store(monkeypatch, path: str) -> list:
+    """Take the write lock after the engine's first searches ran and before
+    their results are stored: a lock that arrives after the cache opened.
+    Returns the list the holding connection lands in (one lock, once)."""
+    holders = []
+    execute = SearchEngine._execute
+
+    def locking_execute(engine, pending):
+        entries = execute(engine, pending)
+        if not holders:
+            holders.append(hold_write_lock(path))
+        return entries
+
+    monkeypatch.setattr(SearchEngine, "_execute", locking_execute)
+    return holders
+
+
+def assert_one_line_lock_error(message: str, path: str) -> None:
+    assert "locked" in message and path in message
+    assert "\n" not in message.rstrip("\n") and "Traceback" not in message
 
 
 @pytest.mark.usefixtures("fast_busy_timeout")
@@ -391,6 +478,122 @@ class TestLockedCache:
         err = completed.stderr
         assert err.startswith("error:") and "locked" in err and path in err
         assert err.count("\n") == 1
+
+    def test_lock_after_open_fails_store_and_touch_in_one_line(self, tmp_path, layer):
+        path = str(tmp_path / "cache.sqlite")
+        engine = SearchEngine(cache_path=path, cache_max_entries=16)
+        dataflow = get_dataflow("Ours")
+        engine.try_search(dataflow, layer, 4096)
+        engine.cache._entries.clear()  # the next 4096 hit reads, then touches, SQLite
+        holder = hold_write_lock(path)
+        try:
+            for capacity in (4096, 8192):  # a bounded hit's touch, a miss's store
+                with pytest.raises(ValueError) as error:
+                    engine.try_search(dataflow, layer, capacity)
+                assert not isinstance(error.value, cache_module.CorruptCacheError)
+                assert_one_line_lock_error(str(error.value), path)
+        finally:
+            holder.close()
+        reference = SearchEngine()
+        for capacity in (4096, 8192):
+            assert engine.try_search(dataflow, layer, capacity) == reference.try_search(
+                dataflow, layer, capacity
+            )
+        assert len(engine.cache) == 2
+        engine.cache.close()
+
+    def test_lock_at_a_read_is_one_line(self, tmp_path, layer):
+        # A WAL read waits only behind recovery or a checkpoint, so the
+        # connection is swapped for one that reports the lock.
+        path = str(tmp_path / "cache.sqlite")
+        store = SqliteStore(path)
+        key = task_key(get_dataflow("Ours"), layer, 4096)
+        store.store([(key, INFEASIBLE)])
+
+        class LockedConnection:
+            def execute(self, *args):
+                raise sqlite3.OperationalError("database is locked")
+
+        connection, store._connection = store._connection, LockedConnection()
+        try:
+            with pytest.raises(ValueError) as error:
+                store.get(key)
+        finally:
+            store._connection = connection
+        assert_one_line_lock_error(str(error.value), path)
+        assert store.get(key) == INFEASIBLE
+        store.close()
+
+    def test_flat_cli_lock_after_open_exits_2(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        path = str(tmp_path / "cache.sqlite")
+        argv = ["fig13", "--workload", "tiny", "--capacities", "16", "--cache-file", path]
+        holders = lock_before_first_store(monkeypatch, path)
+        try:
+            assert main(argv) == 2
+        finally:
+            holders[0].close()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert_one_line_lock_error(err, path)
+        assert main(argv) == 0
+
+    def test_runner_lock_after_open_fails_the_unit_then_resume_is_identical(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.orchestration.manifest import ManifestSpec, RunManifest
+        from repro.orchestration.runner import Runner
+
+        manifest = RunManifest.from_spec(
+            ManifestSpec(
+                workloads=("tiny",),
+                experiments=("table1", "fig13", "fig16"),
+                params={"fig13": {"capacities_kib": [16]}},
+            )
+        )
+        reference = str(tmp_path / "reference")
+        assert Runner(manifest, reference).run().complete
+
+        out_dir = str(tmp_path / "run")
+        path = os.path.join(out_dir, "cache", shard_cache_filename("auto", 1, 1))
+        holders = lock_before_first_store(monkeypatch, path)
+        try:
+            report = Runner(manifest, out_dir).run()
+        finally:
+            holders[0].close()
+        assert report.units_failed == 1 and report.units_completed == 2
+        (failure,) = report.failures
+        assert_one_line_lock_error(failure["error"], path)
+
+        resumed = Runner(manifest, out_dir).run()
+        assert resumed.complete and resumed.units_completed == 1
+        units = sorted(os.listdir(os.path.join(reference, "units")))
+        assert sorted(os.listdir(os.path.join(out_dir, "units"))) == units
+        for name in units:
+            with open(os.path.join(reference, "units", name), "rb") as handle:
+                expected = handle.read()
+            with open(os.path.join(out_dir, "units", name), "rb") as handle:
+                assert handle.read() == expected, name
+
+    def test_daemon_batch_answers_the_lock_then_recovers(
+        self, fast_busy_timeout, daemon, tmp_path, layer
+    ):
+        from repro.server.client import SearchClient, ServerError
+
+        path = str(tmp_path / "cache.sqlite")
+        holder = hold_write_lock(path)
+        try:
+            with SearchClient(port=daemon.port) as client:
+                with pytest.raises(ServerError) as error:
+                    client.search("Ours", layer=layer, capacity_words=8192)
+        finally:
+            holder.close()
+        assert error.value.status == 400
+        assert_one_line_lock_error(error.value.message, path)
+        with SearchClient(port=daemon.port) as client:
+            served = client.search("Ours", layer=layer, capacity_words=8192)
+        assert served == SearchEngine().try_search(get_dataflow("Ours"), layer, 8192)
 
     def test_runner_unit_fails_then_resume_completes_identically(self, tmp_path):
         from repro.orchestration.manifest import ManifestSpec, RunManifest
