@@ -35,7 +35,13 @@ from repro.core.optimal_dataflow import _around, _seed_and_fits, choose_tiling_g
 from repro.dataflows.registry import BASELINE_DATAFLOWS
 from repro.dse.explore import co_search_families, design_space_exploration
 from repro.dse.pareto import contains_or_dominates
-from repro.dse.space import CandidateSpace, count_splits, enumerate_configs, enumerate_splits
+from repro.dse.space import (
+    CandidateSpace,
+    _enumerate_scalar,
+    _enumerate_vectorized,
+    count_splits,
+    enumerate_configs,
+)
 from repro.engine import SearchEngine, layer_signature
 
 import numpy  # noqa: F401  (the gates measure the vectorized backend)
@@ -155,22 +161,24 @@ def test_dse_sweep_vectorized_vs_scalar_10x(vgg_layers):
 def test_dse_enumeration_backends_agree_at_scale():
     """The staged meshgrid enumerator on a ~10^6-candidate space.
 
-    Bit-identity is the assertion; the timing comparison is printed for
-    visibility.  Both backends prune at the psum stage and build the same
-    Python tuple list, so enumeration alone is roughly a wash -- the
-    vectorized payoff is in the sweep's search stage, gated above.
+    Bit-identity with the scalar reference (``_enumerate_scalar``) is the
+    assertion; the timing comparison is printed for visibility.  Both paths
+    prune at the psum stage and build the same Python tuple list, so
+    enumeration alone is roughly a wash -- the vectorized payoff is in the
+    sweep's search stage, gated above.
     """
     budget_words = 8_000
+    pairs = BIG_SPACE.pe_pairs()
 
     start = time.perf_counter()
-    scalar = enumerate_splits(budget_words, BIG_SPACE, backend="python")
+    scalar = _enumerate_scalar(budget_words, BIG_SPACE, pairs)
     scalar_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    vectorized = enumerate_splits(budget_words, BIG_SPACE, backend="numpy")
+    vectorized = _enumerate_vectorized(budget_words, BIG_SPACE, pairs)
     vectorized_seconds = time.perf_counter() - start
 
-    assert vectorized == scalar, "backends enumerated different candidate lists"
+    assert vectorized == scalar, "the two paths enumerated different candidate lists"
     print(
         f"\nconfig enumeration ({len(scalar)} candidates kept):\n"
         f"  scalar loops   {scalar_seconds * 1e3:8.1f} ms\n"

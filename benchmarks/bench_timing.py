@@ -1,12 +1,13 @@
-"""Timing-simulator benchmark: the vectorized backend must earn its keep.
+"""Timing-simulator benchmark: the vectorized walk must earn its keep.
 
 The acceptance bar for the tile-level timing simulator is that the NumPy
-prefix-sum backend walks the same tile stream at least 10x faster than the
-scalar reference loop while returning the bit-identical stall accounting.
-VGG-16 on implementation-1 at 3.2 GB/s (a bandwidth-bound point, so every
-stall category is exercised) streams ~184k tiles; both backends consume the
-same precomputed :func:`repro.timing.tile_groups` streams so the gate
-measures the recurrence evaluation itself, not the shared tiling search.
+prefix-sum walk (``_simulate_numpy``) covers the same tile stream at least
+10x faster than the scalar reference loop (``_simulate_python``) while
+returning the bit-identical stall accounting.  VGG-16 on implementation-1
+at 3.2 GB/s (a bandwidth-bound point, so every stall category is exercised)
+streams ~184k tiles; both walks consume the same precomputed
+:func:`repro.timing.tile_groups` streams so the gate measures the
+recurrence evaluation itself, not the shared tiling search.
 """
 
 import time
@@ -60,7 +61,7 @@ def test_vectorized_backend_speedup(benchmark, vgg_layers):
         benchmark,
         lambda: [_simulate_numpy(stream, bytes_per_cycle) for stream in streams],
     )
-    assert vectorized == scalar, "vectorized backend changed the stall accounting"
+    assert vectorized == scalar, "vectorized walk changed the stall accounting"
 
     scalar_seconds = _best_of(
         ROUNDS, lambda: [_simulate_python(stream, bytes_per_cycle) for stream in streams]
@@ -74,27 +75,34 @@ def test_vectorized_backend_speedup(benchmark, vgg_layers):
         f"vectorized {vector_seconds * 1e3:.1f} ms, speedup {speedup:.1f}x"
     )
     assert speedup >= MIN_VECTORIZED_SPEEDUP, (
-        f"vectorized backend only {speedup:.1f}x faster "
+        f"vectorized walk only {speedup:.1f}x faster "
         f"(need >= {MIN_VECTORIZED_SPEEDUP}x)"
     )
 
 
-def test_backends_agree_end_to_end(benchmark, vgg_layers):
-    """Full run_network parity at the benchmark's operating point, timed on
-    the auto backend (what the timing experiment actually executes)."""
-    config = paper_implementation(1)
-    _tile_streams(config, vgg_layers)  # warm the tiling cache
+#: Report field of each stall-accounting entry the walks return.
+REPORT_FIELDS = {
+    "compute_cycles": "compute_cycles",
+    "igbuf_fill": "igbuf_fill_stall_cycles",
+    "wgbuf_fill": "wgbuf_fill_stall_cycles",
+    "igbuf_steady": "igbuf_steady_stall_cycles",
+    "wgbuf_steady": "wgbuf_steady_stall_cycles",
+    "drain": "drain_stall_cycles",
+}
 
-    reference = TimingSimulator(
-        config, BANDWIDTH_BYTES_PER_S, backend="python"
-    ).run_network(vgg_layers)
-    timed = run_once(
-        benchmark,
-        TimingSimulator(config, BANDWIDTH_BYTES_PER_S, backend="auto").run_network,
-        vgg_layers,
-    )
-    assert timed.layers == reference.layers
-    assert timed.total_cycles == reference.total_cycles
+
+def test_backends_agree_end_to_end(benchmark, vgg_layers):
+    """Full run_network parity at the benchmark's operating point: what the
+    timing experiment executes, against the scalar walk of every layer."""
+    config = paper_implementation(1)
+    streams = _tile_streams(config, vgg_layers)  # also warms the tiling cache
+    simulator = TimingSimulator(config, BANDWIDTH_BYTES_PER_S)
+    reference = [_simulate_python(stream, simulator.bytes_per_cycle) for stream in streams]
+
+    timed = run_once(benchmark, simulator.run_network, vgg_layers)
+    for report, stats in zip(timed.layers, reference):
+        assert {key: getattr(report, field) for key, field in REPORT_FIELDS.items()} == stats
+    assert timed.total_cycles == sum(sum(stats.values()) for stats in reference)
     print(
         f"\nVGG-16 at 3.2 GB/s: {timed.total_cycles} cycles, "
         f"utilization {timed.utilization:.3f}"

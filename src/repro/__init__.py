@@ -8,10 +8,11 @@ Public API overview
   communication lower bound of Eq. (15).
 * :func:`repro.core.optimal_dataflow.choose_tiling` -- the paper's
   communication-optimal tiling and its DRAM traffic.
-* :mod:`repro.dataflows` -- the Fig. 12 baseline dataflows and the cross-
-  dataflow "found minimum" search.
+* :mod:`repro.dataflows` -- the paper's dataflow and the Fig. 12 baselines.
 * :mod:`repro.engine` -- the parallel, memoized :class:`SearchEngine` that
-  deduplicates tiling searches and fans them out over worker processes.
+  runs every tiling search (including the cross-dataflow "found minimum",
+  :meth:`SearchEngine.found_minimum`), deduplicates them and fans them out
+  over worker processes.
 * :mod:`repro.arch` -- the accelerator architecture model (Table I
   implementations, access counting, cycles, utilisation).
 * :mod:`repro.energy` -- the Table II energy model and the DRAM model.
@@ -47,7 +48,7 @@ from repro.core.optimal_dataflow import choose_tiling, dataflow_traffic
 from repro.arch.config import AcceleratorConfig, PAPER_IMPLEMENTATIONS, paper_implementation
 from repro.arch.accelerator import AcceleratorModel
 from repro.energy.model import EnergyModel
-from repro.engine import SearchEngine, get_default_engine, set_default_engine
+from repro.engine import SearchEngine
 from repro.workloads.vgg import vgg16_conv_layers
 from repro.workloads.registry import (
     get_workload,
@@ -75,8 +76,6 @@ __all__ = [
     "AcceleratorModel",
     "EnergyModel",
     "SearchEngine",
-    "get_default_engine",
-    "set_default_engine",
     "vgg16_conv_layers",
     "get_workload",
     "list_workloads",

@@ -13,7 +13,7 @@ from repro.analysis.sweep import words_to_mb
 from repro.core.layer import kib_to_words
 from repro.core.lower_bound import practical_lower_bound
 from repro.dataflows.registry import get_dataflow
-from repro.engine import get_default_engine
+from repro.engine import SearchEngine
 from repro.orchestration.experiments import Experiment, register_experiment
 from repro.eyeriss.model import (
     EyerissModel,
@@ -36,7 +36,7 @@ def eyeriss_comparison(
     """Build the Fig. 15 per-layer series and the Table III summary."""
     layers = resolve_layers(layers, "vgg16")
     if engine is None:
-        engine = get_default_engine()
+        engine = SearchEngine()
     capacity_words = kib_to_words(capacity_kib)
     ours = get_dataflow("Ours")
     eyeriss = EyerissModel()

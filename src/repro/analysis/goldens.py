@@ -33,7 +33,7 @@ from collections import namedtuple
 
 from repro.analysis.eyeriss_compare import eyeriss_comparison
 from repro.analysis.sweep import memory_sweep, per_layer_dram
-from repro.engine import get_default_engine
+from repro.engine import SearchEngine
 from repro.orchestration.experiments import (
     Experiment,
     ExperimentContext,
@@ -166,7 +166,7 @@ def compute_pin(pin: Pin, engine=None) -> dict:
     if not experiment.uses_search:
         engine = None
     elif engine is None:
-        engine = get_default_engine()
+        engine = SearchEngine()
     context = ExperimentContext(workload=pin.workload, engine=engine, params=pin_params(pin))
     return experiment.build(context)
 

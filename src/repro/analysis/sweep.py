@@ -17,7 +17,7 @@ from repro.core.layer import kib_to_words
 from repro.core.lower_bound import practical_lower_bound, reg_lower_bound
 from repro.core.traffic import BYTES_PER_WORD
 from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow
-from repro.engine import get_default_engine, layer_signature
+from repro.engine import SearchEngine, layer_signature
 from repro.eyeriss.model import EyerissModel
 from repro.orchestration.experiments import Experiment, Param, register_experiment
 from repro.workloads.registry import resolve_layers
@@ -66,7 +66,7 @@ def memory_sweep(
         capacities_kib = [16 * i for i in range(1, 17)]
     layers = resolve_layers(layers, "vgg16")
     if engine is None:
-        engine = get_default_engine()
+        engine = SearchEngine()
     dataflows = (
         ALL_DATAFLOWS
         if dataflow_names is None
@@ -161,7 +161,7 @@ def per_layer_dram(
             if abs(config.effective_on_chip_kib - capacity_kib) < 1.0
         ]
     if engine is None:
-        engine = get_default_engine()
+        engine = SearchEngine()
     capacity_words = kib_to_words(capacity_kib)
     dataflows = [get_dataflow("Ours")] + [get_dataflow(name) for name in baseline_names]
     models = [AcceleratorModel(config) for config in implementations]

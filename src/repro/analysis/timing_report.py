@@ -47,7 +47,6 @@ def bandwidth_utilization_sweep(
     layers=None,
     bandwidths_gbps=None,
     implementations=None,
-    backend: str = "auto",
 ) -> dict:
     """One row per (implementation, bandwidth): stalls, utilization, power."""
     layers = resolve_layers(layers, "vgg16")
@@ -66,7 +65,6 @@ def bandwidth_utilization_sweep(
                 config,
                 mode="timing",
                 dram_bandwidth_bytes_per_s=bandwidth_gbps * 1e9,
-                backend=backend,
             )
             # Bandwidth-independent per config: the steady-state roofline
             # break-even (max over layers), above which only fills and

@@ -30,7 +30,7 @@ from repro.core.layer import kib_to_words
 from repro.core.lower_bound import practical_lower_bound
 from repro.core.traffic import classified_traffic
 from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow
-from repro.engine import get_default_engine
+from repro.engine import SearchEngine
 from repro.orchestration.experiments import Experiment, Param, register_experiment
 from repro.workloads.registry import parse_workload_spec
 from repro.workloads.traffic import (
@@ -204,7 +204,7 @@ def traffic_mix_report(
     layers, weights = weighted_unique_layers(spec, loads)
 
     if engine is None:
-        engine = get_default_engine()
+        engine = SearchEngine()
     dataflows = (
         ALL_DATAFLOWS
         if dataflow_names is None
@@ -281,7 +281,7 @@ def llm_decode_report(
     entry, batch = parse_workload_spec(workload)
     layers, weights = sorted_shapes(entry.shape_counts(batch))
     if engine is None:
-        engine = get_default_engine()
+        engine = SearchEngine()
     dataflows = (
         ALL_DATAFLOWS
         if dataflow_names is None

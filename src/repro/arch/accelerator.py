@@ -96,35 +96,40 @@ class LayerRunResult:
 
 @dataclass(frozen=True)
 class NetworkRunResult:
-    """Aggregated result over a list of layers."""
+    """Aggregated result over a list of layers.
+
+    The layer results are frozen, so each sum over them is computed on
+    first access and kept, in layer order, as :class:`~repro.timing.
+    simulator.NetworkTimingResult` does.
+    """
 
     config_name: str
     layers: tuple
 
-    @property
+    @functools.cached_property
     def macs(self) -> int:
         return sum(result.macs for result in self.layers)
 
-    @property
+    @functools.cached_property
     def dram(self) -> TrafficBreakdown:
         total = TrafficBreakdown()
         for result in self.layers:
             total = total + result.dram
         return total
 
-    @property
+    @functools.cached_property
     def gbuf_accesses(self) -> int:
         return sum(result.gbuf_accesses for result in self.layers)
 
-    @property
+    @functools.cached_property
     def reg_accesses(self) -> int:
         return sum(result.reg_accesses for result in self.layers)
 
-    @property
+    @functools.cached_property
     def compute_cycles(self) -> int:
         return sum(result.compute_cycles for result in self.layers)
 
-    @property
+    @functools.cached_property
     def waiting_cycles(self) -> int:
         return sum(result.waiting_cycles for result in self.layers)
 
@@ -132,15 +137,22 @@ class NetworkRunResult:
     def total_cycles(self) -> int:
         return self.compute_cycles + self.waiting_cycles
 
+    @functools.cached_property
+    def _weighted_utilization(self) -> dict:
+        """Per utilisation key, the cycle-weighted sum over layers, in layer
+        order (a layer without the key adds ``0.0``)."""
+        keys = dict.fromkeys(key for result in self.layers for key in result.utilization)
+        return {
+            key: sum(result.utilization.get(key, 0.0) * result.compute_cycles for result in self.layers)
+            for key in keys
+        }
+
     def utilization(self, key: str) -> float:
         """Cycle-weighted average utilisation across layers."""
-        total_cycles = sum(result.compute_cycles for result in self.layers)
+        total_cycles = self.compute_cycles
         if not total_cycles:
             return 0.0
-        weighted = sum(
-            result.utilization.get(key, 0.0) * result.compute_cycles for result in self.layers
-        )
-        return weighted / total_cycles
+        return self._weighted_utilization.get(key, 0.0) / total_cycles
 
 
 class AcceleratorModel:

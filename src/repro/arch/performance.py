@@ -71,15 +71,13 @@ def simulate_network(
     config: AcceleratorConfig,
     mode: str = "analytic",
     dram_bandwidth_bytes_per_s: float = 6.4e9,
-    backend: str = "auto",
     energy_model=None,
 ) -> tuple:
     """Run ``layers`` on ``config`` and report Fig. 19 quantities.
 
     Returns ``(network_result, PerformanceReport)``.  ``mode="analytic"``
     is the aggregate model behind Fig. 19; ``mode="timing"`` walks the tile
-    stream with per-buffer stall accounting (``backend`` selects the scalar
-    or the bit-identical NumPy recurrence).  Both modes price energy with
+    stream with per-buffer stall accounting.  Both modes price energy with
     the same Table II model; in timing mode the access counts come from the
     analytic walk (a stall moves no extra data) while the leakage term is
     charged over the stall-lengthened timed cycles.
@@ -96,7 +94,7 @@ def simulate_network(
     elif mode == "timing":
         from repro.timing import TimingSimulator, timing_network_energy
 
-        simulator = TimingSimulator(config, dram_bandwidth_bytes_per_s, backend=backend)
+        simulator = TimingSimulator(config, dram_bandwidth_bytes_per_s)
         network = simulator.run_network(layers)
         energy = timing_network_energy(layers, network, config, energy_model=energy_model)
     else:

@@ -56,7 +56,7 @@ import sys
 
 from repro.analysis.goldens import check_pins, default_goldens_dir, write_pins
 from repro.core.layer import total_macs
-from repro.engine import SearchEngine, set_default_engine
+from repro.engine import BACKENDS, SearchEngine
 from repro.orchestration.experiments import (
     EXPERIMENT_ALIASES,
     PAPER_EXPERIMENTS,
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["auto", "numpy", "python"],
+        choices=BACKENDS,
         default="auto",
         help="search backend: 'numpy' evaluates each dataflow's whole "
         "candidate grid as arrays (one evaluation serves every capacity), "
@@ -259,11 +259,6 @@ def main(argv: list = None) -> int:
     except (UnknownWorkloadError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    # Anything routed through repro.dataflows.search without an explicit
-    # engine (examples, ad-hoc imports) should see the same cache for the
-    # duration of the run; the previous default is restored afterwards so
-    # programmatic callers of main() keep their own engine.
-    previous_engine = set_default_engine(engine)
     try:
         status = 0
         if args.experiment == "goldens":
@@ -287,8 +282,6 @@ def main(argv: list = None) -> int:
     except (UnknownWorkloadError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    finally:
-        set_default_engine(previous_engine)
 
 
 def _dispatch(name: str, workload: str, layers, engine, overrides) -> None:

@@ -4,7 +4,8 @@ Every dataflow exposes the same interface (:class:`repro.dataflows.base.Dataflow
 given a layer and an effective on-chip capacity, search its tiling space and
 return the DRAM :class:`~repro.core.traffic.TrafficBreakdown` of the best
 tiling found.  The registry (:mod:`repro.dataflows.registry`) lists all of
-them; :func:`repro.dataflows.search.found_minimum` reproduces the paper's
+them.  Searches run through a :class:`repro.engine.SearchEngine`, whose
+:meth:`~repro.engine.SearchEngine.found_minimum` reproduces the paper's
 "found minimum" curve (best dataflow with best tiling sizes per layer).
 """
 
@@ -14,7 +15,6 @@ from repro.dataflows.outr import OutRA, OutRB
 from repro.dataflows.wtr import WtRA, WtRB
 from repro.dataflows.inr import InRA, InRB, InRC
 from repro.dataflows.registry import ALL_DATAFLOWS, BASELINE_DATAFLOWS, get_dataflow
-from repro.dataflows.search import found_minimum, network_traffic
 
 __all__ = [
     "Dataflow",
@@ -30,6 +30,4 @@ __all__ = [
     "ALL_DATAFLOWS",
     "BASELINE_DATAFLOWS",
     "get_dataflow",
-    "found_minimum",
-    "network_traffic",
 ]

@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.core.layer import ConvLayer
-from repro.core.traffic import TrafficBreakdown, sum_traffic
+from repro.core.traffic import TrafficBreakdown
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,6 @@ class Dataflow(ABC):
             tiling=best_tiling,
             traffic=best_traffic,
         )
-
-    def network_traffic(self, layers: list, capacity_words: int) -> TrafficBreakdown:
-        """Sum of best-tiling traffic over a list of layers."""
-        return sum_traffic([self.search(layer, capacity_words).traffic for layer in layers])
 
     # ------------------------------------------------------- vectorized backend
 

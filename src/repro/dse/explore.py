@@ -44,7 +44,7 @@ from repro.dse.smart import (
     validate_seed,
 )
 from repro.dse.space import CandidateSpace, build_config, count_splits, enumerate_configs
-from repro.engine import get_default_engine, validate_shard
+from repro.engine import SearchEngine, validate_shard
 from repro.orchestration.experiments import Experiment, Param, register_experiment
 from repro.workloads.registry import resolve_layers
 
@@ -283,7 +283,7 @@ def design_space_exploration(
     selects a seed *island* instead of an enumeration slice.
     """
     if engine is None:
-        engine = get_default_engine()
+        engine = SearchEngine()
     budget_words = validate_budget(budget_kib)
     objectives = validate_objectives(objectives or ("dram", "energy", "time"))
     explorer = validate_explorer(explorer)
@@ -341,7 +341,6 @@ def design_space_exploration(
             explorer=explorer,
             seed=seed,
             slice_spec=slice_spec,
-            backend=engine.backend,
             certificate_region=certificate_region,
         )
         header.update(
@@ -360,7 +359,7 @@ def design_space_exploration(
         )
         return header
 
-    configs = enumerate_configs(budget_words, space, backend=engine.backend)
+    configs = enumerate_configs(budget_words, space)
     if max_configs is not None:
         if max_configs < 1:
             raise ValueError(f"max_configs must be >= 1, got {max_configs}")

@@ -105,12 +105,11 @@ class SplitGrid:
     a driver can reach is by construction a split of the full space.
     """
 
-    def __init__(self, space: CandidateSpace, budget_words: int, backend: str = "auto"):
+    def __init__(self, space: CandidateSpace, budget_words: int):
         if budget_words < 1:
             raise ValueError(f"budget must be at least one on-chip word, got {budget_words}")
         self.space = space
         self.budget_words = budget_words
-        self.backend = backend
         # One entry per split coordinate; the PE axis serves rows and cols.
         self.axes = (
             space.pe_dims,
@@ -165,7 +164,7 @@ class SplitGrid:
         keep = [
             sorted(set(range(0, len(axis), stride)) | {len(axis) - 1}) for axis in self.axes
         ]
-        return enumerate_splits(self.budget_words, self._sub_space(keep), self.backend)
+        return enumerate_splits(self.budget_words, self._sub_space(keep))
 
     def window_splits(self, split: tuple, radius: int, stride: int = 1) -> list:
         """Feasible splits within ``radius`` index steps of ``split``.
@@ -184,7 +183,7 @@ class SplitGrid:
                     if (i - center) % stride == 0
                 ]
             )
-        return enumerate_splits(self.budget_words, self._sub_space(keep), self.backend)
+        return enumerate_splits(self.budget_words, self._sub_space(keep))
 
     def mutate(self, split: tuple, rng: random.Random, rate: int = 3):
         """One evolutionary mutation: +/-1 index steps at ~1/``rate`` per axis.
@@ -392,7 +391,6 @@ def run_smart_explorer(
     explorer: str,
     seed: int = 0,
     slice_spec=(1, 1),
-    backend: str = "auto",
     certificate_region: int = DEFAULT_CERTIFICATE_REGION,
 ) -> dict:
     """Run one smart driver plus its certificate; returns the result parts.
@@ -406,7 +404,7 @@ def run_smart_explorer(
         raise ValueError("the exhaustive sweep does not run through a smart driver")
     seed = validate_seed(seed)
     index, _ = slice_spec
-    grid = SplitGrid(space, budget_words, backend=backend)
+    grid = SplitGrid(space, budget_words)
     evaluator = ConfigEvaluator(score, objectives)
     rng = random.Random(seed + index - 1)
     stats = _DRIVERS[explorer](evaluator, grid, rng)

@@ -13,10 +13,12 @@ power-of-two ladders around the Table I values, so every paper
 implementation's memory split is itself an enumerable candidate.
 
 Enumeration order is canonical -- the nested cross product of the axis lists
-in declaration order -- and both backends produce the identical list: the
-scalar path walks nested ``for`` loops, the vectorized path materializes the
-same cross product with :func:`repro.dataflows.grid.meshgrid_ravel` and
-masks it against the budget in staged array expressions
+in declaration order -- and both paths produce the identical list: the
+scalar reference walks nested ``for`` loops (:func:`_enumerate_scalar`), the
+vectorized path materializes the same cross product with
+:func:`repro.dataflows.grid.meshgrid_ravel` and masks it against the budget
+in staged array expressions (:func:`_enumerate_vectorized`).
+:func:`enumerate_splits` takes the vectorized path whenever NumPy imports
 (``benchmarks/bench_dse.py`` asserts the bit-identity at 10^6-candidate
 scale and gates the end-to-end sweep speedup).
 """
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.config import AcceleratorConfig
-from repro.engine import resolve_backend
 
 #: PE array side lengths offered along each dimension (Table I uses 16-64).
 DEFAULT_PE_DIMS = (8, 16, 32, 64, 128)
@@ -137,22 +138,24 @@ def build_config(space: CandidateSpace, rows: int, cols: int, lreg: int, igbuf: 
     )
 
 
-def enumerate_splits(budget_words: int, space: CandidateSpace = None, backend: str = "auto") -> list:
+def enumerate_splits(budget_words: int, space: CandidateSpace = None) -> list:
     """All ``(rows, cols, lreg, igbuf, wgbuf)`` splits under the budget.
 
     The list is in canonical enumeration order (PE pairs outermost, WGBuf
-    innermost) and identical on both backends; the budget is applied to the
-    effective on-chip words ``rows*cols*lreg + igbuf + wgbuf``.
+    innermost) and identical on both paths; the budget is applied to the
+    effective on-chip words ``rows*cols*lreg + igbuf + wgbuf``.  NumPy is
+    looked up here, at call time, so importing this module never loads it.
     """
+    from repro.dataflows.grid import numpy_available
+
     if budget_words < 1:
         raise ValueError(f"budget must be at least one on-chip word, got {budget_words}")
     if space is None:
         space = CandidateSpace()
-    backend = resolve_backend(backend)
     pairs = space.pe_pairs()
     if not pairs:
         return []
-    if backend == "numpy":
+    if numpy_available():
         return _enumerate_vectorized(budget_words, space, pairs)
     return _enumerate_scalar(budget_words, space, pairs)
 
@@ -183,9 +186,9 @@ def _enumerate_vectorized(budget_words: int, space: CandidateSpace, pairs: list)
     the ``i``-th candidate of the scalar nested loops, so the returned list
     is bit-identical.
     """
-    import numpy as np
+    from repro.dataflows.grid import meshgrid_ravel, require_numpy
 
-    from repro.dataflows.grid import meshgrid_ravel
+    np = require_numpy()
 
     num_pes_by_pair = np.asarray([rows * cols for rows, cols in pairs], dtype=np.int64)
     pair_index, lreg = meshgrid_ravel(range(len(pairs)), space.lreg_words)
@@ -220,7 +223,7 @@ def count_splits(budget_words: int, space: CandidateSpace = None) -> int:
     ``config_count_total`` while only ever enumerating windowed sub-spaces;
     at 10^8-point scale the count must not build 10^8 tuples.  Pure
     arithmetic (a bisect over the sorted WGBuf axis per (pair, LReg,
-    IGBuf) combo), so there is no backend parameter to keep bit-identical.
+    IGBuf) combo), so there is no NumPy path to keep bit-identical.
     """
     from bisect import bisect_right
 
@@ -243,14 +246,11 @@ def count_splits(budget_words: int, space: CandidateSpace = None) -> int:
     return total
 
 
-def enumerate_configs(budget_words: int, space: CandidateSpace = None, backend: str = "auto") -> list:
+def enumerate_configs(budget_words: int, space: CandidateSpace = None) -> list:
     """Candidate :class:`AcceleratorConfig`\\ s under ``budget_words``.
 
-    Canonical enumeration order; both backends return the identical list.
+    Canonical enumeration order (that of :func:`enumerate_splits`).
     """
     if space is None:
         space = CandidateSpace()
-    return [
-        build_config(space, *split)
-        for split in enumerate_splits(budget_words, space, backend)
-    ]
+    return [build_config(space, *split) for split in enumerate_splits(budget_words, space)]

@@ -17,6 +17,7 @@ documented here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,13 +52,25 @@ _LREG_ENERGY_BY_BYTES = {256: 3.39, 128: 1.92, 64: 1.16}
 _GBUF_ENERGY_BY_BYTES = {512: 0.30, 2048: 1.39, 3200: 2.36}
 
 
+#: Entries of each per-access energy memo: one per distinct memory size,
+#: which a configuration space offers a few dozen of.
+ACCESS_ENERGY_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=ACCESS_ENERGY_MEMO_SIZE)
 def lreg_access_energy_pj(bytes_per_pe: int) -> float:
-    """Per-access energy of a PE's LReg file, interpolating Table II."""
+    """Per-access energy of a PE's LReg file, interpolating Table II.
+
+    Memoized: every layer of a network prices its accesses with the same
+    few sizes, so each size is interpolated once.
+    """
     return _interpolate_energy(_LREG_ENERGY_BY_BYTES, bytes_per_pe)
 
 
+@functools.lru_cache(maxsize=ACCESS_ENERGY_MEMO_SIZE)
 def sram_access_energy_pj(capacity_bytes: int) -> float:
-    """Per-access energy of an on-chip SRAM (GBuf), interpolating Table II."""
+    """Per-access energy of an on-chip SRAM (GBuf), interpolating Table II
+    (memoized like :func:`lreg_access_energy_pj`)."""
     return _interpolate_energy(_GBUF_ENERGY_BY_BYTES, capacity_bytes)
 
 

@@ -112,8 +112,9 @@ def _valid_entry(entry) -> bool:
     would silently corrupt every figure that reads it, so it is dropped
     instead of served.
     """
-    # Imported lazily to avoid a cycle (dataflows.search routes through the
-    # engine package).
+    # Imported lazily so that importing the engine package (as
+    # repro.workloads and repro.arch do, for the signatures) loads no
+    # dataflow model.
     from repro.dataflows.base import DataflowResult
 
     return entry == INFEASIBLE or isinstance(entry, DataflowResult)
@@ -350,9 +351,9 @@ class SqliteStore:
     last-write-wins is correct by construction).
 
     ``max_entries`` bounds the table with the same LRU semantics as the
-    in-memory cache: every store (and, when bounded, every read) refreshes
-    the entry's access sequence number, and overflow deletes the stalest
-    rows.  A file that is not a database, or whose ``meta`` rows name
+    in-memory cache: every store refreshes the entry's access sequence
+    number, so does every :meth:`touch` (the bounded :class:`SearchCache`
+    touches what it reads), and overflow deletes the stalest rows.  A file that is not a database, or whose ``meta`` rows name
     another format, schema or version, raises :class:`CorruptCacheError` at
     construction -- :class:`SearchCache` catches that, warns, and recreates
     the file cold.  A database another process keeps locked past
@@ -443,7 +444,11 @@ class SqliteStore:
     # ------------------------------------------------------------- entry API
 
     def get(self, key: tuple):
-        """Entry for ``key`` or ``None``; refreshes recency when bounded."""
+        """Entry for ``key`` or ``None``, leaving its recency as it is.
+
+        :meth:`SearchCache.get_many` reads a batch this way and refreshes
+        every hit with one :meth:`touch`.
+        """
         text = _key_text(key)
         with self._lock, _lock_errors(self.path):
             row = self._connection.execute(
@@ -463,16 +468,18 @@ class SqliteStore:
             with self._transaction():
                 self._connection.execute("DELETE FROM entries WHERE key = ?", (text,))
             return None
-        if self.max_entries is not None:
-            self.touch(key)
         return entry
 
-    def touch(self, key: tuple) -> None:
-        """Refresh ``key``'s LRU recency (no-op when the key is absent)."""
-        with self._transaction():
-            self._connection.execute(
+    def touch(self, keys) -> None:
+        """Refresh each key's LRU recency, in order, in one transaction.
+
+        Each key in turn becomes the youngest row, exactly as one
+        transaction per key would leave them; absent keys are skipped.
+        """
+        with self._transaction() as connection:
+            connection.executemany(
                 f"UPDATE entries SET seq = {self._next_seq_sql()} WHERE key = ?",
-                (_key_text(key),),
+                [(_key_text(key),) for key in keys],
             )
 
     def store(self, pairs) -> list:
@@ -633,24 +640,38 @@ class SearchCache:
 
     def get(self, key: tuple):
         """Entry for ``key`` or ``None`` when absent (``INFEASIBLE`` is an entry)."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            if self.max_entries is not None:
-                # Refresh recency: dicts iterate in insertion order, so
-                # re-inserting makes this the youngest entry.  The
-                # persistent store's recency follows so the shared LRU
-                # never evicts an entry that is hot in some process.
-                del self._entries[key]
-                self._entries[key] = entry
-                if self._persistent is not None:
-                    self._persistent.touch(key)
-            return entry
-        if self._persistent is not None:
-            entry = self._persistent.get(key)
+        return self.get_many([key])[0]
+
+    def get_many(self, keys) -> list:
+        """Entries for ``keys`` in order, ``None`` for each absent key.
+
+        Each hit becomes the youngest entry in lookup order, as if the keys
+        had been read one :meth:`get` at a time.  On a bounded persistent
+        cache the SQLite store's recency follows, so the shared LRU never
+        evicts an entry that is hot in some process -- for the whole batch
+        in one :meth:`SqliteStore.touch` transaction.
+        """
+        keys = list(keys)
+        entries = []
+        for key in keys:
+            entry = self._entries.get(key)
             if entry is not None:
-                self._entries[key] = entry
-                self._trim_lookaside()
-        return entry
+                if self.max_entries is not None:
+                    # Dicts iterate in insertion order, so re-inserting
+                    # makes this the youngest entry.
+                    del self._entries[key]
+                    self._entries[key] = entry
+            elif self._persistent is not None:
+                entry = self._persistent.get(key)
+                if entry is not None:
+                    self._entries[key] = entry
+                    self._trim_lookaside()
+            entries.append(entry)
+        if self._persistent is not None and self.max_entries is not None:
+            hits = [key for key, entry in zip(keys, entries) if entry is not None]
+            if hits:
+                self._persistent.touch(hits)
+        return entries
 
     def store(self, key: tuple, entry) -> None:
         self.store_many([(key, entry)])

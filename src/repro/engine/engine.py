@@ -1,8 +1,13 @@
 """Parallel, memoized driver for the exhaustive tiling searches.
 
 ``SearchEngine`` is the single entry point through which every consumer
-(:mod:`repro.dataflows.search`, :mod:`repro.analysis.sweep`, the reports,
-the CLI and the benchmarks) runs ``dataflow.search(layer, capacity)``:
+(:mod:`repro.analysis.sweep`, the reports, the DSE, the CLI, the daemon and
+the benchmarks) runs ``dataflow.search(layer, capacity)``.  There is no
+process-wide engine: each caller holds the engine it searches with, and a
+driver called without one builds a private engine for that call.  The
+engine's ``backend`` is the one backend switch in the package; the tile
+model, the Eyeriss tile search, the timing walk and the DSE enumeration
+take their NumPy path whenever NumPy imports.  The engine:
 
 * results are memoized behind a :class:`~repro.engine.cache.SearchCache`
   keyed by ``(dataflow signature, layer signature, capacity_words)``, with
@@ -86,7 +91,8 @@ def resolve_backend(backend) -> str:
     importable and the scalar reference otherwise; asking for ``"numpy"``
     without NumPy installed is an error rather than a silent slowdown.
     """
-    # Imported lazily: repro.dataflows imports this package back.
+    # Imported lazily: repro.dataflows.grid loads NumPy, which set-up paths
+    # such as reproduce-all's (they import this package) must not.
     from repro.dataflows.grid import numpy_available
 
     if backend is None:
@@ -183,25 +189,27 @@ class SearchEngine:
         Duplicate tasks (and tasks already cached) are searched only once;
         infeasible tasks yield ``None`` in the result list.
         """
-        # Imported here: repro.dataflows imports this package back.
+        # Imported here so that importing the engine (as repro.workloads and
+        # repro.arch do, for the signatures) loads no dataflow model.
         from repro.dataflows.base import DataflowResult
 
         tasks = list(tasks)
         keys = task_keys(tasks)
-        # Hits are resolved immediately: under an LRU-bounded cache, storing
+        # Identical tasks in this batch are looked up once.  Hits are
+        # resolved before any store: under an LRU-bounded cache, storing
         # this batch's fresh entries could evict an entry that was counted
         # as a hit before it is read back.  A pending key maps to None until
         # its search fills it in.
-        entries = {}
-        pending = {}
+        distinct = {}
         for key, task in zip(keys, tasks):
-            if key in entries:
-                # Deduplicated against an identical task in this batch.
-                continue
-            entry = None if self.cache is None else self.cache.get(key)
-            entries[key] = entry
-            if entry is None:
-                pending[key] = task
+            distinct.setdefault(key, task)
+        if self.cache is None:
+            entries = dict.fromkeys(distinct)
+        else:
+            # One lookup call, so a bounded SQLite cache refreshes every
+            # hit's recency in one transaction.
+            entries = dict(zip(distinct, self.cache.get_many(distinct)))
+        pending = {key: distinct[key] for key, entry in entries.items() if entry is None}
         self.stats.misses += len(pending)
         self.stats.hits += len(tasks) - len(pending)
 
@@ -240,7 +248,7 @@ class SearchEngine:
         the grid's exact ``int64`` arithmetic (:func:`~repro.dataflows.grid.
         int64_safe`).
         """
-        # Imported here: repro.dataflows imports this package back.
+        # Imported here: repro.dataflows.grid loads NumPy (see resolve_backend).
         from repro.dataflows.grid import int64_safe
 
         if not pending:
@@ -374,8 +382,7 @@ class SearchEngine:
 
     @staticmethod
     def _all_dataflows():
-        # Imported lazily: repro.dataflows.search routes through this module,
-        # so a top-level import would be circular.
+        # Imported lazily, like DataflowResult in search_tasks.
         from repro.dataflows.registry import ALL_DATAFLOWS
 
         return ALL_DATAFLOWS

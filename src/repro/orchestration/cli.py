@@ -31,6 +31,7 @@ import argparse
 import json
 import sys
 
+from repro.engine import BACKENDS, resolve_backend, resolve_workers
 from repro.orchestration.experiments import (
     PAPER_EXPERIMENTS,
     add_experiment_flags,
@@ -95,7 +96,7 @@ def build_orchestration_parser() -> argparse.ArgumentParser:
     spec_parent.add_argument(
         "--backends",
         nargs="+",
-        choices=["auto", "numpy", "python"],
+        choices=BACKENDS,
         default=["auto"],
         help="search backends to cross search-based experiments over "
         "(default: auto; pass 'numpy python' to archive both, bit-identical)",
@@ -303,7 +304,6 @@ def _build_spec(args) -> ManifestSpec:
     # front so a typo fails fast with one clear exit-2 message instead of
     # surfacing as N per-unit failures mid-run (the engine re-validates at
     # construction, but by then every unit would record the same error).
-    from repro.engine import resolve_backend, resolve_workers
     from repro.workloads.registry import get_workload_spec
 
     for workload in args.workloads:
@@ -443,8 +443,6 @@ def _resume_fleet(args, metadata, manifest) -> int:
     elif args.unit_budget is not None:
         overrides["unit_budget"] = args.unit_budget
     config = FleetConfig.from_dict(dict(config.as_dict(), **overrides))
-    from repro.engine import resolve_workers
-
     resolve_workers(config.search_workers)
     report = run_fleet(manifest, args.out_dir, config)
     _emit_report(report, args.json)
@@ -470,8 +468,6 @@ def _cmd_resume(args) -> int:
             )
     shard = parse_shard(args.shard) if args.shard else tuple(metadata["shard"])
     workers = args.workers if args.workers is not None else metadata.get("workers", 1)
-    from repro.engine import resolve_workers
-
     resolve_workers(workers)
     runner = Runner(manifest, args.out_dir, workers=workers)
     report = runner.run(shard=shard, resume=True, max_units=args.max_units)
@@ -548,10 +544,12 @@ def main(argv: list = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # Same convention as the flat CLI: operator mistakes (bad spec, bad
-    # shard, unmergeable trees) exit 2 with one message, no traceback;
-    # genuine internal bugs surface as other exception types and keep
-    # their tracebacks.
-    except (UnknownWorkloadError, ValueError) as error:
+    # shard, unmergeable trees) exit 2 with one message, no traceback, and
+    # so does an environment failure such as a full disk -- every artifact
+    # is written atomically, so the tree it leaves resumes cleanly.  Genuine
+    # internal bugs surface as other exception types and keep their
+    # tracebacks.
+    except (UnknownWorkloadError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

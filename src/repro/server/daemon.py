@@ -47,7 +47,7 @@ import sys
 import time
 
 from repro import __version__
-from repro.engine import SearchEngine
+from repro.engine import BACKENDS, SearchEngine
 from repro.orchestration.experiments import resolve_experiment_name
 from repro.orchestration.manifest import (
     DEFAULT_WORKLOADS,
@@ -562,7 +562,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["auto", "numpy", "python"],
+        choices=BACKENDS,
         default="auto",
         help="search backend (results are bit-identical either way)",
     )

@@ -11,7 +11,6 @@ from repro.timing.simulator import (
     NetworkTimingResult,
     TileGroup,
     TimingSimulator,
-    resolve_timing_backend,
     steady_breakeven_bytes_per_cycle,
     tile_groups,
     timing_network_energy,
@@ -23,7 +22,6 @@ __all__ = [
     "NetworkTimingResult",
     "TileGroup",
     "TimingSimulator",
-    "resolve_timing_backend",
     "steady_breakeven_bytes_per_cycle",
     "tile_groups",
     "timing_network_energy",

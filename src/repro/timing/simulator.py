@@ -24,9 +24,11 @@ buffer by the stream order (inputs first, weights last): of an exposed
 window ``s``, the final ``min(s, weight_load_cycles)`` cycles are WGBuf
 time and the rest IGBuf time.
 
-Two backends produce bit-identical reports: a scalar reference loop that
-advances a clock tile by tile, and a NumPy backend that evaluates the same
-recurrence as a prefix sum over the whole tile stream
+Two walks produce bit-identical reports: a scalar reference loop that
+advances a clock tile by tile (:func:`_simulate_python`), and a NumPy walk
+that evaluates the same recurrence as a prefix sum over the whole tile
+stream (:func:`_simulate_numpy`).  The simulator picks at call time: the
+NumPy walk whenever NumPy imports, the scalar loop otherwise
 (``tests/test_timing_parity.py`` proves the equivalence, and
 ``benchmarks/bench_timing.py`` gates the speedup at >= 10x).
 """
@@ -43,17 +45,15 @@ from repro.arch.mapping import BlockShape, iteration_cost, map_block
 from repro.core.layer import ConvLayer, ceil_div
 from repro.core.tiling import Tiling
 from repro.core.traffic import BYTES_PER_WORD, bytes_per_cycle_fraction, cycles_for_bytes
+# Module level on purpose: NumPy (when installed) loads with the simulator,
+# not inside the first timed walk.
+from repro.dataflows.grid import numpy_available, require_numpy
 from repro.engine.cache import SHAPE_MEMO_SIZE, layer_signature, signature_layer
-
-try:  # The vectorized backend is optional, exactly like the search engine's.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
 
 #: The paper's DRAM bandwidth: 6.4 GB/s (Section VI), i.e. 12.8 B/cycle.
 DEFAULT_DRAM_BANDWIDTH_BYTES_PER_S = 6.4e9
 
-#: Guard for the NumPy backend: if the worst-case total cycle count cannot
+#: Guard for the NumPy walk: if the worst-case total cycle count cannot
 #: be represented comfortably in int64 (absurdly low bandwidths), the
 #: simulator transparently uses the (equally exact) scalar reference.
 _INT64_SAFE_LIMIT = 2 ** 62
@@ -316,19 +316,6 @@ class NetworkTimingResult:
         return self.dram_bytes_moved / self.total_cycles if self.total_cycles else 0.0
 
 
-def resolve_timing_backend(backend: str) -> str:
-    """Normalise ``auto``/``numpy``/``python`` against numpy availability."""
-    if backend == "auto":
-        return "numpy" if _np is not None else "python"
-    if backend == "numpy":
-        if _np is None:
-            raise ValueError("backend 'numpy' requested but numpy is not installed")
-        return backend
-    if backend == "python":
-        return backend
-    raise ValueError(f"unknown timing backend {backend!r}; choose auto, numpy or python")
-
-
 class TimingSimulator:
     """Tile-level timing of one accelerator configuration at one bandwidth."""
 
@@ -336,14 +323,12 @@ class TimingSimulator:
         self,
         config: AcceleratorConfig,
         dram_bandwidth_bytes_per_s=DEFAULT_DRAM_BANDWIDTH_BYTES_PER_S,
-        backend: str = "auto",
     ):
         self.config = config
         self.dram_bandwidth_bytes_per_s = dram_bandwidth_bytes_per_s
         self.bytes_per_cycle = bytes_per_cycle_fraction(
             dram_bandwidth_bytes_per_s, config.clock_hz
         )
-        self.backend = resolve_timing_backend(backend)
 
     # ------------------------------------------------------------------ api
 
@@ -352,9 +337,9 @@ class TimingSimulator:
         choice so both models walk the identical schedule.
 
         The report depends only on the configuration, the bandwidth, the
-        backend, the layer's shape and the clipped tiling, so the walk runs
-        once per such key in the bounded :func:`shape_timing` memo and every
-        call gets the memoized report relabelled with ``layer.name``.
+        layer's shape and the clipped tiling, so the walk runs once per such
+        key in the bounded :func:`shape_timing` memo and every call gets the
+        memoized report relabelled with ``layer.name``.
         """
         if tiling is None:
             from repro.arch.accelerator import AcceleratorModel
@@ -364,13 +349,13 @@ class TimingSimulator:
         else:
             tiling = tiling.clip(layer)
         return shape_timing(
-            self.config, self.dram_bandwidth_bytes_per_s, layer_signature(layer), tiling, self.backend
+            self.config, self.dram_bandwidth_bytes_per_s, layer_signature(layer), tiling
         ).relabelled(layer.name)
 
     def _walk(self, layer: ConvLayer, tiling: Tiling) -> LayerTimingReport:
         """The uncached tile-stream walk behind :meth:`run_layer`."""
         groups = tile_groups(layer, tiling, self.config)
-        if self.backend == "numpy":
+        if numpy_available():
             stats = _simulate_numpy(groups, self.bytes_per_cycle)
         else:
             stats = _simulate_python(groups, self.bytes_per_cycle)
@@ -406,7 +391,7 @@ class TimingSimulator:
 
 @functools.lru_cache(maxsize=SHAPE_MEMO_SIZE, typed=True)
 def shape_timing(
-    config: AcceleratorConfig, dram_bandwidth_bytes_per_s, signature: tuple, tiling: Tiling, backend: str
+    config: AcceleratorConfig, dram_bandwidth_bytes_per_s, signature: tuple, tiling: Tiling
 ) -> LayerTimingReport:
     """:meth:`TimingSimulator.run_layer` of one layer shape under a clipped tiling.
 
@@ -415,11 +400,11 @@ def shape_timing(
     ``Fraction`` are distinct keys, so each report keeps its caller's
     bandwidth object.
     """
-    simulator = TimingSimulator(config, dram_bandwidth_bytes_per_s, backend=backend)
+    simulator = TimingSimulator(config, dram_bandwidth_bytes_per_s)
     return simulator._walk(signature_layer(signature), tiling)
 
 
-# ------------------------------------------------------------------ backends
+# -------------------------------------------------------------------- walks
 
 
 def _group_cycles(group: TileGroup, bytes_per_cycle) -> tuple:
@@ -477,13 +462,14 @@ def _simulate_python(groups, bytes_per_cycle) -> dict:
 
 
 def _simulate_numpy(groups, bytes_per_cycle) -> dict:
-    """Vectorized backend: the same recurrence as a tile-stream prefix sum.
+    """Vectorized walk: the same recurrence as a tile-stream prefix sum.
 
     Per-group durations are computed with exact Python integers (huge
     denominators from pathological bandwidths never touch int64), then
     broadcast across the tile stream; the clock is the prefix sum of the
     per-tile advances and the total is its last element.
     """
+    np = require_numpy()
     per_group = [_group_cycles(group, bytes_per_cycle) for group in groups]
     worst_case = sum(
         group.count * (group.iterations * (compute + load) + max(0, drain - compute))
@@ -500,36 +486,36 @@ def _simulate_numpy(groups, bytes_per_cycle) -> dict:
     if not active:
         return _simulate_python(groups, bytes_per_cycle)
 
-    tiles = _np.array([group.tiles for group, _ in active], dtype=_np.int64)
-    compute = _np.repeat(
-        _np.array([cycles[0] for _, cycles in active], dtype=_np.int64), tiles
+    tiles = np.array([group.tiles for group, _ in active], dtype=np.int64)
+    compute = np.repeat(
+        np.array([cycles[0] for _, cycles in active], dtype=np.int64), tiles
     )
-    load = _np.repeat(
-        _np.array([cycles[1] for _, cycles in active], dtype=_np.int64), tiles
+    load = np.repeat(
+        np.array([cycles[1] for _, cycles in active], dtype=np.int64), tiles
     )
-    weight_load = _np.repeat(
-        _np.array([cycles[2] for _, cycles in active], dtype=_np.int64), tiles
+    weight_load = np.repeat(
+        np.array([cycles[2] for _, cycles in active], dtype=np.int64), tiles
     )
     periods = {group.iterations for group, _ in active}
     if len(periods) == 1:
         # Every group of a layer shares ceil(Ci/k) iterations and contributes
         # a multiple of that many tiles, so one arange over the whole stream
         # marks each block's first tile.
-        first = _np.arange(int(tiles.sum()), dtype=_np.int64) % periods.pop() == 0
+        first = np.arange(int(tiles.sum()), dtype=np.int64) % periods.pop() == 0
     else:
-        first = _np.concatenate(
+        first = np.concatenate(
             [
-                _np.arange(group.tiles, dtype=_np.int64) % group.iterations == 0
+                np.arange(group.tiles, dtype=np.int64) % group.iterations == 0
                 for group, _ in active
             ]
         )
 
-    stall = _np.where(first, load, _np.maximum(load - compute, 0))
-    wgbuf = _np.minimum(stall, weight_load)
+    stall = np.where(first, load, np.maximum(load - compute, 0))
+    wgbuf = np.minimum(stall, weight_load)
     igbuf = stall - wgbuf
     # The double-buffer recurrence: each tile finishes one advance after the
     # previous, so the stream clock is a prefix sum of the advances.
-    finish = _np.cumsum(stall + compute)
+    finish = np.cumsum(stall + compute)
     stream_cycles = int(finish[-1])
 
     drain_total = sum(

@@ -6,6 +6,7 @@ from repro.core.layer import ConvLayer
 from repro.core.traffic import TrafficBreakdown
 from repro.dataflows.base import Dataflow, DataflowResult, candidate_extents
 from repro.dataflows.registry import ALL_DATAFLOWS, BASELINE_DATAFLOWS, dataflow_names, get_dataflow
+from repro.engine import SearchEngine
 
 
 class _ToyDataflow(Dataflow):
@@ -110,7 +111,7 @@ class TestSearch:
     def test_network_traffic_sums_layers(self, layer):
         dataflow = _ToyDataflow()
         single = dataflow.search(layer, 10).traffic.total
-        network = dataflow.network_traffic([layer, layer], 10)
+        network = SearchEngine().network_traffic([layer, layer], 10, dataflow=dataflow)
         assert network.total == pytest.approx(2 * single)
 
     def test_repr_mentions_name(self):

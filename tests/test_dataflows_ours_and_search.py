@@ -6,12 +6,17 @@ from repro.core.layer import ConvLayer
 from repro.core.lower_bound import practical_lower_bound
 from repro.dataflows.ours import OptimalDataflow
 from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow
-from repro.dataflows.search import found_minimum, network_traffic, per_layer_results
+from repro.engine import SearchEngine
 
 
 @pytest.fixture
 def layer():
     return ConvLayer("l", 2, 32, 28, 28, 64, 3, 3, stride=1, padding=1)
+
+
+@pytest.fixture
+def engine():
+    return SearchEngine()
 
 
 class TestOptimalDataflowAdapter:
@@ -64,9 +69,9 @@ class TestOptimalDataflowAdapter:
 
 
 class TestFoundMinimum:
-    def test_found_minimum_not_worse_than_any_dataflow(self, layer):
+    def test_found_minimum_not_worse_than_any_dataflow(self, layer, engine):
         capacity = 16384
-        best = found_minimum(layer, capacity)
+        best = engine.found_minimum(layer, capacity)
         for dataflow in ALL_DATAFLOWS:
             try:
                 result = dataflow.search(layer, capacity)
@@ -74,34 +79,34 @@ class TestFoundMinimum:
                 continue
             assert best.total <= result.total + 1e-6
 
-    def test_found_minimum_close_to_ours(self, vgg_layers, capacity_66k):
+    def test_found_minimum_close_to_ours(self, vgg_layers, capacity_66k, engine):
         ours = get_dataflow("Ours")
         ours_total = sum(ours.search(layer, capacity_66k).total for layer in vgg_layers)
-        min_total = sum(found_minimum(layer, capacity_66k).total for layer in vgg_layers)
+        min_total = sum(engine.found_minimum(layer, capacity_66k).total for layer in vgg_layers)
         # Paper: the found minimum improves on the proposed dataflow by <5%.
         assert min_total <= ours_total
         assert min_total >= 0.85 * ours_total
 
-    def test_raises_when_no_dataflow_fits(self):
+    def test_raises_when_no_dataflow_fits(self, engine):
         layer = ConvLayer("l", 1, 8, 20, 20, 16, 3, 3)
         with pytest.raises(ValueError):
-            found_minimum(layer, capacity_words=0, dataflows=ALL_DATAFLOWS[1:3])
+            engine.found_minimum(layer, capacity_words=0, dataflows=ALL_DATAFLOWS[1:3])
 
 
 class TestNetworkTraffic:
-    def test_with_explicit_dataflow(self, layer):
+    def test_with_explicit_dataflow(self, layer, engine):
         capacity = 8192
         ours = get_dataflow("Ours")
-        total = network_traffic([layer, layer], capacity, dataflow=ours)
+        total = engine.network_traffic([layer, layer], capacity, dataflow=ours)
         single = ours.search(layer, capacity).total
         assert total.total == pytest.approx(2 * single)
 
-    def test_found_minimum_network(self, layer):
+    def test_found_minimum_network(self, layer, engine):
         capacity = 8192
-        total = network_traffic([layer], capacity)
-        assert total.total == pytest.approx(found_minimum(layer, capacity).total)
+        total = engine.network_traffic([layer], capacity)
+        assert total.total == pytest.approx(engine.found_minimum(layer, capacity).total)
 
-    def test_per_layer_results(self, layer):
-        results = per_layer_results([layer, layer], 8192, get_dataflow("InR-C"))
+    def test_per_layer_results(self, layer, engine):
+        results = engine.per_layer_results([layer, layer], 8192, get_dataflow("InR-C"))
         assert len(results) == 2
         assert all(result.dataflow == "InR-C" for result in results)

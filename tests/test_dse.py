@@ -45,7 +45,13 @@ from repro.dse.pareto import (
     pareto_frontier,
     validate_objectives,
 )
-from repro.dse.space import CandidateSpace, enumerate_configs, enumerate_splits
+from repro.dse.space import (
+    CandidateSpace,
+    _enumerate_scalar,
+    _enumerate_vectorized,
+    enumerate_configs,
+    enumerate_splits,
+)
 from repro.energy.model import EnergyModel
 from repro.engine import SearchEngine
 from repro.orchestration.manifest import ManifestSpec, RunManifest
@@ -74,27 +80,28 @@ def canonical(value) -> str:
 class TestEnumeration:
     def test_all_candidates_fit_the_budget(self):
         budget = 20_000
-        for config in enumerate_configs(budget, backend="python"):
+        for config in enumerate_configs(budget):
             assert config.effective_on_chip_words <= budget
             assert config.pe_rows % config.group_rows == 0
             assert config.pe_cols % config.group_cols == 0
             assert config.pe_cols <= config.pe_rows <= 4 * config.pe_cols
 
     def test_enumeration_order_is_canonical_and_deterministic(self):
-        first = enumerate_splits(30_000, backend="python")
-        second = enumerate_splits(30_000, backend="python")
+        first = enumerate_splits(30_000)
+        second = enumerate_splits(30_000)
         assert first == second
         assert len(set(first)) == len(first)
 
     def test_vectorized_enumeration_is_bit_identical(self):
         pytest.importorskip("numpy")
+        space = CandidateSpace()
         for budget in (1_000, 17_000, 65_000, 10**9):
-            scalar = enumerate_splits(budget, backend="python")
-            vectorized = enumerate_splits(budget, backend="numpy")
+            scalar = _enumerate_scalar(budget, space, space.pe_pairs())
+            vectorized = _enumerate_vectorized(budget, space, space.pe_pairs())
             assert scalar == vectorized
 
     def test_budget_below_smallest_candidate_yields_nothing(self):
-        assert enumerate_splits(1, backend="python") == []
+        assert enumerate_splits(1) == []
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
@@ -103,7 +110,7 @@ class TestEnumeration:
     def test_paper_splits_are_enumerable(self):
         """Every Table I memory split is a point of the default space."""
         budget = max(config.effective_on_chip_words for config in PAPER_IMPLEMENTATIONS)
-        splits = set(enumerate_splits(budget, backend="python"))
+        splits = set(enumerate_splits(budget))
         for config in PAPER_IMPLEMENTATIONS:
             assert config.memory_split in splits, config.name
 

@@ -28,7 +28,13 @@ from repro.dse.pareto import (
     merge_frontiers,
     pareto_frontier,
 )
-from repro.dse.space import CandidateSpace, count_splits, enumerate_splits
+from repro.dse.space import (
+    CandidateSpace,
+    _enumerate_scalar,
+    _enumerate_vectorized,
+    count_splits,
+    enumerate_splits,
+)
 
 OBJ = ("dram", "energy", "time")
 
@@ -125,7 +131,7 @@ class TestEnumerationProperties:
     @settings(max_examples=40, deadline=None)
     @given(space=candidate_spaces(), budget=st.integers(1, 200_000))
     def test_splits_honour_budget_and_structure(self, space, budget):
-        splits = enumerate_splits(budget, space, backend="python")
+        splits = enumerate_splits(budget, space)
         assert len(set(splits)) == len(splits)
         for rows, cols, lreg, igbuf, wgbuf in splits:
             assert rows * cols * lreg + igbuf + wgbuf <= budget
@@ -136,15 +142,12 @@ class TestEnumerationProperties:
     @given(space=candidate_spaces(), budget=st.integers(1, 200_000))
     def test_backends_enumerate_identically(self, space, budget):
         pytest.importorskip("numpy")
-        assert enumerate_splits(budget, space, backend="numpy") == enumerate_splits(
-            budget, space, backend="python"
-        )
+        pairs = space.pe_pairs()
+        assert _enumerate_vectorized(budget, space, pairs) == _enumerate_scalar(budget, space, pairs)
 
     @settings(max_examples=40, deadline=None)
     @given(space=candidate_spaces(), budget=st.integers(1, 200_000))
     def test_count_splits_matches_enumeration(self, space, budget):
         # The arithmetic space-size count (what smart-explorer payloads
         # report as config_count_total) agrees with materialisation.
-        assert count_splits(budget, space) == len(
-            enumerate_splits(budget, space, backend="python")
-        )
+        assert count_splits(budget, space) == len(enumerate_splits(budget, space))

@@ -86,8 +86,8 @@ def smart_sweep(engine, explorer, seed=0, slice_spec=(1, 1), space=SMALL_SPACE,
 class TestSplitGrid:
     def test_feasibility_matches_enumeration(self):
         budget = kib_to_words(TINY_BUDGET_KIB)
-        grid = SplitGrid(SMALL_SPACE, budget, backend="python")
-        enumerated = set(enumerate_splits(budget, SMALL_SPACE, backend="python"))
+        grid = SplitGrid(SMALL_SPACE, budget)
+        enumerated = set(enumerate_splits(budget, SMALL_SPACE))
         axes = grid.axes
         everything = {
             (r, c, l, i, w)
@@ -101,8 +101,8 @@ class TestSplitGrid:
 
     def test_window_splits_stay_inside_the_space(self):
         budget = kib_to_words(TINY_BUDGET_KIB)
-        grid = SplitGrid(SMALL_SPACE, budget, backend="python")
-        full = set(enumerate_splits(budget, SMALL_SPACE, backend="python"))
+        grid = SplitGrid(SMALL_SPACE, budget)
+        full = set(enumerate_splits(budget, SMALL_SPACE))
         anchor = sorted(full)[0]
         for radius in (1, 2):
             window = grid.window_splits(anchor, radius)
@@ -111,23 +111,23 @@ class TestSplitGrid:
 
     def test_coarse_splits_cover_axis_endpoints(self):
         budget = kib_to_words(64.0)
-        grid = SplitGrid(SMALL_SPACE, budget, backend="python")
+        grid = SplitGrid(SMALL_SPACE, budget)
         coarse = set(grid.coarse_splits(2))
-        assert coarse <= set(enumerate_splits(budget, SMALL_SPACE, backend="python"))
+        assert coarse <= set(enumerate_splits(budget, SMALL_SPACE))
         # The smallest and largest PE dims both survive the stride.
         assert any(split[0] == SMALL_SPACE.pe_dims[0] for split in coarse)
         assert any(split[0] == SMALL_SPACE.pe_dims[-1] for split in coarse)
 
     def test_random_split_is_feasible_and_seed_deterministic(self):
         budget = kib_to_words(TINY_BUDGET_KIB)
-        grid = SplitGrid(SMALL_SPACE, budget, backend="python")
+        grid = SplitGrid(SMALL_SPACE, budget)
         draws = [grid.random_split(random.Random(7)) for _ in range(3)]
         assert draws[0] is not None and grid.feasible(draws[0])
         assert draws.count(draws[0]) == 3
 
     def test_mutate_returns_feasible_or_none(self):
         budget = kib_to_words(TINY_BUDGET_KIB)
-        grid = SplitGrid(SMALL_SPACE, budget, backend="python")
+        grid = SplitGrid(SMALL_SPACE, budget)
         rng = random.Random(3)
         split = grid.random_split(rng)
         for _ in range(50):
@@ -229,7 +229,7 @@ class TestSmartExplorers:
     def test_thin_budget_falls_back_to_coarse_seeding(self, engine):
         # A budget admitting almost nothing: rejection sampling may find no
         # start, the coarse fallback must still locate the survivors.
-        splits = enumerate_splits(kib_to_words(3.3), SMALL_SPACE, backend="python")
+        splits = enumerate_splits(kib_to_words(3.3), SMALL_SPACE)
         assert 1 <= len(splits) <= 2
         for explorer in SMART_EXPLORERS:
             payload = smart_sweep(engine, explorer, seed=0, budget_kib=3.3)
@@ -255,7 +255,7 @@ class TestCertificate:
         certificate = payload["certificate"]
         assert certificate["verified"] is True
         # Every frontier point's whole trust region was evaluated.
-        grid = SplitGrid(SMALL_SPACE, payload["budget_words"], backend="python")
+        grid = SplitGrid(SMALL_SPACE, payload["budget_words"])
         evaluated = {split_of_row(row) for row in payload["configs"]}
         for row in payload["frontier"]:
             region = grid.window_splits(split_of_row(row), certificate["region"])
@@ -267,7 +267,7 @@ class TestCertificate:
         import repro.dse.smart as smart_module
 
         budget = kib_to_words(TINY_BUDGET_KIB)
-        grid = SplitGrid(SMALL_SPACE, budget, backend="python")
+        grid = SplitGrid(SMALL_SPACE, budget)
 
         def score(splits):
             return [
@@ -291,7 +291,7 @@ class TestCertificate:
 
     def test_region_must_be_positive(self):
         budget = kib_to_words(TINY_BUDGET_KIB)
-        grid = SplitGrid(SMALL_SPACE, budget, backend="python")
+        grid = SplitGrid(SMALL_SPACE, budget)
         evaluator = ConfigEvaluator(lambda splits: [None] * len(splits), ("dram",))
         with pytest.raises(ValueError, match="region"):
             run_certificate(evaluator, grid, 0)

@@ -13,11 +13,9 @@ from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow
 from repro.engine import (
     SearchEngine,
     dataflow_signature,
-    get_default_engine,
     layer_signature,
     resolve_backend,
     resolve_workers,
-    set_default_engine,
     signature_layer,
     task_key,
 )
@@ -440,21 +438,6 @@ class TestBackendCacheParity:
         scalar.search_tasks(tasks)
         vectorized.search_tasks(tasks)
         assert set(scalar.cache._entries) == set(vectorized.cache._entries)
-
-
-class TestDefaultEngine:
-    def test_default_engine_is_process_wide(self):
-        first = get_default_engine()
-        assert get_default_engine() is first
-
-    def test_set_default_engine_swaps_and_returns_previous(self):
-        previous = get_default_engine()
-        replacement = SearchEngine()
-        try:
-            assert set_default_engine(replacement) is previous
-            assert get_default_engine() is replacement
-        finally:
-            set_default_engine(previous)
 
 
 class TestMemorySweepRegression:

@@ -14,6 +14,7 @@ The acceptance contract under test:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -553,6 +554,36 @@ class TestOrchestrationCli:
         assert self.run_cli("resume", "--out-dir", out_dir, "--json") == 0
         report = json.loads(capsys.readouterr().out)
         assert report["shard"] == [1, 2]
+
+    @pytest.mark.parametrize("writes", [2, 3, 4, 7])
+    def test_full_disk_exits_2_and_leaves_a_resumable_tree(self, tmp_path, capsys, monkeypatch, writes):
+        """ENOSPC after ``writes`` artifact writes (the manifest and run.json
+        come first, then each unit's artifact and status): one error line,
+        exit 2, and a tree that resumes to the uninterrupted run's bytes."""
+        from repro.orchestration import runner as runner_module
+
+        spec = ["--workloads", "tiny", "--experiments", "table1", "table2", "fig16"]
+        clean_dir = str(tmp_path / "clean")
+        assert self.run_cli("run", "--out-dir", clean_dir, *spec) == 0
+        real_write = runner_module.write_text_atomic
+        written = []
+
+        def full_disk(path, text):
+            if len(written) >= writes:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            written.append(path)
+            real_write(path, text)
+
+        monkeypatch.setattr(runner_module, "write_text_atomic", full_disk)
+        out_dir = str(tmp_path / "full")
+        capsys.readouterr()
+        assert self.run_cli("run", "--out-dir", out_dir, *spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
+        assert err.count("\n") == 1
+        monkeypatch.undo()
+        assert self.run_cli("resume", "--out-dir", out_dir) == 0
+        assert read_tree(out_dir) == read_tree(clean_dir)
 
     def test_resume_without_run_exits_2(self, tmp_path, capsys):
         assert self.run_cli("resume", "--out-dir", str(tmp_path / "empty")) == 2

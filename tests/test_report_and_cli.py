@@ -134,13 +134,6 @@ class TestCliEngineFlags:
         assert main(["table1", "--cache-file", str(path)]) == 0
         assert path.exists()
 
-    def test_main_restores_default_engine(self):
-        from repro.engine import get_default_engine
-
-        before = get_default_engine()
-        assert main(["table1", "--no-cache"]) == 0
-        assert get_default_engine() is before
-
 
 class TestCliBackendFlag:
     def test_parser_defaults_to_auto(self):

@@ -2,11 +2,10 @@
 
 The tile model's walk (:func:`repro.arch.accelerator.shape_run`) and the
 timing simulator's (:func:`repro.timing.simulator.shape_timing`) run once
-per (configuration, bandwidth and its type, layer shape, clipped tiling,
-plus the backend for timing); every ``run_layer`` call gets the memoized
-result relabelled with its own layer name.  ``memory_sweep`` sends the
-engine one task per distinct shape and weights each total by its layer
-count.  These tests pin that
+per (configuration, bandwidth and its type, layer shape, clipped tiling);
+every ``run_layer`` call gets the memoized result relabelled with its own
+layer name.  ``memory_sweep`` sends the engine one task per distinct shape
+and weights each total by its layer count.  These tests pin that
 
 * a memo hit equals a fresh, uncached walk in every field but
   ``layer_name``, for float, equal-valued ``Fraction`` and infinite
@@ -16,7 +15,9 @@ count.  These tests pin that
 * every shape memo is bounded;
 * the census payload is byte-identical to the per-layer loop it replaced
   (kept below as the reference) on every registered workload, and the
-  census sends capacities x dataflows x shapes tasks.
+  census sends capacities x dataflows x shapes tasks;
+* a network result's kept sums and the memoized per-access energies leave
+  every payload built on them byte-identical to per-layer recomputation.
 """
 
 import dataclasses
@@ -32,23 +33,25 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.analysis.sweep import FIG13_DEFAULT_CAPACITIES_KIB, memory_sweep, words_to_mb  # noqa: E402
-from repro.arch.accelerator import AcceleratorModel, shape_run, shape_tiling  # noqa: E402
+from repro.analysis.goldens import sanitize_payload  # noqa: E402
+from repro.arch import accelerator  # noqa: E402
+from repro.arch.accelerator import AcceleratorModel, NetworkRunResult, shape_run, shape_tiling  # noqa: E402
 from repro.arch.config import PAPER_IMPLEMENTATIONS, paper_implementation  # noqa: E402
 from repro.core.layer import ConvLayer, kib_to_words  # noqa: E402
 from repro.core.lower_bound import practical_lower_bound  # noqa: E402
+from repro.core.traffic import TrafficBreakdown  # noqa: E402
 from repro.dataflows.grid import numpy_available  # noqa: E402
 from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow  # noqa: E402
 from repro.engine import SearchEngine, layer_signature  # noqa: E402
+from repro.energy import model as energy_model  # noqa: E402
 from repro.engine.cache import SHAPE_MEMO_SIZE  # noqa: E402
 from repro.eyeriss.model import shape_best_tile  # noqa: E402
+from repro.orchestration.experiments import ExperimentContext, get_experiment, load_experiments  # noqa: E402
 from repro.timing import TimingSimulator  # noqa: E402
 from repro.timing.simulator import shape_timing  # noqa: E402
 from repro.workloads.registry import get_workload_spec, workload_names  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-
-TIMING_BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
-
 
 @st.composite
 def conv_layers(draw):
@@ -111,16 +114,15 @@ class TestWalkMemos:
             except ValueError:
                 continue
             for value in bandwidth_forms(bandwidth):
-                for backend in TIMING_BACKENDS:
-                    simulator = TimingSimulator(config, value, backend=backend)
-                    simulator.run_layer(layer)
-                    hits = shape_timing.cache_info().hits
-                    hit = simulator.run_layer(dataclasses.replace(layer, name="other"))
-                    assert shape_timing.cache_info().hits == hits + 1
-                    fresh = simulator._walk(layer, tiling)
-                    assert hit.layer_name == "other" and fresh.layer_name == "drawn"
-                    assert without_name(hit) == without_name(fresh)
-                    assert type(hit.bandwidth_bytes_per_s) is type(value)
+                simulator = TimingSimulator(config, value)
+                simulator.run_layer(layer)
+                hits = shape_timing.cache_info().hits
+                hit = simulator.run_layer(dataclasses.replace(layer, name="other"))
+                assert shape_timing.cache_info().hits == hits + 1
+                fresh = simulator._walk(layer, tiling)
+                assert hit.layer_name == "other" and fresh.layer_name == "drawn"
+                assert without_name(hit) == without_name(fresh)
+                assert type(hit.bandwidth_bytes_per_s) is type(value)
 
     @SETTINGS
     @given(layer=conv_layers())
@@ -248,3 +250,56 @@ def test_census_sends_one_task_per_shape():
     assert len(layers) == 1568 and shapes == 7
     tasks = engine.stats.hits + engine.stats.misses
     assert tasks == len(FIG13_DEFAULT_CAPACITIES_KIB) * len(ALL_DATAFLOWS) * shapes == 392
+
+
+# ------------------------------------------------------- network aggregates
+
+
+class PerLayerNetworkResult(NetworkRunResult):
+    """:class:`NetworkRunResult` before its sums were kept: every access
+    walks the layers again, and ``utilization`` sums each key on demand."""
+
+    macs = property(lambda self: sum(result.macs for result in self.layers))
+    gbuf_accesses = property(lambda self: sum(result.gbuf_accesses for result in self.layers))
+    reg_accesses = property(lambda self: sum(result.reg_accesses for result in self.layers))
+    compute_cycles = property(lambda self: sum(result.compute_cycles for result in self.layers))
+    waiting_cycles = property(lambda self: sum(result.waiting_cycles for result in self.layers))
+
+    @property
+    def dram(self):
+        total = TrafficBreakdown()
+        for result in self.layers:
+            total = total + result.dram
+        return total
+
+    def utilization(self, key):
+        total_cycles = sum(result.compute_cycles for result in self.layers)
+        if not total_cycles:
+            return 0.0
+        weighted = sum(
+            result.utilization.get(key, 0.0) * result.compute_cycles for result in self.layers
+        )
+        return weighted / total_cycles
+
+
+def aggregate_payloads(workload):
+    """Canonical JSON of every payload built from network aggregates."""
+    load_experiments()
+    payloads = {}
+    for name in ("fig18", "fig19", "fig20", "table4"):
+        experiment = get_experiment(name)
+        context = ExperimentContext(workload=workload, engine=None, params=dict(experiment.default_params))
+        payloads[name] = json.dumps(sanitize_payload(experiment.build(context)), sort_keys=True)
+    return payloads
+
+
+def test_network_aggregates_match_a_per_layer_reference(monkeypatch):
+    """Kept sums and memoized access energies leave every fig18, fig19,
+    fig20 and table4 payload byte-identical to per-layer recomputation."""
+    kept = aggregate_payloads("llama_decode:4")
+    monkeypatch.setattr(accelerator, "NetworkRunResult", PerLayerNetworkResult)
+    for name in ("sram_access_energy_pj", "lreg_access_energy_pj"):
+        monkeypatch.setattr(energy_model, name, getattr(energy_model, name).__wrapped__)
+    layers = get_workload_spec("tiny")
+    assert type(AcceleratorModel(paper_implementation(1)).run_network(layers)) is PerLayerNetworkResult
+    assert aggregate_payloads("llama_decode:4") == kept

@@ -193,6 +193,45 @@ class TestPersistenceParity:
             batched.close()
 
 
+class TestBatchedTouch:
+    """A batch's hits refresh their SQLite recency in one transaction."""
+
+    def test_a_batch_of_hits_is_touched_in_one_transaction(self, tmp_path, layers, monkeypatch):
+        path = str(tmp_path / "cache.sqlite")
+        dataflow = get_dataflow("Ours")
+        tasks = [(dataflow, layer, 4096) for layer in layers]
+        SearchEngine(cache_path=path, cache_max_entries=16).search_tasks(tasks)
+        # A fresh engine: every hit is read from SQLite, not the look-aside.
+        engine = SearchEngine(cache_path=path, cache_max_entries=16)
+        transactions = []
+        touched = []
+        real_transaction, real_touch = SqliteStore._transaction, SqliteStore.touch
+
+        def transaction(store):
+            transactions.append(store.path)
+            return real_transaction(store)
+
+        def touch(store, keys):
+            touched.append(list(keys))
+            return real_touch(store, keys)
+
+        monkeypatch.setattr(SqliteStore, "_transaction", transaction)
+        monkeypatch.setattr(SqliteStore, "touch", touch)
+        for attempt in range(2):  # SQLite reads, then look-aside hits
+            transactions.clear()
+            touched.clear()
+            batch = list(reversed(tasks)) + tasks  # three hits, three repeats
+            engine.search_tasks(batch)
+            assert len(transactions) == 1
+            assert touched == [[task_key(*task) for task in reversed(tasks)]]
+        assert engine.stats.misses == 0 and engine.stats.hits == 12
+        # Lookup order is LRU order, as one touch per hit would leave it.
+        assert [key for key, _ in engine.cache.items()] == [
+            task_key(*task) for task in reversed(tasks)
+        ]
+        engine.cache.close()
+
+
 def _batch_bounds(length: int, cuts: list) -> list:
     """``(start, end)`` of the batches that cutting ``range(length)`` makes."""
     edges = sorted({0, length, *(cut for cut in cuts if cut < length)})

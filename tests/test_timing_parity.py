@@ -3,10 +3,11 @@
 Three pillars, mirroring ``tests/test_vectorized_parity.py`` for the search
 engine:
 
-* **backend parity** -- the NumPy prefix-sum backend returns the *identical*
-  ``LayerTimingReport`` (dataclass equality, every field) as the scalar
-  clock-walk reference, over hypothesis-random layers, implementations and
-  bandwidths (floats, exact Fractions, and infinity);
+* **walk parity** -- the NumPy prefix-sum walk (``_simulate_numpy``)
+  returns the *identical* stall accounting as the scalar clock-walk
+  reference (``_simulate_python``) on the same ``tile_groups``, over
+  hypothesis-random layers, implementations and bandwidths (floats, exact
+  Fractions, and infinity), including its scalar int64 fallback;
 * **infinite-bandwidth identity** -- with no bandwidth limit the simulator
   must reproduce the analytic :class:`~repro.arch.accelerator.AcceleratorModel`
   bit-identically (zero stalls, equal total cycles) for every workload in
@@ -17,8 +18,9 @@ engine:
   (:func:`repro.timing.steady_breakeven_bytes_per_cycle`), tested in both
   directions with exact ``Fraction`` bandwidths.
 
-The scalar-only tests run without numpy installed; numpy-backed tests skip
-themselves per test so the no-numpy CI job still exercises the reference.
+The simulator takes the NumPy walk whenever NumPy imports, so without
+NumPy every other test here exercises the scalar reference; the parity
+tests skip themselves there.
 """
 
 import dataclasses
@@ -41,11 +43,11 @@ from repro.energy.model import EnergyModel  # noqa: E402
 from repro.timing import (  # noqa: E402
     NetworkTimingResult,
     TimingSimulator,
-    resolve_timing_backend,
     steady_breakeven_bytes_per_cycle,
     tile_groups,
     timing_network_energy,
 )
+from repro.timing.simulator import _simulate_numpy, _simulate_python  # noqa: E402
 from repro.workloads.registry import get_workload, workload_names  # noqa: E402
 
 SETTINGS = settings(
@@ -123,7 +125,13 @@ def assert_exact_int(value):
     assert type(value) is int, f"expected exact int, got {type(value).__name__}"
 
 
-# ------------------------------------------------------------ backend parity
+# --------------------------------------------------------------- walk parity
+
+
+def walk_inputs(config, layer, tiling, bandwidth):
+    """The tile groups and the bytes per cycle both walks consume."""
+    groups = tile_groups(layer, tiling.clip(layer), config)
+    return groups, TimingSimulator(config, bandwidth).bytes_per_cycle
 
 
 class TestBackendParity:
@@ -134,43 +142,27 @@ class TestBackendParity:
         config = paper_implementation(index)
         tiling = chosen_tiling(config, layer)
         assume(tiling is not None)
-        scalar = TimingSimulator(config, bandwidth, backend="python").run_layer(
-            layer, tiling
-        )
-        vectorized = TimingSimulator(config, bandwidth, backend="numpy").run_layer(
-            layer, tiling
-        )
-        # Frozen-dataclass equality: every field, including the stall split.
+        groups, bytes_per_cycle = walk_inputs(config, layer, tiling, bandwidth)
+        scalar = _simulate_python(groups, bytes_per_cycle)
+        vectorized = _simulate_numpy(groups, bytes_per_cycle)
+        # Every stall category and the compute total, as exact ints.
         assert vectorized == scalar
+        for value in vectorized.values():
+            assert_exact_int(value)
 
     def test_int64_overflow_falls_back_to_the_scalar_path(self):
         pytest.importorskip("numpy")
         config = paper_implementation(1)
-        layers = get_workload("tiny")
+        model = AcceleratorModel(config)
         # ~1e-9 B/s makes single transfers take ~1e19+ cycles: far beyond
-        # int64, so the numpy backend must detect it and stay exact.
-        scalar = TimingSimulator(config, 1e-9, backend="python")
-        vectorized = TimingSimulator(config, 1e-9, backend="numpy")
-        for layer in layers:
-            left = scalar.run_layer(layer)
-            right = vectorized.run_layer(layer)
-            assert left == right
-            assert left.total_cycles > 2 ** 62
-
-    def test_backend_resolution(self):
-        assert resolve_timing_backend("python") == "python"
-        assert resolve_timing_backend("auto") in ("python", "numpy")
-        with pytest.raises(ValueError, match="unknown timing backend"):
-            resolve_timing_backend("fortran")
-
-    def test_numpy_backend_requires_numpy(self):
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            with pytest.raises(ValueError, match="numpy is not installed"):
-                resolve_timing_backend("numpy")
-        else:
-            assert resolve_timing_backend("numpy") == "numpy"
+        # int64, so the numpy walk must detect it and stay exact.
+        for layer in get_workload("tiny"):
+            tiling = model.choose_layer_tiling(layer)
+            groups, bytes_per_cycle = walk_inputs(config, layer, tiling, 1e-9)
+            scalar = _simulate_python(groups, bytes_per_cycle)
+            assert _simulate_numpy(groups, bytes_per_cycle) == scalar
+            assert sum(scalar.values()) > 2 ** 62
+            assert TimingSimulator(config, 1e-9).run_layer(layer).total_cycles == sum(scalar.values())
 
 
 # ----------------------------------------------- infinite-bandwidth identity
@@ -183,7 +175,7 @@ class TestInfiniteBandwidthIdentity:
         config = paper_implementation(index)
         tiling = chosen_tiling(config, layer)
         assume(tiling is not None)
-        report = TimingSimulator(config, math.inf, backend="python").run_layer(
+        report = TimingSimulator(config, math.inf).run_layer(
             layer, tiling
         )
         unbound = AcceleratorModel(config, math.inf).run_layer(layer, tiling)
@@ -233,8 +225,8 @@ class TestStallStructure:
         high = data.draw(bandwidths, label="high")
         if high < low:
             low, high = high, low
-        slow = TimingSimulator(config, low, backend="python").run_layer(layer, tiling)
-        fast = TimingSimulator(config, high, backend="python").run_layer(layer, tiling)
+        slow = TimingSimulator(config, low).run_layer(layer, tiling)
+        fast = TimingSimulator(config, high).run_layer(layer, tiling)
         assert slow.total_cycles >= fast.total_cycles
         assert slow.stall_cycles >= fast.stall_cycles
         # Compute never depends on bandwidth.
@@ -250,11 +242,11 @@ class TestStallStructure:
         breakeven = steady_breakeven_bytes_per_cycle(groups)
         assume(isinstance(breakeven, Fraction) and breakeven > 0)
         clock = Fraction(config.clock_hz)
-        at = TimingSimulator(config, breakeven * clock, backend="python").run_layer(
+        at = TimingSimulator(config, breakeven * clock).run_layer(
             layer, tiling
         )
         below = TimingSimulator(
-            config, breakeven * clock * Fraction(99, 100), backend="python"
+            config, breakeven * clock * Fraction(99, 100)
         ).run_layer(layer, tiling)
         # Exact iff: zero steady stalls at the rational break-even, strictly
         # positive ones any amount below it.
@@ -278,7 +270,7 @@ class TestStallStructure:
 class TestExactIntegers:
     def test_layer_report_cycles_are_exact_ints(self):
         config = paper_implementation(1)
-        simulator = TimingSimulator(config, 6.4e9, backend="python")
+        simulator = TimingSimulator(config, 6.4e9)
         for layer in get_workload("tiny"):
             report = simulator.run_layer(layer)
             for field in CYCLE_FIELDS:
@@ -288,7 +280,7 @@ class TestExactIntegers:
 
     def test_network_result_cycles_are_exact_ints(self):
         config = paper_implementation(1)
-        network = TimingSimulator(config, 3.2e9, backend="python").run_network(
+        network = TimingSimulator(config, 3.2e9).run_network(
             get_workload("tiny")
         )
         assert_exact_int(network.compute_cycles)

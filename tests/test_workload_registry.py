@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.layer import ConvLayer, total_macs
 from repro.dataflows.registry import get_dataflow
-from repro.dataflows.search import network_traffic
 from repro.engine import SearchEngine
 from repro.workloads.registry import (
     UnknownWorkloadError,
@@ -119,7 +118,7 @@ class TestEngineRouting:
 
     def test_search_module_roundtrip(self):
         engine = SearchEngine()
-        traffic = network_traffic("tiny", 4096, engine=engine)
+        traffic = engine.network_traffic("tiny", 4096)
         assert traffic.total > 0
 
 

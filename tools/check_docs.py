@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Documentation checks: dead links, undocumented subcommands and flags, stale flags.
+"""Documentation checks: dead links, undocumented subcommands and flags,
+stale flags and stale code references.
 
 Run by CI's docs job (and runnable locally)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Three checks, all against the working tree:
+Four checks, all against the working tree:
 
 1. **Relative links.** Every ``[text](target)`` markdown link in README.md,
    EXPERIMENTS.md and docs/*.md that is not an absolute URL or a pure
@@ -23,6 +24,14 @@ Three checks, all against the working tree:
    parser, every orchestration subparser, or ``serve`` -- or be one of the
    other tools' flags in :data:`FOREIGN_FLAGS`. Removing a flag means
    removing it from the docs too.
+4. **No stale code references.** Every backticked dotted name under
+   ``repro`` (```repro.engine.SearchEngine```) must import, and every
+   backticked ``path.py:name`` reference (```arch/accelerator.py:shape_tiling```,
+   the path relative to ``src/repro`` or the repository root) must name a
+   file that defines ``name`` at its top level (``Class.attribute`` looks
+   inside the class). This check also reads the verify skill
+   (``.claude/skills/verify/SKILL.md``). Renaming or deleting code means
+   updating the docs that point at it.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
@@ -30,6 +39,8 @@ Exit status 0 when clean, 1 with one line per problem otherwise.
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
 import os
 import re
 import sys
@@ -47,6 +58,15 @@ FLAG_PATTERN = re.compile(r"(?<![\w-])--[a-z][a-z0-9]*(?:-[a-z0-9]+)*")
 
 #: Flags the documents name that belong to other tools (pytest-cov).
 FOREIGN_FLAGS = {"--cov", "--cov-fail-under"}
+
+#: A backticked dotted name under the package: ```repro.engine.SearchEngine```.
+DOTTED_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
+
+#: A backticked ``file:name`` reference: ```engine/cache.py:SHAPE_MEMO_SIZE```.
+FILE_REFERENCE_PATTERN = re.compile(r"`([\w./-]+\.py):([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
+
+#: The verify skill: read by the code-reference check only.
+SKILL_PATH = os.path.join(REPO_ROOT, ".claude", "skills", "verify", "SKILL.md")
 
 
 def documentation_files() -> list:
@@ -150,16 +170,94 @@ def check_stale_flags(paths: list) -> list:
     return problems
 
 
+def resolve_dotted(name: str) -> bool:
+    """Whether ``repro.x.y`` imports: the longest importable module prefix,
+    then attribute lookups for the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def _top_level_names(body) -> dict:
+    """``{name: node}`` of the definitions and assignments in ``body``."""
+    names = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node
+    return names
+
+
+def resolve_file_reference(path: str, name: str) -> bool:
+    """Whether ``path`` (under ``src/repro`` or the repository root) defines
+    ``name`` at its top level, ``Class.attribute`` inside the class."""
+    for base in (os.path.join(REPO_ROOT, "src", "repro"), REPO_ROOT):
+        candidate = os.path.join(base, path)
+        if os.path.isfile(candidate):
+            break
+    else:
+        return False
+    with open(candidate) as handle:
+        scope = _top_level_names(ast.parse(handle.read()).body)
+    parts = name.split(".")
+    for index, part in enumerate(parts):
+        node = scope.get(part)
+        if node is None:
+            return False
+        if index + 1 < len(parts):
+            if not isinstance(node, ast.ClassDef):
+                return False
+            scope = _top_level_names(node.body)
+    return True
+
+
+def check_code_references(paths: list) -> list:
+    problems = []
+    for path in paths:
+        with open(path) as handle:
+            text = handle.read()
+        relative = os.path.relpath(path, REPO_ROOT)
+        for name in sorted(set(DOTTED_PATTERN.findall(text))):
+            if not resolve_dotted(name):
+                problems.append(f"{relative}: `{name}` does not resolve")
+        for file_path, name in sorted(set(FILE_REFERENCE_PATTERN.findall(text))):
+            if not resolve_file_reference(file_path, name):
+                problems.append(f"{relative}: `{file_path}:{name}` does not resolve")
+    return problems
+
+
 def main() -> int:
     paths = documentation_files()
-    problems = check_links(paths) + check_cli_coverage(paths) + check_stale_flags(paths)
+    skill = [SKILL_PATH] if os.path.exists(SKILL_PATH) else []
+    problems = (
+        check_links(paths)
+        + check_cli_coverage(paths)
+        + check_stale_flags(paths)
+        + check_code_references(paths + skill)
+    )
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     if problems:
         return 1
     print(
         f"docs check: {len(paths)} files, all links live, all subcommands and flags "
-        "covered, no stale flags"
+        "covered, no stale flags or code references"
     )
     return 0
 
