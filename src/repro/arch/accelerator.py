@@ -13,7 +13,8 @@ quantity the paper reports is a sum over tiles; the functional simulator
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.arch.config import AcceleratorConfig
 from repro.arch.mapping import BlockShape, IterationCost, PEMapping, iteration_cost, map_block, map_block_grid
@@ -26,9 +27,13 @@ from repro.engine.cache import SHAPE_MEMO_SIZE, layer_signature, signature_layer
 
 @dataclass(frozen=True)
 class LayerRunResult:
-    """All access counts and statistics for one layer on one configuration."""
+    """All access counts and statistics for one layer shape on one configuration.
 
-    layer_name: str
+    One instance is shared by every layer of that shape (see
+    :func:`shape_run`), so it is immutable: ``utilization`` is a read-only
+    mapping.
+    """
+
     config_name: str
     tiling: Tiling
     macs: int
@@ -43,7 +48,7 @@ class LayerRunResult:
     lreg_reads: int
     compute_cycles: int
     waiting_cycles: int
-    utilization: dict = field(default_factory=dict)
+    utilization: MappingProxyType
 
     # ------------------------------------------------------------ aggregates
 
@@ -71,27 +76,6 @@ class LayerRunResult:
     @property
     def dram_accesses(self) -> float:
         return self.dram.total
-
-    def relabelled(self, layer_name: str) -> "LayerRunResult":
-        """This result under ``layer_name``, with its own ``utilization`` dict."""
-        return LayerRunResult(
-            layer_name,
-            self.config_name,
-            self.tiling,
-            self.macs,
-            self.useful_macs,
-            self.dram,
-            self.igbuf_reads,
-            self.igbuf_writes,
-            self.wgbuf_reads,
-            self.wgbuf_writes,
-            self.greg_writes,
-            self.lreg_writes,
-            self.lreg_reads,
-            self.compute_cycles,
-            self.waiting_cycles,
-            dict(self.utilization),
-        )
 
 
 @dataclass(frozen=True)
@@ -378,15 +362,12 @@ class AcceleratorModel:
 
         The counters depend only on the configuration, the DRAM bandwidth,
         the layer's shape and the clipped tiling, so the walk runs once per
-        such key in the bounded :func:`shape_run` memo.  Every call gets the
-        memoized result relabelled with ``layer.name`` and with its own
-        ``utilization`` dict.
+        such key in the bounded :func:`shape_run` memo and every call
+        returns the memoized result itself.
         """
         # The chosen tiling is already clipped.
         tiling = self.choose_layer_tiling(layer) if tiling is None else tiling.clip(layer)
-        return shape_run(
-            self.config, self.dram_bandwidth_bytes_per_s, layer_signature(layer), tiling
-        ).relabelled(layer.name)
+        return shape_run(self.config, self.dram_bandwidth_bytes_per_s, layer_signature(layer), tiling)
 
     def _walk(self, layer: ConvLayer, tiling: Tiling) -> LayerRunResult:
         """The uncached schedule walk behind :meth:`run_layer` (``tiling`` clipped)."""
@@ -480,7 +461,6 @@ class AcceleratorModel:
             output_writes=float(totals["dram_output_writes"]),
         )
         return LayerRunResult(
-            layer_name=layer.name,
             config_name=self.config.name,
             tiling=tiling,
             macs=layer.macs,
@@ -495,7 +475,7 @@ class AcceleratorModel:
             lreg_reads=totals["lreg_reads"],
             compute_cycles=compute_cycles,
             waiting_cycles=totals["waiting_cycles"],
-            utilization=utilization,
+            utilization=MappingProxyType(utilization),
         )
 
     def run_network(self, layers: list) -> NetworkRunResult:
@@ -569,10 +549,8 @@ def shape_run(
 ) -> LayerRunResult:
     """:meth:`AcceleratorModel.run_layer` of one layer shape under a clipped tiling.
 
-    The result carries an empty layer name; :meth:`~AcceleratorModel.
-    run_layer` relabels it.  ``typed``: a float bandwidth and an equal
-    ``int`` or ``Fraction`` are distinct keys, so each caller gets its own
-    bandwidth's arithmetic.
+    ``typed``: a float bandwidth and an equal ``int`` or ``Fraction`` are
+    distinct keys, so each caller gets its own bandwidth's arithmetic.
     """
     model = AcceleratorModel(config, dram_bandwidth_bytes_per_s)
     return model._walk(signature_layer(signature), tiling)

@@ -1,9 +1,10 @@
 """Counting memory models for the accelerator's storage hierarchy.
 
-The analytic and functional simulators both account for every access to the
-DRAM, GBufs, GRegs and LRegs through :class:`CountingMemory` instances, so
-the access volumes reported in the figures come from a single bookkeeping
-path.
+The functional simulator (:mod:`repro.arch.functional`) counts every access
+to the DRAM and the GBufs through :class:`CountingMemory` instances.  The
+analytic model (:mod:`repro.arch.accelerator`) computes the same counts in
+closed form per block shape, and the functional simulator cross-checks
+them on small layers.
 """
 
 from __future__ import annotations

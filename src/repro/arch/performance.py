@@ -10,6 +10,8 @@ to obtain average power dissipation, matching the quantities of Fig. 19.
 :class:`~repro.arch.accelerator.AcceleratorModel`, ``mode="timing"`` the
 tile-level double-buffered simulator (:mod:`repro.timing`), whose
 infinite-bandwidth limit reproduces the analytic cycles bit-identically.
+Both modes price energy through the one
+:meth:`~repro.energy.model.EnergyModel.network_energy`.
 """
 
 from __future__ import annotations
@@ -78,25 +80,28 @@ def simulate_network(
     Returns ``(network_result, PerformanceReport)``.  ``mode="analytic"``
     is the aggregate model behind Fig. 19; ``mode="timing"`` walks the tile
     stream with per-buffer stall accounting.  Both modes price energy with
-    the same Table II model; in timing mode the access counts come from the
-    analytic walk (a stall moves no extra data) while the leakage term is
-    charged over the stall-lengthened timed cycles.
+    :meth:`~repro.energy.model.EnergyModel.network_energy`; in timing mode
+    the access counts come from the analytic walk (a stall moves no extra
+    data) while the leakage term is charged over each layer's
+    stall-lengthened timed cycles.
     """
+    from repro.arch.accelerator import AcceleratorModel
     from repro.energy.model import EnergyModel
 
     if energy_model is None:
         energy_model = EnergyModel()
     if mode == "analytic":
-        from repro.arch.accelerator import AcceleratorModel
-
         network = AcceleratorModel(config, dram_bandwidth_bytes_per_s).run_network(layers)
         energy = energy_model.network_energy(network, config)
     elif mode == "timing":
-        from repro.timing import TimingSimulator, timing_network_energy
+        from repro.timing import TimingSimulator
 
-        simulator = TimingSimulator(config, dram_bandwidth_bytes_per_s)
-        network = simulator.run_network(layers)
-        energy = timing_network_energy(layers, network, config, energy_model=energy_model)
+        network = TimingSimulator(config, dram_bandwidth_bytes_per_s).run_network(layers)
+        energy = energy_model.network_energy(
+            AcceleratorModel(config).run_network(layers),
+            config,
+            total_cycles=[timed.total_cycles for timed in network.layers],
+        )
     else:
         raise ValueError(f"unknown simulation mode {mode!r}; choose analytic or timing")
     return network, performance_report(network, config, energy)

@@ -256,7 +256,7 @@ def main(argv: list = None) -> int:
         # instead of mid-way through a long run.
         layers = get_workload_spec(args.workload)
         overrides = flag_overrides(vars(args), _flat_experiments(args.experiment))
-    except (UnknownWorkloadError, ValueError) as error:
+    except (UnknownWorkloadError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:
@@ -276,10 +276,11 @@ def main(argv: list = None) -> int:
             print(f"engine: {engine.stats}", file=sys.stderr)
         return status
     # ValueError is this package's convention for infeasible user-chosen
-    # parameters (capacity too small for any tiling, bad worker counts), so
-    # it maps to a clean exit; genuine internal bugs surface as other
+    # parameters (capacity too small for any tiling, bad worker counts) and
+    # an OSError names the file it failed on (an unwritable --cache-file),
+    # so both map to a clean exit; genuine internal bugs surface as other
     # exception types and keep their tracebacks.
-    except (UnknownWorkloadError, ValueError) as error:
+    except (UnknownWorkloadError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ from repro.core.layer import ConvLayer
 from repro.core.lower_bound import practical_lower_bound
 from repro.core.traffic import BYTES_PER_WORD
 from repro.energy.dram import DramModel
+from repro.engine.cache import layer_signature
 
 #: Per-operation energies of Table II, in pJ.
 OPERATION_ENERGY = {
@@ -157,8 +158,13 @@ class EnergyModel:
     def __init__(self, dram: DramModel = None):
         self.dram = dram or DramModel()
 
-    def layer_energy(self, result, config: AcceleratorConfig) -> EnergyBreakdown:
-        """Energy of one :class:`~repro.arch.accelerator.LayerRunResult`."""
+    def layer_energy(self, result, config: AcceleratorConfig, total_cycles=None) -> EnergyBreakdown:
+        """Energy of one :class:`~repro.arch.accelerator.LayerRunResult`.
+
+        ``total_cycles``, when given (a timed run's cycles, see
+        :mod:`repro.timing`), replaces the result's own cycles in the LReg
+        leakage term; access counts do not depend on stalls.
+        """
         return self.energy_from_counts(
             config,
             dram_words=result.dram.total,
@@ -170,7 +176,7 @@ class EnergyModel:
             lreg_reads=result.lreg_reads,
             lreg_writes=result.lreg_writes,
             greg_writes=result.greg_writes,
-            total_cycles=result.total_cycles,
+            total_cycles=result.total_cycles if total_cycles is None else total_cycles,
         )
 
     def energy_from_counts(
@@ -224,17 +230,38 @@ class EnergyModel:
             macs=macs,
         )
 
-    def network_energy(self, network_result, config: AcceleratorConfig) -> EnergyBreakdown:
-        """Sum of layer energies over a :class:`NetworkRunResult`."""
+    def network_energy(self, network_result, config: AcceleratorConfig, total_cycles=None) -> EnergyBreakdown:
+        """Sum of layer energies over a :class:`NetworkRunResult`, in layer order.
+
+        ``total_cycles``, when given, holds one timed cycle count per layer
+        for :meth:`layer_energy`.  Layers of one shape share one result
+        object, so each distinct (result, cycles) pair is priced once.
+        """
+        results = network_result.layers
+        if total_cycles is None:
+            total_cycles = [None] * len(results)
+        elif len(total_cycles) != len(results):
+            raise ValueError(f"{len(total_cycles)} cycle counts for {len(results)} layers")
+        priced = {}
         total = EnergyBreakdown()
-        for layer_result in network_result.layers:
-            total = total + self.layer_energy(layer_result, config)
+        for result, cycles in zip(results, total_cycles):
+            key = (id(result), cycles)
+            if key not in priced:
+                priced[key] = self.layer_energy(result, config, cycles)
+            total = total + priced[key]
         return total
 
     def lower_bound_energy(self, layers: list, on_chip_words: int) -> EnergyBreakdown:
         """The Fig. 18 "lower bound": DRAM at the Eq. (15) bound, one MAC and
-        one minimal register write per MAC, nothing else."""
-        dram_words = sum(practical_lower_bound(layer, on_chip_words) for layer in layers)
+        one minimal register write per MAC, nothing else.
+
+        The bound reads only shape fields, so it is evaluated once per
+        :func:`~repro.engine.cache.layer_signature` and summed in layer order.
+        """
+        signatures = [layer_signature(layer) for layer in layers]
+        shapes = dict(zip(signatures, layers))
+        bounds = {signature: practical_lower_bound(layer, on_chip_words) for signature, layer in shapes.items()}
+        dram_words = sum(bounds[signature] for signature in signatures)
         macs = sum(layer.macs for layer in layers)
         smallest_lreg = min(_LREG_ENERGY_BY_BYTES.values())
         return EnergyBreakdown(

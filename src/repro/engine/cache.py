@@ -334,7 +334,7 @@ def _lock_errors(path: str):
         if "locked" not in str(error):
             raise
         raise ValueError(
-            f"search cache at {path!r} is locked by another process: {error}"
+            f"SQLite database {path!r} is locked by another process: {error}"
         ) from error
 
 

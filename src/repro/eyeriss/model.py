@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.core.layer import ConvLayer, ceil_div
 from repro.core.traffic import TrafficBreakdown, sum_traffic
@@ -87,10 +88,13 @@ EYERISS_CONFIG = EyerissConfig()
 
 @dataclass(frozen=True)
 class EyerissLayerResult:
-    """DRAM and GBuf access volumes of one layer under the RS model."""
+    """DRAM and GBuf access volumes of one layer shape under the RS model.
 
-    layer_name: str
-    tile: dict
+    One instance is shared by every layer of that shape (see
+    :func:`shape_best_tile`), so ``tile`` is a read-only mapping.
+    """
+
+    tile: MappingProxyType
     dram: TrafficBreakdown
     gbuf_accesses: float
 
@@ -156,20 +160,14 @@ class EyerissModel:
     def run_layer(self, layer: ConvLayer) -> EyerissLayerResult:
         """Best-tile RS traffic for one layer (uncompressed).
 
-        The best tile depends only on the configuration and the layer's
-        shape: it is memoized in the bounded :func:`shape_best_tile` memo and
-        relabelled with ``layer.name`` here.
+        The result depends only on the configuration and the layer's shape:
+        it is memoized in the bounded :func:`shape_best_tile` memo, and every
+        call returns the memoized result itself.
         """
-        best = shape_best_tile(self.config, layer_signature(layer))
-        if best is None:
+        result = shape_best_tile(self.config, layer_signature(layer))
+        if result is None:
             raise ValueError(f"no RS tile of layer {layer.name!r} fits the Eyeriss GBuf")
-        tile, dram = best
-        return EyerissLayerResult(
-            layer_name=layer.name,
-            tile=dict(tile),
-            dram=dram,
-            gbuf_accesses=self._gbuf_accesses(layer, tile, dram),
-        )
+        return result
 
     def _best_tile_scalar(self, layer: ConvLayer):
         """``(tile, dram)`` of the first least-traffic tile, or ``None``."""
@@ -241,7 +239,8 @@ class EyerissModel:
 
 @functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def shape_best_tile(config: EyerissConfig, signature: tuple):
-    """Best RS ``(tile, dram)`` of one layer shape, or ``None`` when none fits.
+    """:meth:`EyerissModel.run_layer` of one layer shape, or ``None`` when no
+    tile fits.
 
     ``signature`` is :func:`~repro.engine.cache.layer_signature` of the
     layer, so layers that differ only in ``name`` or ``weight_kind`` share
@@ -253,6 +252,8 @@ def shape_best_tile(config: EyerissConfig, signature: tuple):
 
     model = EyerissModel(config)
     layer = signature_layer(signature)
-    if numpy_available():
-        return model._best_tile_grid(layer)
-    return model._best_tile_scalar(layer)
+    best = model._best_tile_grid(layer) if numpy_available() else model._best_tile_scalar(layer)
+    if best is None:
+        return None
+    tile, dram = best
+    return EyerissLayerResult(MappingProxyType(tile), dram, model._gbuf_accesses(layer, tile, dram))

@@ -34,13 +34,14 @@ itself needs no crash-recovery story beyond SQLite's own journal.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sqlite3
 import threading
 import time
 from dataclasses import dataclass
 
-from repro.engine.cache import SQLITE_BUSY_TIMEOUT_S, _SqliteTransaction
+from repro.engine.cache import SQLITE_BUSY_TIMEOUT_S, _lock_errors, _SqliteTransaction
 
 #: On-disk marker of the queue schema; bump when the table layout changes.
 QUEUE_FORMAT = "repro-fleet-queue-v1"
@@ -96,13 +97,15 @@ class WorkQueue:
         self._lock = threading.RLock()
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        self._connection = sqlite3.connect(
-            path,
-            timeout=SQLITE_BUSY_TIMEOUT_S,
-            check_same_thread=False,
-            isolation_level=None,  # autocommit; transactions are explicit
-        )
-        self._initialise()
+        # A lock held past the busy timeout is one ValueError naming the path.
+        with _lock_errors(path):
+            self._connection = sqlite3.connect(
+                path,
+                timeout=SQLITE_BUSY_TIMEOUT_S,
+                check_same_thread=False,
+                isolation_level=None,  # autocommit; transactions are explicit
+            )
+            self._initialise()
 
     @classmethod
     def fresh(cls, path: str, clock=time.time) -> "WorkQueue":
@@ -170,8 +173,10 @@ class WorkQueue:
                 f"not {QUEUE_FORMAT!r}"
             )
 
+    @contextlib.contextmanager
     def _transaction(self):
-        return _SqliteTransaction(self._connection, self._lock)
+        with _lock_errors(self.path), _SqliteTransaction(self._connection, self._lock) as connection:
+            yield connection
 
     # ------------------------------------------------------------ population
 

@@ -585,6 +585,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def main(argv: list = None) -> int:
     """``repro-experiments serve``: run the daemon until SIGTERM/SIGINT."""
     args = build_serve_parser().parse_args(argv)
+    # An OSError (an unwritable --cache-file, a port already bound) is one
+    # line naming the path or address, like a bad flag value.
     try:
         engine = SearchEngine(
             workers=args.workers,
@@ -599,10 +601,14 @@ def main(argv: list = None) -> int:
             max_batch=args.max_batch,
             work_dir=args.work_dir,
         )
-    except ValueError as error:
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    return asyncio.run(_serve(daemon))
+    try:
+        return asyncio.run(_serve(daemon))
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 async def _serve(daemon: SearchDaemon) -> int:

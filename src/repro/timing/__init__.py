@@ -2,7 +2,9 @@
 
 See :mod:`repro.timing.simulator` for the model; the ``timing`` experiment
 (:mod:`repro.analysis.timing_report`) exposes bandwidth-utilization sweeps
-through the CLI and the run orchestrator.
+through the CLI and the run orchestrator.  A timed run is priced by
+:meth:`repro.energy.model.EnergyModel.network_energy` with the timed
+per-layer cycles (see :func:`repro.arch.performance.simulate_network`).
 """
 
 from repro.timing.simulator import (
@@ -13,7 +15,6 @@ from repro.timing.simulator import (
     TimingSimulator,
     steady_breakeven_bytes_per_cycle,
     tile_groups,
-    timing_network_energy,
 )
 
 __all__ = [
@@ -24,5 +25,4 @@ __all__ = [
     "TimingSimulator",
     "steady_breakeven_bytes_per_cycle",
     "tile_groups",
-    "timing_network_energy",
 ]

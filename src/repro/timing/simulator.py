@@ -142,14 +142,15 @@ def steady_breakeven_bytes_per_cycle(groups):
 
 @dataclass(frozen=True)
 class LayerTimingReport:
-    """Stall-accurate cycle accounting of one layer at one bandwidth.
+    """Stall-accurate cycle accounting of one layer shape at one bandwidth.
 
     Every ``*_cycles`` field is an exact integer.  Fill stalls are the
     prologue (the first tile of each block, never hidden), steady stalls
     the hideable-but-exposed remainder, and the drain stall the epilogue.
+    One report is shared by every layer of its shape (see
+    :func:`shape_timing`).
     """
 
-    layer_name: str
     config_name: str
     tiling: Tiling
     bandwidth_bytes_per_s: object
@@ -224,28 +225,6 @@ class LayerTimingReport:
     @property
     def achieved_bandwidth_bytes_per_s(self) -> float:
         return self.achieved_bytes_per_cycle * self.clock_hz
-
-    def relabelled(self, layer_name: str) -> "LayerTimingReport":
-        """This report under ``layer_name``."""
-        return LayerTimingReport(
-            layer_name,
-            self.config_name,
-            self.tiling,
-            self.bandwidth_bytes_per_s,
-            self.clock_hz,
-            self.blocks,
-            self.tiles,
-            self.macs,
-            self.compute_cycles,
-            self.igbuf_fill_stall_cycles,
-            self.wgbuf_fill_stall_cycles,
-            self.igbuf_steady_stall_cycles,
-            self.wgbuf_steady_stall_cycles,
-            self.drain_stall_cycles,
-            self.dram_bytes_loaded,
-            self.dram_bytes_drained,
-            self.steady_breakeven_bytes_per_cycle,
-        )
 
 
 @dataclass(frozen=True)
@@ -338,8 +317,8 @@ class TimingSimulator:
 
         The report depends only on the configuration, the bandwidth, the
         layer's shape and the clipped tiling, so the walk runs once per such
-        key in the bounded :func:`shape_timing` memo and every call gets the
-        memoized report relabelled with ``layer.name``.
+        key in the bounded :func:`shape_timing` memo and every call returns
+        the memoized report itself.
         """
         if tiling is None:
             from repro.arch.accelerator import AcceleratorModel
@@ -348,9 +327,7 @@ class TimingSimulator:
             tiling = AcceleratorModel(self.config).choose_layer_tiling(layer)
         else:
             tiling = tiling.clip(layer)
-        return shape_timing(
-            self.config, self.dram_bandwidth_bytes_per_s, layer_signature(layer), tiling
-        ).relabelled(layer.name)
+        return shape_timing(self.config, self.dram_bandwidth_bytes_per_s, layer_signature(layer), tiling)
 
     def _walk(self, layer: ConvLayer, tiling: Tiling) -> LayerTimingReport:
         """The uncached tile-stream walk behind :meth:`run_layer`."""
@@ -360,7 +337,6 @@ class TimingSimulator:
         else:
             stats = _simulate_python(groups, self.bytes_per_cycle)
         return LayerTimingReport(
-            layer_name=layer.name,
             config_name=self.config.name,
             tiling=tiling,
             bandwidth_bytes_per_s=self.dram_bandwidth_bytes_per_s,
@@ -395,10 +371,8 @@ def shape_timing(
 ) -> LayerTimingReport:
     """:meth:`TimingSimulator.run_layer` of one layer shape under a clipped tiling.
 
-    The report carries an empty layer name; :meth:`~TimingSimulator.run_layer`
-    relabels it.  ``typed``: a float bandwidth and an equal ``int`` or
-    ``Fraction`` are distinct keys, so each report keeps its caller's
-    bandwidth object.
+    ``typed``: a float bandwidth and an equal ``int`` or ``Fraction`` are
+    distinct keys, so each report keeps its caller's bandwidth object.
     """
     simulator = TimingSimulator(config, dram_bandwidth_bytes_per_s)
     return simulator._walk(signature_layer(signature), tiling)
@@ -535,47 +509,3 @@ def _simulate_numpy(groups, bytes_per_cycle) -> dict:
         "wgbuf_steady": wgbuf_total - wgbuf_fill,
         "drain": drain_total,
     }
-
-
-# ------------------------------------------------------------------- energy
-
-
-def timing_network_energy(layers, timing_result: NetworkTimingResult, config, energy_model=None):
-    """Price a timed run with the Table II energy model.
-
-    Access counts are bandwidth-independent (a stall moves no extra data),
-    so they come from the analytic model; only the LReg *static* (leakage)
-    term depends on runtime and is charged over the timed
-    ``total_cycles``, so stalls lengthen the leakage window exactly as the
-    paper argues.  A layer's energy depends only on its shape and its timed
-    cycles, so each such pair is priced once; the per-layer sum keeps layer
-    order.
-    """
-    from repro.arch.accelerator import AcceleratorModel
-    from repro.energy.model import EnergyBreakdown, EnergyModel
-
-    if energy_model is None:
-        energy_model = EnergyModel()
-    model = AcceleratorModel(config)
-    priced = {}
-    total = EnergyBreakdown()
-    for layer, timed in zip(layers, timing_result.layers):
-        key = (layer_signature(layer), timed.total_cycles)
-        energy = priced.get(key)
-        if energy is None:
-            counts = model.run_layer(layer)
-            energy = priced[key] = energy_model.energy_from_counts(
-                config,
-                dram_words=counts.dram.total,
-                igbuf_reads=counts.igbuf_reads,
-                igbuf_writes=counts.igbuf_writes,
-                wgbuf_reads=counts.wgbuf_reads,
-                wgbuf_writes=counts.wgbuf_writes,
-                macs=counts.macs,
-                lreg_reads=counts.lreg_reads,
-                lreg_writes=counts.lreg_writes,
-                greg_writes=counts.greg_writes,
-                total_cycles=timed.total_cycles,
-            )
-        total = total + energy
-    return total

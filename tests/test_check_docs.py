@@ -1,8 +1,10 @@
-"""The docs checker's code-reference check (``tools/check_docs.py``).
+"""The docs checker's code-reference, module-map and coverage-gate checks
+(``tools/check_docs.py``).
 
-A backticked ``repro.x.y`` dotted name must import and a backticked
-``path.py:name`` reference must name a top-level definition, so a rename or
-a deletion cannot leave the documents pointing at code that is gone.
+A backticked ``repro.x.y`` dotted name must import, a backticked
+``path.py:name`` reference must name a top-level definition and a module-map
+file must exist, so a rename or a deletion cannot leave the documents
+pointing at code that is gone; README's coverage gate must be CI's.
 """
 
 import importlib.util
@@ -70,3 +72,44 @@ def test_the_documents_hold_no_stale_reference(check_docs):
     if os.path.exists(check_docs.SKILL_PATH):
         paths.append(check_docs.SKILL_PATH)
     assert check_docs.check_code_references(paths) == []
+
+
+MODULE_MAP = """# Architecture
+
+## Module map
+
+| Layer | Modules | Responsibility |
+| --- | --- | --- |
+| Dataflows | `dataflows/` | ours (`ours.py`), the baselines (`baselines.py`), search (`search.py`), the registry (`registry.py`) |
+| Entry points | `cli.py`, `orchestration/cli.py` | the flat commands and the orchestration commands |
+
+## Elsewhere
+
+Not a module-map row: `no_such_module.py`.
+"""
+
+
+def test_module_map_flags_files_that_do_not_exist(check_docs, tmp_path):
+    document = tmp_path / "architecture.md"
+    document.write_text(MODULE_MAP)
+    problems = check_docs.check_module_map(str(document))
+    assert len(problems) == 2
+    assert "`baselines.py`" in problems[0] and "dataflows/" in problems[0]
+    assert "`search.py`" in problems[1]
+
+
+def test_coverage_gate_drift_is_reported(check_docs, tmp_path):
+    readme = tmp_path / "README.md"
+    ci = tmp_path / "ci.yml"
+    readme.write_text("a coverage gate (`pytest --cov=repro --cov-fail-under=85`)\n")
+    ci.write_text("run: python -m pytest -q --cov=repro --cov-fail-under=88\n")
+    problems = check_docs.check_coverage_gate(str(readme), str(ci))
+    assert len(problems) == 1
+    assert "--cov-fail-under=85" in problems[0] and "enforces 88" in problems[0]
+    readme.write_text("a coverage gate (`pytest --cov=repro --cov-fail-under=88`)\n")
+    assert check_docs.check_coverage_gate(str(readme), str(ci)) == []
+
+
+def test_the_documents_hold_no_module_map_or_coverage_drift(check_docs):
+    assert check_docs.check_module_map(check_docs.ARCHITECTURE_PATH) == []
+    assert check_docs.check_coverage_gate(check_docs.README_PATH, check_docs.CI_PATH) == []

@@ -70,11 +70,12 @@ class TestShapeMemo:
         second = model.run_layer(renamed)
         info = shape_best_tile.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        assert second.layer_name == "renamed"
-        assert second == replace(first, layer_name="renamed")
-        # Each result owns its tile dict: editing one leaves the memo intact.
-        first.tile["n"] = 0
-        assert model.run_layer(renamed).tile == second.tile
+        assert second is first
+        # The shared tile is read-only: a write fails and leaves the memo intact.
+        tile = dict(first.tile)
+        with pytest.raises(TypeError):
+            first.tile["n"] = 0
+        assert model.run_layer(renamed).tile == tile
 
     def test_memo_is_bounded(self):
         maxsize = shape_best_tile.cache_info().maxsize

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import tempfile
 
 import pytest
@@ -38,6 +39,7 @@ from repro.orchestration.runner import (
     write_manifest,
     write_run_metadata,
 )
+from repro.orchestration import scheduler
 from repro.orchestration.scheduler import (
     WorkQueue,
     queue_path,
@@ -325,6 +327,39 @@ class TestBudget:
         with pytest.raises(ValueError, match="unit_budget"):
             queue.populate(["a"], unit_budget=-1)
         queue.close()
+
+
+class TestLockedQueue:
+    """A queue lock held past the busy timeout is one ``ValueError`` line
+    naming the queue file, never a raw ``sqlite3.OperationalError``."""
+
+    @pytest.fixture
+    def locked_queue(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scheduler, "SQLITE_BUSY_TIMEOUT_S", 0.2)
+        path = str(tmp_path / "queue.sqlite")
+        queue = WorkQueue.fresh(path)
+        holder = sqlite3.connect(path, isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        yield queue, path
+        holder.close()
+        queue.close()
+
+    @staticmethod
+    def assert_one_line_lock_error(error, path):
+        message = str(error.value)
+        assert "locked" in message and repr(path) in message and "\n" not in message
+
+    def test_populate_under_a_held_lock(self, locked_queue):
+        queue, path = locked_queue
+        with pytest.raises(ValueError) as error:
+            queue.populate(["a", "b"])
+        self.assert_one_line_lock_error(error, path)
+
+    def test_claim_under_a_held_lock(self, locked_queue):
+        queue, path = locked_queue
+        with pytest.raises(ValueError) as error:
+            queue.claim("w", lease_seconds=10.0)
+        self.assert_one_line_lock_error(error, path)
 
 
 class TestFleetConfig:

@@ -229,6 +229,15 @@ class TestCliErrorPaths:
         assert "workers must be >= 1" in err
         assert "Traceback" not in err
 
+    def test_unwritable_cache_file(self, tmp_path, capsys):
+        # The cache file's parent directory is a regular file.
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        assert main(["table1", "--cache-file", str(blocker / "cache.sqlite")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err
+
 
 TINY_PIN = Pin("goldens", "tiny", {}, "tiny.json")
 

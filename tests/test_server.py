@@ -338,6 +338,30 @@ class TestSearchService:
             SearchService(engine, max_batch=0)
 
 
+class TestServeMain:
+    """``serve`` start-up failures are one ``error:`` line and exit 2."""
+
+    def test_unwritable_cache_file(self, tmp_path, capsys):
+        # The cache file's parent directory is a regular file.
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        assert daemon_module.main(["--port", "0", "--cache-file", str(blocker / "cache.sqlite")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err
+
+    def test_port_already_bound(self, tmp_path, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            argv = ["--host", "127.0.0.1", "--port", str(port), "--cache-file", str(tmp_path / "cache.sqlite")]
+            assert daemon_module.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(port) in err and "Traceback" not in err
+
+
 class TestDaemon:
     def test_healthz_reports_identity(self, daemon):
         with SearchClient(port=daemon.port) as client:

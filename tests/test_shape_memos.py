@@ -1,23 +1,27 @@
-"""Shape-keyed model walks and the Fig. 13 shape census.
+"""Shape-keyed model walks, per-shape pricing and the Fig. 13 shape census.
 
 The tile model's walk (:func:`repro.arch.accelerator.shape_run`) and the
 timing simulator's (:func:`repro.timing.simulator.shape_timing`) run once
 per (configuration, bandwidth and its type, layer shape, clipped tiling);
-every ``run_layer`` call gets the memoized result relabelled with its own
-layer name.  ``memory_sweep`` sends the engine one task per distinct shape
-and weights each total by its layer count.  These tests pin that
+every ``run_layer`` call returns the memoized result itself.
+``EnergyModel.network_energy`` prices each distinct layer result once and
+``lower_bound_energy`` each shape once.  ``memory_sweep`` sends the engine
+one task per distinct shape and weights each total by its layer count.
+These tests pin that
 
-* a memo hit equals a fresh, uncached walk in every field but
-  ``layer_name``, for float, equal-valued ``Fraction`` and infinite
-  bandwidths on all five implementations;
+* a memo hit is the memoized result and equals a fresh, uncached walk, for
+  float, equal-valued ``Fraction`` and infinite bandwidths on all five
+  implementations;
 * a float and an equal ``Fraction`` bandwidth never alias;
-* no caller can reach another caller's ``utilization`` dict;
+* no caller can write to a shared result's ``utilization``;
 * every shape memo is bounded;
 * the census payload is byte-identical to the per-layer loop it replaced
   (kept below as the reference) on every registered workload, and the
   census sends capacities x dataflows x shapes tasks;
 * a network result's kept sums and the memoized per-access energies leave
-  every payload built on them byte-identical to per-layer recomputation.
+  every payload built on them byte-identical to per-layer recomputation;
+* per-shape pricing (analytic, timed and the lower bound) equals per-layer
+  pricing field for field, and Fig. 18 prices each shape once.
 """
 
 import dataclasses
@@ -32,18 +36,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.analysis.energy_report import energy_report  # noqa: E402
 from repro.analysis.sweep import FIG13_DEFAULT_CAPACITIES_KIB, memory_sweep, words_to_mb  # noqa: E402
 from repro.analysis.goldens import sanitize_payload  # noqa: E402
 from repro.arch import accelerator  # noqa: E402
 from repro.arch.accelerator import AcceleratorModel, NetworkRunResult, shape_run, shape_tiling  # noqa: E402
 from repro.arch.config import PAPER_IMPLEMENTATIONS, paper_implementation  # noqa: E402
-from repro.core.layer import ConvLayer, kib_to_words  # noqa: E402
+from repro.arch.performance import simulate_network  # noqa: E402
+from repro.core.layer import WEIGHT_KINDS, ConvLayer, kib_to_words  # noqa: E402
 from repro.core.lower_bound import practical_lower_bound  # noqa: E402
 from repro.core.traffic import TrafficBreakdown  # noqa: E402
 from repro.dataflows.grid import numpy_available  # noqa: E402
 from repro.dataflows.registry import ALL_DATAFLOWS, get_dataflow  # noqa: E402
 from repro.engine import SearchEngine, layer_signature  # noqa: E402
 from repro.energy import model as energy_model  # noqa: E402
+from repro.energy.model import EnergyBreakdown, EnergyModel  # noqa: E402
 from repro.engine.cache import SHAPE_MEMO_SIZE  # noqa: E402
 from repro.eyeriss.model import shape_best_tile  # noqa: E402
 from repro.orchestration.experiments import ExperimentContext, get_experiment, load_experiments  # noqa: E402
@@ -79,10 +86,6 @@ def bandwidth_forms(value: float) -> tuple:
     return (value, Fraction(value), math.inf)
 
 
-def without_name(result):
-    return dataclasses.replace(result, layer_name="")
-
-
 # ------------------------------------------------------------- walk memos
 
 
@@ -97,13 +100,12 @@ class TestWalkMemos:
                 continue
             for value in bandwidth_forms(bandwidth):
                 model = AcceleratorModel(config, value)
-                model.run_layer(layer)
+                first = model.run_layer(layer)
                 hits = shape_run.cache_info().hits
                 hit = model.run_layer(dataclasses.replace(layer, name="other"))
                 assert shape_run.cache_info().hits == hits + 1
-                fresh = model._walk(layer, tiling)
-                assert hit.layer_name == "other" and fresh.layer_name == "drawn"
-                assert without_name(hit) == without_name(fresh)
+                assert hit is first
+                assert hit == model._walk(layer, tiling)
 
     @SETTINGS
     @given(layer=conv_layers(), bandwidth=st.floats(1e6, 1e12, allow_nan=False))
@@ -115,13 +117,12 @@ class TestWalkMemos:
                 continue
             for value in bandwidth_forms(bandwidth):
                 simulator = TimingSimulator(config, value)
-                simulator.run_layer(layer)
+                first = simulator.run_layer(layer)
                 hits = shape_timing.cache_info().hits
                 hit = simulator.run_layer(dataclasses.replace(layer, name="other"))
                 assert shape_timing.cache_info().hits == hits + 1
-                fresh = simulator._walk(layer, tiling)
-                assert hit.layer_name == "other" and fresh.layer_name == "drawn"
-                assert without_name(hit) == without_name(fresh)
+                assert hit is first
+                assert hit == simulator._walk(layer, tiling)
                 assert type(hit.bandwidth_bytes_per_s) is type(value)
 
     @SETTINGS
@@ -147,16 +148,16 @@ class TestWalkMemos:
             assert type(as_fraction.bandwidth_bytes_per_s) is Fraction
             assert as_float.total_cycles == as_fraction.total_cycles
 
-    def test_returned_utilization_is_the_callers_own(self, vgg_layers):
+    def test_shared_utilization_is_read_only(self, vgg_layers):
         model = AcceleratorModel(paper_implementation(2))
         layer = vgg_layers[3]
         first = model.run_layer(layer)
         expected = dict(first.utilization)
-        first.utilization["pe"] = -1.0
-        first.utilization.clear()
-        second = model.run_layer(layer)
-        assert second.utilization == expected
-        assert second.utilization is not first.utilization
+        with pytest.raises(TypeError):
+            first.utilization["pe"] = -1.0
+        with pytest.raises(AttributeError):
+            first.utilization.clear()
+        assert dict(model.run_layer(layer).utilization) == expected
 
     @pytest.mark.parametrize("memo", [shape_tiling, shape_best_tile, shape_run, shape_timing])
     def test_every_shape_memo_is_bounded(self, memo):
@@ -303,3 +304,135 @@ def test_network_aggregates_match_a_per_layer_reference(monkeypatch):
     layers = get_workload_spec("tiny")
     assert type(AcceleratorModel(paper_implementation(1)).run_network(layers)) is PerLayerNetworkResult
     assert aggregate_payloads("llama_decode:4") == kept
+
+
+# ------------------------------------------------------- per-shape pricing
+
+
+@st.composite
+def repeated_shape_networks(draw):
+    """An implementation and a layer list that repeats a few drawn shapes
+    under distinct names and weight kinds; every shape has a tiling."""
+    config = draw(st.sampled_from(PAPER_IMPLEMENTATIONS))
+    shapes = [
+        shape
+        for shape in draw(st.lists(conv_layers(), min_size=1, max_size=3))
+        if shape_tiling(config, layer_signature(shape)) is not None
+    ]
+    assume(shapes)
+    picks = draw(st.lists(st.integers(0, len(shapes) - 1), min_size=1, max_size=8))
+    layers = [
+        dataclasses.replace(
+            shapes[pick], name=f"layer{index}", weight_kind=WEIGHT_KINDS[index % len(WEIGHT_KINDS)]
+        )
+        for index, pick in enumerate(picks)
+    ]
+    return config, layers
+
+
+def fields(breakdown: EnergyBreakdown) -> dict:
+    return dataclasses.asdict(breakdown)
+
+
+def per_shape_timed_pricing_reference(layers, timing_result, config):
+    """Timed pricing as it was before ``network_energy`` took timed cycles:
+    analytic access counts, leakage over each layer's timed cycles, one
+    pricing per (shape, timed cycles) and the sum in layer order."""
+    energy = EnergyModel()
+    model = AcceleratorModel(config)
+    priced = {}
+    total = EnergyBreakdown()
+    for layer, timed in zip(layers, timing_result.layers):
+        key = (layer_signature(layer), timed.total_cycles)
+        if key not in priced:
+            counts = model.run_layer(layer)
+            priced[key] = energy.energy_from_counts(
+                config,
+                dram_words=counts.dram.total,
+                igbuf_reads=counts.igbuf_reads,
+                igbuf_writes=counts.igbuf_writes,
+                wgbuf_reads=counts.wgbuf_reads,
+                wgbuf_writes=counts.wgbuf_writes,
+                macs=counts.macs,
+                lreg_reads=counts.lreg_reads,
+                lreg_writes=counts.lreg_writes,
+                greg_writes=counts.greg_writes,
+                total_cycles=timed.total_cycles,
+            )
+        total = total + priced[key]
+    return total
+
+
+class TestPerShapePricing:
+    @SETTINGS
+    @given(network=repeated_shape_networks())
+    def test_network_energy_equals_the_per_layer_fold(self, network):
+        config, layers = network
+        model = AcceleratorModel(config)
+        energy = EnergyModel()
+        reference = EnergyBreakdown()
+        for layer in layers:
+            fresh = model._walk(layer, model.choose_layer_tiling(layer))
+            reference = reference + energy.layer_energy(fresh, config)
+        priced = energy.network_energy(model.run_network(layers), config)
+        assert fields(priced) == fields(reference)
+
+    @SETTINGS
+    @given(network=repeated_shape_networks(), bandwidth=st.floats(1e6, 1e12, allow_nan=False))
+    def test_timed_network_energy_equals_the_timed_reference(self, network, bandwidth):
+        config, layers = network
+        timing = TimingSimulator(config, bandwidth).run_network(layers)
+        reference = per_shape_timed_pricing_reference(layers, timing, config)
+        priced = EnergyModel().network_energy(
+            AcceleratorModel(config).run_network(layers),
+            config,
+            total_cycles=[timed.total_cycles for timed in timing.layers],
+        )
+        assert fields(priced) == fields(reference)
+        _, report = simulate_network(layers, config, mode="timing", dram_bandwidth_bytes_per_s=bandwidth)
+        assert report.energy_joules == reference.total * 1e-12
+
+    @SETTINGS
+    @given(network=repeated_shape_networks(), on_chip_words=st.integers(1, 2 ** 20))
+    def test_lower_bound_energy_equals_the_per_layer_sum(self, network, on_chip_words):
+        _, layers = network
+        energy = EnergyModel()
+        macs = sum(layer.macs for layer in layers)
+        reference = EnergyBreakdown(
+            dram=energy.dram.access_energy_pj(
+                sum(practical_lower_bound(layer, on_chip_words) for layer in layers)
+            ),
+            mac=macs * energy_model.OPERATION_ENERGY["mac"],
+            # The smallest LReg's access energy.
+            lreg_dynamic=macs * energy_model.OPERATION_ENERGY["lreg_64B"],
+            macs=macs,
+        )
+        assert fields(energy.lower_bound_energy(layers, on_chip_words)) == fields(reference)
+
+    def test_timed_cycles_must_match_the_layers(self):
+        config = paper_implementation(1)
+        network = AcceleratorModel(config).run_network(get_workload_spec("tiny"))
+        with pytest.raises(ValueError, match="cycle counts"):
+            EnergyModel().network_energy(network, config, total_cycles=[1])
+
+    def test_fig18_prices_each_shape_once(self, monkeypatch):
+        calls = {"layer_energy": 0, "practical_lower_bound": 0}
+        layer_energy = EnergyModel.layer_energy
+
+        def counted_layer_energy(self, *args, **kwargs):
+            calls["layer_energy"] += 1
+            return layer_energy(self, *args, **kwargs)
+
+        def counted_bound(*args, **kwargs):
+            calls["practical_lower_bound"] += 1
+            return practical_lower_bound(*args, **kwargs)
+
+        monkeypatch.setattr(EnergyModel, "layer_energy", counted_layer_energy)
+        # Bound by name in the energy model.
+        monkeypatch.setattr(energy_model, "practical_lower_bound", counted_bound)
+        layers = get_workload_spec("llama_decode:4")
+        energy_report(layers)
+        shapes = len({layer_signature(layer) for layer in layers})
+        assert (len(layers), shapes) == (2272, 6)
+        # Six shapes on five implementations, and on two distinct capacities.
+        assert calls == {"layer_energy": 30, "practical_lower_bound": 12}

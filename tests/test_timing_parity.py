@@ -45,7 +45,6 @@ from repro.timing import (  # noqa: E402
     TimingSimulator,
     steady_breakeven_bytes_per_cycle,
     tile_groups,
-    timing_network_energy,
 )
 from repro.timing.simulator import _simulate_numpy, _simulate_python  # noqa: E402
 from repro.workloads.registry import get_workload, workload_names  # noqa: E402
@@ -326,6 +325,15 @@ class TestExactIntegers:
 # ----------------------------------------------------------------- reporting
 
 
+def timed_network_energy(layers, timing, config):
+    """``network_energy`` of the analytic counts over the timed cycles."""
+    return EnergyModel().network_energy(
+        AcceleratorModel(config).run_network(layers),
+        config,
+        total_cycles=[timed.total_cycles for timed in timing.layers],
+    )
+
+
 class TestReportingIntegration:
     def test_simulate_network_timing_mode(self):
         config = paper_implementation(1)
@@ -359,7 +367,7 @@ class TestReportingIntegration:
         config = paper_implementation(1)
         layers = get_workload("tiny")
         timing = TimingSimulator(config, math.inf).run_network(layers)
-        timed_energy = timing_network_energy(layers, timing, config)
+        timed_energy = timed_network_energy(layers, timing, config)
         analytic_energy = EnergyModel().network_energy(
             AcceleratorModel(config, math.inf).run_network(layers), config
         )
@@ -371,8 +379,8 @@ class TestReportingIntegration:
         bound = TimingSimulator(config, 1e8).run_network(layers)
         unbound = TimingSimulator(config, math.inf).run_network(layers)
         assert bound.waiting_cycles > 0
-        bound_energy = timing_network_energy(layers, bound, config)
-        unbound_energy = timing_network_energy(layers, unbound, config)
+        bound_energy = timed_network_energy(layers, bound, config)
+        unbound_energy = timed_network_energy(layers, unbound, config)
         # Access counts are bandwidth-independent; only leakage scales with
         # the longer runtime.
         assert bound_energy.lreg_static > unbound_energy.lreg_static

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Documentation checks: dead links, undocumented subcommands and flags,
-stale flags and stale code references.
+stale flags, stale code references, module-map and coverage-gate drift.
 
 Run by CI's docs job (and runnable locally)::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Four checks, all against the working tree:
+Six checks, all against the working tree:
 
 1. **Relative links.** Every ``[text](target)`` markdown link in README.md,
    EXPERIMENTS.md and docs/*.md that is not an absolute URL or a pure
@@ -32,6 +32,12 @@ Four checks, all against the working tree:
    inside the class). This check also reads the verify skill
    (``.claude/skills/verify/SKILL.md``). Renaming or deleting code means
    updating the docs that point at it.
+5. **Module map.** Every backticked ``name.py`` in a row of the module
+   map of docs/architecture.md must exist under ``src/repro/`` or under
+   one of the packages (backticked ``pkg/``) that row names. A deleted or
+   moved module leaves the map too.
+6. **Coverage gate.** Every ``--cov-fail-under`` number README.md quotes
+   must be the one the CI workflow enforces.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
@@ -67,6 +73,17 @@ FILE_REFERENCE_PATTERN = re.compile(r"`([\w./-]+\.py):([A-Za-z_]\w*(?:\.[A-Za-z_
 
 #: The verify skill: read by the code-reference check only.
 SKILL_PATH = os.path.join(REPO_ROOT, ".claude", "skills", "verify", "SKILL.md")
+
+ARCHITECTURE_PATH = os.path.join(REPO_ROOT, "docs", "architecture.md")
+README_PATH = os.path.join(REPO_ROOT, "README.md")
+CI_PATH = os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")
+
+#: A backticked module file (``name.py`` or ``pkg/name.py``) and a
+#: backticked package (``pkg/``) in a module-map row.
+MODULE_FILE_PATTERN = re.compile(r"`([\w/]+\.py)`")
+PACKAGE_PATTERN = re.compile(r"`([\w/]+/)`")
+
+COVERAGE_GATE_PATTERN = re.compile(r"--cov-fail-under=(\d+)")
 
 
 def documentation_files() -> list:
@@ -242,6 +259,48 @@ def check_code_references(paths: list) -> list:
     return problems
 
 
+def module_map_rows(text: str) -> list:
+    """The table rows of the ``## Module map`` section of ``text``."""
+    rows = []
+    in_map = False
+    for line in text.splitlines():
+        if line.startswith("## "):
+            in_map = line.strip() == "## Module map"
+        elif in_map and line.startswith("|"):
+            rows.append(line)
+    return rows
+
+
+def check_module_map(path: str) -> list:
+    with open(path) as handle:
+        rows = module_map_rows(handle.read())
+    source = os.path.join(REPO_ROOT, "src", "repro")
+    relative = os.path.relpath(path, REPO_ROOT)
+    problems = []
+    for row in rows:
+        packages = [""] + PACKAGE_PATTERN.findall(row)
+        for name in MODULE_FILE_PATTERN.findall(row):
+            if not any(os.path.isfile(os.path.join(source, package, name)) for package in packages):
+                problems.append(
+                    f"{relative}: module map names `{name}`, which is neither under src/repro/ "
+                    f"nor under {', '.join(packages[1:]) or 'a package of its row'}"
+                )
+    return problems
+
+
+def check_coverage_gate(readme_path: str, ci_path: str) -> list:
+    with open(ci_path) as handle:
+        enforced = set(COVERAGE_GATE_PATTERN.findall(handle.read()))
+    with open(readme_path) as handle:
+        quoted = COVERAGE_GATE_PATTERN.findall(handle.read())
+    return [
+        f"{os.path.relpath(readme_path, REPO_ROOT)}: --cov-fail-under={number}, but "
+        f"{os.path.relpath(ci_path, REPO_ROOT)} enforces {', '.join(sorted(enforced)) or 'none'}"
+        for number in quoted
+        if number not in enforced
+    ]
+
+
 def main() -> int:
     paths = documentation_files()
     skill = [SKILL_PATH] if os.path.exists(SKILL_PATH) else []
@@ -250,6 +309,8 @@ def main() -> int:
         + check_cli_coverage(paths)
         + check_stale_flags(paths)
         + check_code_references(paths + skill)
+        + check_module_map(ARCHITECTURE_PATH)
+        + check_coverage_gate(README_PATH, CI_PATH)
     )
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
@@ -257,7 +318,7 @@ def main() -> int:
         return 1
     print(
         f"docs check: {len(paths)} files, all links live, all subcommands and flags "
-        "covered, no stale flags or code references"
+        "covered, no stale flags, code references, module-map files or coverage gates"
     )
     return 0
 
