@@ -7,13 +7,18 @@ range (including 66.5 KB and 173.5 KB, the capacities used in later figures).
 The sweep is a shape census: the engine answers one task per (capacity,
 dataflow, distinct layer shape), and every searched series must equal the
 per-layer, left-to-right float sum it replaced.
+
+The sweep's largest grid, InR-A on ``conv1_2``, is also gated on memory:
+its candidate grid is evaluated on broadcast axes, so only the footprint
+and the totals span all 215 296 candidates.
 """
 
 import json
 import math
+import tracemalloc
 
 from repro.analysis.report import format_memory_sweep
-from repro.analysis.sweep import memory_sweep
+from repro.analysis.sweep import FIG13_DEFAULT_CAPACITIES_KIB, memory_sweep
 from repro.core.layer import kib_to_words
 from repro.dataflows.registry import ALL_DATAFLOWS
 from repro.engine import SearchEngine, layer_signature
@@ -21,6 +26,11 @@ from repro.engine import SearchEngine, layer_signature
 from conftest import run_once
 
 CAPACITIES_KIB = [16, 32, 66.5, 128, 173.5, 256]
+
+#: tracemalloc ceiling (MiB) of one InR-A grid search on ``conv1_2`` at
+#: Fig. 13's seven capacities: ~8.7 MiB on broadcast axes, 23.4 MiB when the
+#: grid was a materialised meshgrid.
+INRA_GRID_PEAK_MIB = 12
 
 
 def per_layer_series(capacities_kib, layers, engine) -> dict:
@@ -84,3 +94,25 @@ def test_fig13_memory_sweep(benchmark, vgg_layers):
                 continue
             if not math.isnan(values[index]):
                 assert ours[index] <= values[index] * 1.05, (name, CAPACITIES_KIB[index])
+
+
+def test_inra_grid_peak_memory(vgg_layers):
+    """Memory gate: the largest Fig. 13 grid stays within its ceiling.
+
+    ``tracemalloc`` counts NumPy's buffers exactly, so the peak of one
+    search is deterministic, unlike a wall-clock or RSS reading.
+    """
+    from repro.dataflows.registry import get_dataflow
+
+    layer = next(layer for layer in vgg_layers if layer.name == "conv1_2")
+    capacities = [kib_to_words(capacity) for capacity in FIG13_DEFAULT_CAPACITIES_KIB]
+    inra = get_dataflow("InR-A")
+    inra.traffic_grid(layer, capacities)  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        inra.traffic_grid(layer, capacities)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"\nInR-A grid on conv1_2: tracemalloc peak {peak / 2**20:.2f} MiB")
+    assert peak <= INRA_GRID_PEAK_MIB * 2**20

@@ -293,14 +293,16 @@ def choose_tiling_grid_many(layer: ConvLayer, constraints) -> list:
     The analytic seeds and their :func:`_shrink_to_fit` repairs stay scalar
     (they are O(1) each).  Constraints that shrink to the same seed share
     its refinement neighbourhood, so each distinct seed costs one
-    :func:`exact_traffic_grid` evaluation: the members' caps form a
-    ``(members x candidates)`` feasibility mask and one ``argmin`` per row
-    picks every winner.  Ties follow the scalar rule: the seed wins, then
-    the earliest neighbourhood candidate (``numpy.argmin`` returns the
-    first minimum, the scalar loop replaces only on strictly smaller
-    totals).
+    :func:`exact_traffic_grid` evaluation on the four :func:`_around` lists
+    as broadcast axes (:func:`~repro.dataflows.grid.grid_axes`, in the
+    scalar loop order ``b, z, y, x``).  The members' caps form a leading
+    axis of the feasibility mask, and one ``argmin`` per member picks the
+    first feasible minimum in loop order.  The seed is one of its own
+    ``_around`` values, so it is located in the grid, not prepended: as in
+    the scalar loop it wins unless a feasible neighbour is strictly
+    smaller.
     """
-    from repro.dataflows.grid import capacity_array, meshgrid_ravel, require_numpy
+    from repro.dataflows.grid import capacity_array, grid_axes, require_numpy, values_at
 
     np = require_numpy()
     members_by_seed = {}
@@ -311,52 +313,74 @@ def choose_tiling_grid_many(layer: ConvLayer, constraints) -> list:
             continue
         members_by_seed.setdefault(seed, []).append(index)
 
+    arounds = {}
+
+    def around(value: int, extent: int) -> tuple:
+        """``_around(value, extent)`` as an array, and the index of ``value``."""
+        if (value, extent) not in arounds:
+            values = _around(value, extent)
+            arounds[value, extent] = np.array(values, dtype=np.int64), values.index(value)
+        return arounds[value, extent]
+
+    def member_caps(caps):
+        """The members' caps as a leading axis of the ``(b, z, y, x)`` grid."""
+        return capacity_array(caps).reshape(-1, 1, 1, 1, 1)
+
     choices = [None] * len(constraints)
     for seed, members in members_by_seed.items():
-        # Candidate arrays in scalar enumeration order, the seed prepended
-        # at index 0.  _around clamps to [1, extent] and the seed is
-        # clipped, so every candidate is already clip(layer)-ed.
-        b, z, y, x = (
-            np.concatenate(([seed_size], sizes))
-            for seed_size, sizes in zip(
-                (seed.b, seed.z, seed.y, seed.x),
-                meshgrid_ravel(
-                    _around(seed.b, layer.batch),
-                    _around(seed.z, layer.out_channels),
-                    _around(seed.y, layer.out_height),
-                    _around(seed.x, layer.out_width),
-                ),
-            )
+        # _around clamps to [1, extent] and the seed is clipped, so every
+        # candidate is already clip(layer)-ed and the seed is among them.
+        (b_values, b_at), (z_values, z_at), (y_values, y_at), (x_values, x_at) = (
+            around(seed.b, layer.batch),
+            around(seed.z, layer.out_channels),
+            around(seed.y, layer.out_height),
+            around(seed.x, layer.out_width),
         )
+        b, z, y, x = grid_axes(b_values, z_values, y_values, x_values)
+        shape = (len(b_values), len(z_values), len(y_values), len(x_values))
 
         # Array form of the `fits` predicate from _seed_and_fits, term for
         # term (all candidates have k = 1): Tiling.on_chip_footprint = Psum
         # block (output_block_size) + staged inputs (b * x' * y' * k) +
         # staged weights (z * k), then the optional per-buffer caps on the
-        # same three terms.  Row i holds member i's caps.
+        # same three terms.  The leading axis holds the members' caps.
         rows = (y - 1) * layer.stride + layer.kernel_height
         cols = (x - 1) * layer.stride + layer.kernel_width
         staged_inputs = b * rows * cols
         psum_block = b * x * y * z
         on_chip, *buffer_caps = zip(*(constraints[index] for index in members))
-        mask = (psum_block + staged_inputs + z) <= capacity_array(on_chip)[:, None]
+        mask = (psum_block + staged_inputs + z) <= member_caps(on_chip)
         for caps, term in zip(buffer_caps, (psum_block, staged_inputs, z)):
             if any(cap is not None for cap in caps):
-                mask &= term <= capacity_array(caps)[:, None]
-        mask[:, 0] = True  # the seed is the incumbent regardless of feasibility
+                mask &= term <= member_caps(caps)
 
+        # Input reads span (z, y, x) and weight reads (b, y, x), so the
+        # totals span the whole grid.
         input_f, weight_f, totals = exact_traffic_grid(layer, b, z, y, x)
-        best = np.argmin(np.where(mask, totals, np.inf), axis=1)
-        for index, column in zip(members, best.tolist()):
-            choices[index] = TilingChoice(
-                Tiling(b=int(b[column]), z=int(z[column]), y=int(y[column]), x=int(x[column]), k=1),
+        masked = np.where(mask, totals, np.inf).reshape(len(members), -1)
+        best = masked.argmin(axis=1)
+        seed_at = (b_at, z_at, y_at, x_at)
+        beats_seed = masked[np.arange(len(members)), best] < totals[seed_at]
+        winners = np.where(beats_seed, best, np.ravel_multi_index(seed_at, shape)).tolist()
+
+        columns = sorted(set(winners))
+        positions = np.unravel_index(columns, shape)
+        tilings = zip(*(values_at(axis, positions) for axis in (b, z, y, x)))
+        traffics = zip(values_at(input_f, positions), values_at(weight_f, positions))
+        found = {
+            column: TilingChoice(
+                Tiling(*sizes, k=1),
                 TrafficBreakdown(
-                    input_reads=float(input_f[column]),
-                    weight_reads=float(weight_f[column]),
+                    input_reads=input_reads,
+                    weight_reads=weight_reads,
                     output_reads=0.0,
                     output_writes=float(layer.num_outputs),
                 ),
             )
+            for column, sizes, (input_reads, weight_reads) in zip(columns, tilings, traffics)
+        }
+        for index, column in zip(members, winners):
+            choices[index] = found[column]
     return choices
 
 

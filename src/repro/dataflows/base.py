@@ -85,10 +85,11 @@ class Dataflow(ABC):
     def supports_grid(self) -> bool:
         """Whether this dataflow implements the vectorized search backend.
 
-        True when the subclass either provides ``grid_arrays(layer)`` (dense
-        candidate grids, evaluated by :func:`repro.dataflows.grid.
-        grid_search`) or overrides :meth:`traffic_grid` outright.  Dataflows
-        without either always run through the scalar reference search.
+        True when the subclass either provides ``grid_arrays(layer)`` (a
+        dense candidate grid as broadcast axes and the terms over them,
+        evaluated by :func:`repro.dataflows.grid.grid_search`) or overrides
+        :meth:`traffic_grid` outright.  Dataflows without either always run
+        through the scalar reference search.
         """
         return (
             hasattr(self, "grid_arrays")
@@ -105,8 +106,9 @@ class Dataflow(ABC):
         order wins, matching the scalar loop's strictly-smaller update rule.
 
         The default implementation evaluates the subclass's
-        ``grid_arrays(layer)`` candidate grid once and answers every
-        capacity from one selection over it; requires NumPy.
+        ``grid_arrays(layer)`` candidate grid once -- one broadcast axis per
+        tiled dimension, each term over the axes it depends on -- and
+        answers every capacity from one selection over it; requires NumPy.
         """
         # Imported here so the scalar models never depend on NumPy.
         from repro.dataflows.grid import grid_search

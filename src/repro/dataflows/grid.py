@@ -6,11 +6,14 @@ that space is a dense grid -- the cross product of :func:`~repro.dataflows.
 base.candidate_extents` along each tiled dimension -- so the whole search can
 be evaluated as a handful of array expressions instead of a Python loop:
 
-1. materialise the candidate grid (``numpy.meshgrid`` of the per-dimension
-   extent lists, flattened in C order so index ``i`` of the flat arrays is the
-   ``i``-th candidate of the scalar generator);
-2. evaluate the on-chip footprint and all four traffic components for every
-   candidate in one shot, in exact ``int64`` arithmetic;
+1. lay the candidate grid out as broadcast axes (:func:`grid_axes`: one
+   ``int64`` array per tiled dimension, shaped ``(1, ..., n_i, ..., 1)``),
+   so the grid in C order lists the candidates in scalar enumeration order
+   and is never materialised as a meshgrid;
+2. evaluate the on-chip footprint and all four traffic components in exact
+   ``int64`` arithmetic, each factor on the dimensions it depends on (a
+   block count such as ``ceil(Ci / k)`` is an array over ``k`` alone), so
+   only the footprint and the totals span the full grid;
 3. answer every requested capacity from one selection: bucket each
    candidate by the smallest requested capacity its footprint fits, take
    each bucket's first minimum, and carry a running minimum across the
@@ -30,7 +33,11 @@ approximation of it:
 * every traffic component is an exact integer (the scalar models compute
   Python ``int`` products and convert with ``float(...)`` once; the grid
   computes the same integers in ``int64`` and converts with ``astype``, which
-  rounds identically for any value below 2**63);
+  rounds identically for any value below 2**63).  Integer products are exact
+  in any association, and every factor is >= 1, so no partial product
+  exceeds the full one that :func:`int64_safe` bounds; a component converted
+  on its own small shape and then broadcast is the same float per
+  candidate;
 * totals are summed in the same order as
   :attr:`~repro.core.traffic.TrafficBreakdown.total`
   (``((inputs + weights) + output_reads) + output_writes``);
@@ -71,15 +78,27 @@ def require_numpy():
     return _np
 
 
+def grid_axes(*value_lists):
+    """Candidate-value lists as ``int64`` axes that broadcast to their grid.
+
+    Axis ``i`` has shape ``(1, ..., len(value_lists[i]), ..., 1)``.  The
+    lists are combined exactly like the scalar dataflows' nested ``for``
+    loops (first list outermost, last list innermost): the broadcast grid
+    in C order lists the candidates in ``tiling_space`` order, so flat index
+    ``i`` of it is the ``i``-th candidate the generator yields.  A term
+    built from some of the axes spans only their dimensions.
+    """
+    np = require_numpy()
+    return np.ix_(*(np.asarray(values, dtype=np.int64) for values in value_lists))
+
+
 def meshgrid_ravel(*value_lists):
     """Cross product of candidate-value lists as flat ``int64`` arrays.
 
-    The lists are combined exactly like the scalar dataflows' nested
-    ``for`` loops (first list outermost, last list innermost), so flat index
-    ``i`` corresponds to the ``i``-th candidate yielded by ``tiling_space``.
-    The DSE config enumerator (:mod:`repro.dse.space`) leans on the same
-    alignment guarantee to keep its vectorized candidate list bit-identical
-    to its scalar nested loops.
+    The flattened :func:`grid_axes` grid, one full array per list, in the
+    same nested-loop order.  Only the DSE config enumerator
+    (:mod:`repro.dse.space`) uses it: its candidate list is materialised,
+    and the alignment keeps it bit-identical to its scalar nested loops.
     """
     np = require_numpy()
     axes = [np.asarray(values, dtype=np.int64) for values in value_lists]
@@ -164,6 +183,29 @@ def lexicographic_argmin(keys, mask=None):
     return mask.argmax(axis=-1)
 
 
+def values_at(array, positions) -> list:
+    """``array``, broadcast against a grid, read at grid ``positions``.
+
+    ``positions`` is what ``numpy.unravel_index`` returns for the grid's
+    shape; the result holds one Python number per position.  Along a
+    dimension where ``array`` has size 1 it is read at index 0, as
+    broadcasting reads it.
+    """
+    index = tuple(
+        position if size > 1 else 0
+        for position, size in zip(positions[len(positions) - array.ndim:], array.shape)
+    )
+    values = array[index]
+    return values.tolist() if values.ndim else [values.item()] * len(positions[0])
+
+
+def _ravel_to(array, shape):
+    """``array`` broadcast to ``shape`` and flattened in C order."""
+    if array.shape != shape:
+        array = require_numpy().broadcast_to(array, shape)
+    return array.ravel()
+
+
 def grid_search(dataflow, layer: ConvLayer, capacities) -> list:
     """Vectorized multi-capacity search over a dataflow's candidate grid.
 
@@ -173,47 +215,64 @@ def grid_search(dataflow, layer: ConvLayer, capacities) -> list:
     output_writes))``
 
     where ``axes`` is a list of ``(tiling key, int64 array)`` pairs in the
-    order the scalar tiling dict lists them, ``footprint`` is the on-chip
-    words each candidate occupies and the four traffic components are exact
-    ``int64`` arrays, all flattened in scalar enumeration order.
+    order the scalar tiling dict lists them, the arrays being the
+    :func:`grid_axes` of the scalar loops (their shapes carry the loop
+    order, which may differ from the dict order); ``footprint`` is the
+    on-chip words each candidate occupies and the four traffic components
+    are exact ``int64`` arrays (or ints), each broadcastable against the
+    axes and only as large as the dimensions it depends on.
 
     Returns one :class:`~repro.dataflows.base.DataflowResult` per capacity
     (``None`` where no candidate fits), bit-identical to the scalar search.
 
-    One selection answers every capacity.  Each candidate falls in the
-    bucket of the smallest distinct capacity its footprint fits (one
-    ``searchsorted``; the last bucket holds the candidates that fit none),
-    two ``minimum.at`` passes take each bucket's lexicographic (total,
-    enumeration index) minimum, and a running minimum over the buckets in
-    ascending capacity order gives each capacity the first minimum among
-    every candidate it admits -- what ``argmin`` over that capacity's mask
-    returns.
+    Each component converts to ``float64`` on its own shape; only the
+    totals and the footprint's buckets span the full grid, flattened in C
+    order, which is scalar enumeration order.  One selection answers every
+    capacity.  Each candidate falls in the bucket of the smallest distinct
+    capacity its footprint fits (one ``searchsorted``; the last bucket
+    holds the candidates that fit none), two ``minimum.at`` passes take
+    each bucket's lexicographic (total, enumeration index) minimum, and a
+    running minimum over the buckets in ascending capacity order gives each
+    capacity the first minimum among every candidate it admits -- what
+    ``argmin`` over that capacity's mask returns.  Each distinct winner's
+    tiling and traffic are read back once, at its ``unravel_index``.
     """
     np = require_numpy()
     axes, footprint, components = dataflow.grid_arrays(layer)
-    floats = [component.astype(np.float64) for component in components]
+    shape = np.broadcast(*(values for _, values in axes)).shape
+    floats = [np.asarray(component, dtype=np.int64).astype(np.float64) for component in components]
     input_reads, weight_reads, output_reads, output_writes = floats
     # Same association order as TrafficBreakdown.total so ties and rounding
     # behave exactly like the scalar comparisons.
-    totals = ((input_reads + weight_reads) + output_reads) + output_writes
+    totals = _ravel_to(((input_reads + weight_reads) + output_reads) + output_writes, shape)
 
     requested = [int(capacity_words) for capacity_words in capacities]
     levels = sorted(set(requested))
-    bucket = np.searchsorted(capacity_array(levels), footprint).astype(
-        np.min_scalar_type(len(levels))
+    bucket = _ravel_to(
+        np.searchsorted(capacity_array(levels), footprint).astype(np.min_scalar_type(len(levels))), shape
     )
     bucket_totals = np.full(len(levels) + 1, np.inf)
     np.minimum.at(bucket_totals, bucket, totals)
     ties = np.flatnonzero(totals == bucket_totals[bucket])
-    bucket_first = np.full(len(levels) + 1, len(totals), dtype=ties.dtype)
+    bucket_first = np.full(len(levels) + 1, totals.size, dtype=ties.dtype)
     np.minimum.at(bucket_first, bucket[ties], ties)
 
     winners = {}
     incumbent = None
     for capacity, total, first in zip(levels, bucket_totals.tolist(), bucket_first.tolist()):
-        if first < len(totals) and (incumbent is None or (total, first) < incumbent):
+        if first < totals.size and (incumbent is None or (total, first) < incumbent):
             incumbent = (total, first)
         winners[capacity] = None if incumbent is None else incumbent[1]
+
+    columns = sorted(set(winners.values()) - {None})
+    positions = np.unravel_index(np.asarray(columns, dtype=np.intp), shape)
+    names = [name for name, _ in axes]
+    tilings = zip(*(values_at(values, positions) for _, values in axes))
+    traffics = zip(*(values_at(values, positions) for values in floats))
+    found = {
+        column: (dict(zip(names, tiling)), TrafficBreakdown(*traffic))
+        for column, tiling, traffic in zip(columns, tilings, traffics)
+    }
 
     results = []
     for capacity in requested:
@@ -221,18 +280,14 @@ def grid_search(dataflow, layer: ConvLayer, capacities) -> list:
         if best is None:
             results.append(None)
             continue
+        tiling, traffic = found[best]
         results.append(
             DataflowResult(
                 dataflow=dataflow.name,
                 layer_name=layer.name,
                 capacity_words=capacity,
-                tiling={name: int(values[best]) for name, values in axes},
-                traffic=TrafficBreakdown(
-                    input_reads=float(input_reads[best]),
-                    weight_reads=float(weight_reads[best]),
-                    output_reads=float(output_reads[best]),
-                    output_writes=float(output_writes[best]),
-                ),
+                tiling=dict(tiling),
+                traffic=traffic,
             )
         )
     return results

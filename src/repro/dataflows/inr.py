@@ -63,7 +63,7 @@ class InRA(Dataflow):
     def grid_arrays(self, layer: ConvLayer):
         from repro.dataflows import grid
 
-        k, y, x = grid.meshgrid_ravel(
+        k, y, x = grid.grid_axes(
             candidate_extents(layer.in_channels),
             candidate_extents(layer.out_height),
             candidate_extents(layer.out_width),
@@ -71,13 +71,13 @@ class InRA(Dataflow):
         patch = _patch_arrays(layer, x, y)
         spatial_blocks = grid.ceil_div(layer.out_height, y) * grid.ceil_div(layer.out_width, x)
         channel_blocks = grid.ceil_div(layer.in_channels, k)
-        blocks = layer.batch * spatial_blocks * channel_blocks
         kernel_area = layer.kernel_height * layer.kernel_width
         return (
             [("k", k), ("y", y), ("x", x)],
             k * patch,
             (
-                blocks * k * patch,
+                # blocks * k * patch, grouped so one product spans the grid.
+                (layer.batch * spatial_blocks * patch) * (channel_blocks * k),
                 layer.batch * spatial_blocks * layer.out_channels * layer.in_channels * kernel_area,
                 layer.num_outputs * (channel_blocks - 1),
                 layer.num_outputs * channel_blocks,
@@ -109,17 +109,15 @@ class InRB(Dataflow):
     def grid_arrays(self, layer: ConvLayer):
         from repro.dataflows import grid
 
-        np = grid.require_numpy()
         plane = layer.in_height * layer.in_width
-        (k,) = grid.meshgrid_ravel(candidate_extents(layer.in_channels))
+        (k,) = grid.grid_axes(candidate_extents(layer.in_channels))
         channel_blocks = grid.ceil_div(layer.in_channels, k)
-        constant = np.full_like(k, 1)
         return (
             [("k", k)],
             k * plane,
             (
-                constant * layer.num_inputs,
-                constant * (layer.batch * layer.num_weights),
+                layer.num_inputs,
+                layer.batch * layer.num_weights,
                 layer.num_outputs * (channel_blocks - 1),
                 layer.num_outputs * channel_blocks,
             ),
@@ -151,7 +149,7 @@ class InRC(Dataflow):
     def grid_arrays(self, layer: ConvLayer):
         from repro.dataflows import grid
 
-        y, x = grid.meshgrid_ravel(
+        y, x = grid.grid_axes(
             candidate_extents(layer.out_height),
             candidate_extents(layer.out_width),
         )
@@ -164,7 +162,7 @@ class InRC(Dataflow):
             (
                 blocks * layer.in_channels * patch,
                 blocks * layer.num_weights,
-                0 * blocks,
-                0 * blocks + layer.num_outputs,
+                0,
+                layer.num_outputs,
             ),
         )

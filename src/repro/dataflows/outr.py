@@ -55,7 +55,8 @@ class OutRA(Dataflow):
     def grid_arrays(self, layer: ConvLayer):
         from repro.dataflows import grid
 
-        y, x = grid.meshgrid_ravel(
+        # y is the outer loop; the tiling dict lists x first.
+        y, x = grid.grid_axes(
             candidate_extents(layer.out_height),
             candidate_extents(layer.out_width),
         )
@@ -74,8 +75,8 @@ class OutRA(Dataflow):
             (
                 blocks * rows * cols * layer.in_channels,
                 blocks * kernel_words,
-                0 * blocks,
-                0 * blocks + layer.num_outputs,
+                0,
+                layer.num_outputs,
             ),
         )
 
@@ -106,7 +107,8 @@ class OutRB(Dataflow):
     def grid_arrays(self, layer: ConvLayer):
         from repro.dataflows import grid
 
-        y, x = grid.meshgrid_ravel(
+        # y is the outer loop; the tiling dict lists x first.
+        y, x = grid.grid_axes(
             candidate_extents(layer.out_height),
             candidate_extents(layer.out_width),
         )
@@ -119,7 +121,7 @@ class OutRB(Dataflow):
             (
                 blocks * rows * cols * layer.in_channels,
                 blocks * layer.num_weights,
-                0 * blocks,
-                0 * blocks + layer.num_outputs,
+                0,
+                layer.num_outputs,
             ),
         )

@@ -47,7 +47,7 @@ class WtRA(Dataflow):
         from repro.dataflows import grid
 
         kernel_area = layer.kernel_height * layer.kernel_width
-        z, k = grid.meshgrid_ravel(
+        z, k = grid.grid_axes(
             candidate_extents(layer.out_channels),
             candidate_extents(layer.in_channels),
         )
@@ -59,7 +59,7 @@ class WtRA(Dataflow):
             z * k * kernel_area,
             (
                 kernel_blocks * layer.in_channels * input_plane,
-                0 * z + layer.num_weights,
+                layer.num_weights,
                 layer.num_outputs * (channel_blocks - 1),
                 layer.num_outputs * channel_blocks,
             ),
@@ -91,15 +91,15 @@ class WtRB(Dataflow):
         from repro.dataflows import grid
 
         kernel_words = layer.kernel_height * layer.kernel_width * layer.in_channels
-        (z,) = grid.meshgrid_ravel(candidate_extents(layer.out_channels))
+        (z,) = grid.grid_axes(candidate_extents(layer.out_channels))
         kernel_blocks = grid.ceil_div(layer.out_channels, z)
         return (
             [("z", z)],
             z * kernel_words,
             (
                 kernel_blocks * layer.num_inputs,
-                0 * z + layer.num_weights,
-                0 * z,
-                0 * z + layer.num_outputs,
+                layer.num_weights,
+                0,
+                layer.num_outputs,
             ),
         )

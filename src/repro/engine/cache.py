@@ -321,21 +321,24 @@ class CorruptCacheError(ValueError):
 
 @contextlib.contextmanager
 def _lock_errors(path: str):
-    """Raise SQLite's "database is locked" as one line naming ``path``.
+    """Raise a locked or a full SQLite database as one line naming ``path``.
 
     SQLITE_BUSY and SQLITE_LOCKED arrive as ``OperationalError`` "database
     is locked" / "database table is locked" once the busy timeout has run
-    out.  The database is live, so this is a plain ``ValueError``, never a
+    out, and SQLITE_FULL as "database or disk is full".  The database is
+    live, so each is a plain ``ValueError``, never a
     :class:`CorruptCacheError`: nothing is discarded.
     """
     try:
         yield
     except sqlite3.OperationalError as error:
-        if "locked" not in str(error):
-            raise
-        raise ValueError(
-            f"SQLite database {path!r} is locked by another process: {error}"
-        ) from error
+        if "locked" in str(error):
+            raise ValueError(
+                f"SQLite database {path!r} is locked by another process: {error}"
+            ) from error
+        if "full" in str(error):
+            raise ValueError(f"SQLite database {path!r} cannot grow: {error}") from error
+        raise
 
 
 class SqliteStore:
@@ -583,10 +586,14 @@ class _SqliteTransaction:
         try:
             if exc_type is None:
                 self._connection.execute("COMMIT")
-            else:
-                self._connection.execute("ROLLBACK")
         finally:
-            self._lock.release()
+            try:
+                # SQLite rolls some failed transactions back itself (a full
+                # database does), and a failed COMMIT may leave one open.
+                if self._connection.in_transaction:
+                    self._connection.execute("ROLLBACK")
+            finally:
+                self._lock.release()
         return False
 
 

@@ -181,15 +181,15 @@ class EyerissModel:
     def _best_tile_grid(self, layer: ConvLayer):
         """NumPy form of :meth:`_best_tile_scalar`, bit-identical to it.
 
-        The ``(n, m, c, e)`` grid is an open mesh (``numpy.ix_``), so every
-        term is computed over the axes it depends on, and the C-order flat
-        index of a grid point is its position in the scalar loop order (the
-        order ``meshgrid_ravel`` would flatten it in).  The two capacity
+        The ``(n, m, c, e)`` grid is laid out as broadcast axes
+        (:func:`~repro.dataflows.grid.grid_axes`), so every term is computed
+        over the axes it depends on, and the C-order flat index of a grid
+        point is its position in the scalar loop order.  The two capacity
         checks of :meth:`_tile_space` become a mask and the totals are summed
         like :attr:`TrafficBreakdown.total`, so ``argmin``'s first minimum is
         the scalar loop's first strict one.
         """
-        from repro.dataflows.grid import ceil_div as grid_ceil_div, require_numpy
+        from repro.dataflows.grid import ceil_div as grid_ceil_div, grid_axes, require_numpy
 
         np = require_numpy()
         config = self.config
@@ -199,7 +199,7 @@ class EyerissModel:
             candidate_extents(layer.in_channels, max_candidates=24),
             candidate_extents(layer.out_height, max_candidates=24),
         )
-        n, m, c, e = np.ix_(*(np.asarray(values, dtype=np.int64) for values in extents))
+        n, m, c, e = grid_axes(*extents)
         strip_rows = (e - 1) * layer.stride + layer.kernel_height
         fits = (m * c * layer.kernel_height * layer.kernel_width <= config.spad_weight_words_total) & (
             n * c * strip_rows * layer.in_width + n * m * e * layer.out_width <= config.gbuf_data_words

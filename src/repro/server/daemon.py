@@ -47,7 +47,7 @@ import sys
 import time
 
 from repro import __version__
-from repro.engine import BACKENDS, SearchEngine
+from repro.engine import BACKENDS, SearchCache, SearchEngine
 from repro.orchestration.experiments import resolve_experiment_name
 from repro.orchestration.manifest import (
     DEFAULT_WORKLOADS,
@@ -585,34 +585,38 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def main(argv: list = None) -> int:
     """``repro-experiments serve``: run the daemon until SIGTERM/SIGINT."""
     args = build_serve_parser().parse_args(argv)
-    # An OSError (an unwritable --cache-file, a port already bound) is one
-    # line naming the path or address, like a bad flag value.
+    # A ValueError (a bad flag value, a locked or full --cache-file) or an
+    # OSError (an unwritable --cache-file, a port already bound) is one
+    # line naming the path or address.
     try:
-        engine = SearchEngine(
-            workers=args.workers,
-            cache_path=args.cache_file,
-            backend=args.backend,
-            cache_max_entries=args.cache_max_entries,
-        )
-        daemon = SearchDaemon(
-            engine=engine,
-            host=args.host,
-            port=args.port,
-            max_batch=args.max_batch,
-            work_dir=args.work_dir,
-        )
+        return asyncio.run(_serve(args))
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    try:
-        return asyncio.run(_serve(daemon))
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
 
 
-async def _serve(daemon: SearchDaemon) -> int:
+async def _serve(args) -> int:
+    engine = SearchEngine(
+        workers=args.workers,
+        backend=args.backend,
+        cache_max_entries=args.cache_max_entries,
+    )
+    daemon = SearchDaemon(
+        engine=engine,
+        host=args.host,
+        port=args.port,
+        max_batch=args.max_batch,
+        work_dir=args.work_dir,
+    )
     await daemon.start()
+    if args.cache_file is not None:
+        # Opened once the port is bound, so a port already taken leaves no
+        # cache file behind; and before the daemon announces itself.
+        try:
+            engine.cache = SearchCache(path=args.cache_file, max_entries=args.cache_max_entries)
+        except BaseException:
+            await daemon.aclose()
+            raise
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(signum, daemon.request_shutdown)

@@ -52,6 +52,27 @@ def daemon(tmp_path):
     assert not thread.is_alive(), "daemon did not shut down"
 
 
+@pytest.fixture
+def full_sqlite(monkeypatch):
+    """Cap every search cache and work queue opened from here on at the
+    pages its file holds once initialised (``PRAGMA max_page_count``): the
+    first write that needs another page fails with SQLITE_FULL, "database
+    or disk is full", as on a full disk."""
+    from repro.engine.cache import SqliteStore
+    from repro.orchestration.scheduler import WorkQueue
+
+    def capped(initialise):
+        def capped_initialise(self):
+            initialise(self)
+            pages = self._connection.execute("PRAGMA page_count").fetchone()[0]
+            self._connection.execute(f"PRAGMA max_page_count={pages}")
+
+        return capped_initialise
+
+    for owner in (SqliteStore, WorkQueue):
+        monkeypatch.setattr(owner, "_initialise", capped(owner._initialise))
+
+
 @pytest.fixture(scope="session")
 def vgg_layers():
     """The paper's workload: VGG-16 convolutional layers at batch 3."""

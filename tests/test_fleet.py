@@ -362,6 +362,24 @@ class TestLockedQueue:
         self.assert_one_line_lock_error(error, path)
 
 
+class TestFullQueue:
+    """A queue file that cannot grow (SQLITE_FULL) is one ``ValueError``
+    line naming it, and the failed transaction leaves the queue usable."""
+
+    def test_populate_past_the_page_cap(self, full_sqlite, tmp_path):
+        path = str(tmp_path / "queue.sqlite")
+        queue = WorkQueue.fresh(path)
+        with pytest.raises(ValueError) as error:
+            queue.populate([f"unit-{index:04d}" for index in range(2_000)])
+        message = str(error.value)
+        assert "database or disk is full" in message and repr(path) in message
+        assert "\n" not in message
+        assert not queue._connection.in_transaction
+        assert queue.counts() == {}
+        assert queue.populate(["a", "b"]) == {"pending": 2}
+        queue.close()
+
+
 class TestFleetConfig:
     def test_roundtrips_through_run_json_dict(self):
         config = FleetConfig(

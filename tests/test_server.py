@@ -13,6 +13,7 @@ subprocess/SIGTERM path is covered by ``python -m repro.server.smoke``.
 import asyncio
 import http.client
 import json
+import os
 import socket
 import threading
 import time
@@ -360,6 +361,9 @@ class TestServeMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(port) in err and "Traceback" not in err
+        # The port is bound before the cache opens: no database, WAL or
+        # shared-memory file is left behind.
+        assert not [name for name in os.listdir(tmp_path) if name.startswith("cache.sqlite")]
 
 
 class TestDaemon:

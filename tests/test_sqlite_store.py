@@ -17,6 +17,8 @@ cache safely.  These tests pin exactly that contract:
 * a database another process keeps locked -- when the cache opens, or
   later, at a write or a read -- is *not* corrupt: nothing is discarded,
   and every surface reports the lock in one line;
+* a database that cannot grow (SQLITE_FULL) fails the write in one line
+  naming the path, rolls the batch back and keeps the store usable;
 * a shard cache written by an orchestrated ``run`` is served as *hits* by a
   fresh engine pointed at the same file (the daemon's warm-start path).
 """
@@ -670,6 +672,66 @@ class TestLockedCache:
                 expected = handle.read()
             with open(os.path.join(out_dir, "units", name), "rb") as handle:
                 assert handle.read() == expected, name
+
+
+def assert_one_line_full_error(message: str, path: str) -> None:
+    assert "database or disk is full" in message and path in message
+    assert "\n" not in message.rstrip("\n") and "Traceback" not in message
+
+
+class TestFullDatabase:
+    """A database that cannot grow (SQLITE_FULL) is one line naming the
+    path, never SQLite's own "cannot rollback" or a traceback, and the
+    store stays usable."""
+
+    @staticmethod
+    def pairs(layer, capacities) -> list:
+        dataflow = get_dataflow("InR-A")
+        return [(task_key(dataflow, layer, capacity), INFEASIBLE) for capacity in capacities]
+
+    def test_store_batch_fails_in_one_line_and_rolls_back(self, full_sqlite, tmp_path, layer):
+        path = str(tmp_path / "cache.sqlite")
+        store = SqliteStore(path)
+        kept = self.pairs(layer, [1])
+        store.store(kept)  # fits in the pages the file already has
+        with pytest.raises(ValueError) as error:
+            store.store(self.pairs(layer, range(2, 400)))
+        assert not isinstance(error.value, cache_module.CorruptCacheError)
+        assert_one_line_full_error(str(error.value), path)
+        assert not store._connection.in_transaction
+        assert store.items() == kept  # the whole batch rolled back
+        store.store(self.pairs(layer, [1]))  # and the store still writes
+        assert len(store) == 1
+        store.close()
+
+    def test_flat_cli_exits_2_naming_the_path(self, full_sqlite, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        path = str(tmp_path / "cache.sqlite")
+        argv = ["fig13", "--workload", "tiny", "--capacities", "16", "--cache-file", path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert_one_line_full_error(err, path)
+        monkeypatch.undo()  # room again: the same file takes the results
+        assert main(argv) == 0
+
+    def test_daemon_answers_the_batch_in_one_line_then_keeps_serving(
+        self, full_sqlite, daemon, tmp_path, layer
+    ):
+        from repro.server.client import SearchClient, ServerError
+
+        path = str(tmp_path / "cache.sqlite")
+        reference = SearchEngine()
+        with SearchClient(port=daemon.port) as client:
+            served = client.search("Ours", layer=layer, capacity_words=8192)
+            assert served == reference.try_search(get_dataflow("Ours"), layer, 8192)
+            with pytest.raises(ServerError) as error:
+                client.search_many("InR-A", layer=layer, capacities_words=list(range(100, 4100, 100)))
+            assert error.value.status == 400
+            assert_one_line_full_error(error.value.message, path)
+            assert client.search("Ours", layer=layer, capacity_words=8192) == served
+            assert client.healthz()
 
 
 class TestShardCacheCrossCheck:

@@ -14,7 +14,10 @@ Hypothesis generates random layers and random capacity lists; every dataflow
 The batched paths are checked the same way: every constraint of one
 ``choose_tiling_grid_many`` call against its own scalar ``choose_tiling``,
 and each baseline's one-selection grid search on up to 300 unsorted,
-duplicated or zero capacities against ``Dataflow.search``.
+duplicated or zero capacities against ``Dataflow.search``.  Layers with one
+extent past 48 check the broadcast candidate grid where ``candidate_extents``
+is sparse: its enumeration order against ``tiling_space`` and its results
+against the scalar searches.
 The tile-exact accelerator model's tiling choice and the Eyeriss tile search
 are checked the same way against their scalar loops, on the paper's
 workloads and on random layers and configurations.
@@ -71,6 +74,46 @@ def conv_layers(draw):
         stride=stride,
         padding=padding,
     )
+
+
+@st.composite
+def sparse_layers(draw):
+    """Random layers with one searched extent in 49-300, the rest small.
+
+    Past 48, :func:`~repro.dataflows.base.candidate_extents` is no longer
+    the dense ``range(1, extent + 1)`` but its power-of-two and stride
+    ladder -- the regime of every VGG-16 and LLM layer, which
+    :func:`conv_layers` never reaches.
+    """
+    stride = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 2))
+    kernel_height = draw(st.integers(1, 5))
+    kernel_width = draw(st.integers(1, 5))
+    extents = {
+        "in_channels": draw(st.integers(1, 8)),
+        "out_channels": draw(st.integers(1, 8)),
+        "out_height": draw(st.integers(1, 8)),
+        "out_width": draw(st.integers(1, 8)),
+    }
+    extents[draw(st.sampled_from(sorted(extents)))] = draw(st.integers(49, 300))
+
+    def input_extent(outputs, kernel):
+        return max(kernel, (outputs - 1) * stride + kernel - 2 * padding)
+
+    layer = ConvLayer(
+        name="sparse",
+        batch=draw(st.integers(1, 4)),
+        in_channels=extents["in_channels"],
+        in_height=input_extent(extents["out_height"], kernel_height),
+        in_width=input_extent(extents["out_width"], kernel_width),
+        out_channels=extents["out_channels"],
+        kernel_height=kernel_height,
+        kernel_width=kernel_width,
+        stride=stride,
+        padding=padding,
+    )
+    assert max(layer.in_channels, layer.out_channels, layer.out_height, layer.out_width) > 48
+    return layer
 
 
 capacity_lists = st.lists(st.integers(0, 60_000), min_size=1, max_size=5)
@@ -162,6 +205,42 @@ class TestTrafficGridParity:
             if first_best is None or candidate.total < first_best[1].total:
                 first_best = (tiling, candidate)
         assert grid.tiling == first_best[0]
+
+
+class TestBroadcastGrid:
+    """The broadcast candidate grid is the scalar search's, in the sparse
+    ``candidate_extents`` regime too (one extent in 49-300)."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layer=sparse_layers())
+    def test_axes_flatten_to_the_scalar_enumeration(self, layer):
+        """In C order the broadcast axes list every candidate of
+        ``tiling_space`` at a capacity all of them fit, in its order and
+        with its tiling-dict key order (OutR-A/B loop over ``y`` outside
+        but list ``x`` first)."""
+        from repro.dataflows.grid import NO_CAP
+
+        for dataflow in BASELINE_DATAFLOWS:
+            axes, _, _ = dataflow.grid_arrays(layer)
+            shape = np.broadcast(*(values for _, values in axes)).shape
+            columns = [np.broadcast_to(values, shape).ravel().tolist() for _, values in axes]
+            names = [name for name, _ in axes]
+            grid = [list(zip(names, values)) for values in zip(*columns)]
+            scalar = [list(tiling.items()) for tiling in dataflow.tiling_space(layer, NO_CAP)]
+            assert grid == scalar, dataflow.name
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layer=sparse_layers(), capacities=capacity_lists)
+    def test_bit_identical_to_scalar_search(self, layer, capacities):
+        for dataflow in CHECKED_DATAFLOWS:
+            expected = [scalar_reference(dataflow, layer, capacity) for capacity in capacities]
+            assert dataflow.traffic_grid(layer, capacities) == expected, dataflow.name
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layer=sparse_layers(), constraints=split_constraints())
+    def test_choose_tiling_grid_many_matches_scalar(self, layer, constraints):
+        choices = choose_tiling_grid_many(layer, constraints)
+        assert choices == [scalar_choice(layer, constraint) for constraint in constraints]
 
 
 def scalar_choice(layer, constraint):
