@@ -92,22 +92,6 @@ def grid_axes(*value_lists):
     return np.ix_(*(np.asarray(values, dtype=np.int64) for values in value_lists))
 
 
-def meshgrid_ravel(*value_lists):
-    """Cross product of candidate-value lists as flat ``int64`` arrays.
-
-    The flattened :func:`grid_axes` grid, one full array per list, in the
-    same nested-loop order.  Only the DSE config enumerator
-    (:mod:`repro.dse.space`) uses it: its candidate list is materialised,
-    and the alignment keeps it bit-identical to its scalar nested loops.
-    """
-    np = require_numpy()
-    axes = [np.asarray(values, dtype=np.int64) for values in value_lists]
-    if len(axes) == 1:
-        return (axes[0],)
-    grids = np.meshgrid(*axes, indexing="ij")
-    return tuple(grid.ravel() for grid in grids)
-
-
 #: Largest ``int64``.  Every candidate footprint is an ``int64``, so a cap
 #: at or beyond it -- or no cap at all -- admits every candidate.
 NO_CAP = 2**63 - 1

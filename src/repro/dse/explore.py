@@ -289,12 +289,6 @@ def design_space_exploration(
     explorer = validate_explorer(explorer)
     weights = None
     if mix is not None:
-        if "stall_time" in objectives:
-            raise ValueError(
-                "the 'stall_time' objective replays whole networks through "
-                "the tile-level simulator and has no weighted-mix form; "
-                "drop 'stall_time' from the objectives or drop the mix"
-            )
         layers, weights = _mix_layers(mix)
     else:
         layers = resolve_layers(layers, "vgg16")

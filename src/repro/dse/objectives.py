@@ -101,23 +101,33 @@ def estimate_counts(layers, per_layer_traffic, weights=None) -> dict:
     }
 
 
-def stall_aware_time_ms(config: AcceleratorConfig, layers, dram: DramModel) -> float:
+def stall_aware_time_ms(config: AcceleratorConfig, layers, dram: DramModel, weights=None) -> float:
     """Stall-aware latency from the tile-level timing simulator, in ms.
 
     Runs the double-buffered per-tile simulator (:mod:`repro.timing`) at
     the DRAM model's peak bandwidth with the accelerator's own tiling
     choice, so the objective reflects fill/steady/drain stalls the
-    first-order ``max(compute, transfer)`` estimate cannot see.  Raises
-    ``ValueError`` when no tiling of some layer fits the config's memories
-    (the DSE counts such configs as infeasible).  One full simulation per
-    candidate config: far costlier than the first-order trio, which is why
-    the ``stall_time`` objective is opt-in.
+    first-order ``max(compute, transfer)`` estimate cannot see.
+    ``weights[i]`` repeats layer ``i`` that many times, as in
+    :func:`estimate_cycles`: the cycles are summed as exact ints and
+    divided by the clock once, so a weighted shape list gives the same
+    value as the expanded layer list.  Raises ``ValueError`` when no tiling
+    of some layer fits the config's memories (the DSE counts such configs
+    as infeasible).  Each distinct layer shape is one walk, a sum over its
+    tile groups; the tiling choice behind it is what makes the objective
+    costlier than the first-order trio, which is why ``stall_time`` is
+    opt-in.
     """
     from repro.timing import TimingSimulator
 
     simulator = TimingSimulator(config, dram.peak_bandwidth_bytes_per_s)
-    network = simulator.run_network(layers)
-    return network.total_cycles / config.clock_hz * 1e3
+    if weights is None:
+        weights = (1,) * len(layers)
+    total_cycles = sum(
+        weight * simulator.run_layer(layer).total_cycles
+        for layer, weight in zip(layers, weights)
+    )
+    return total_cycles / config.clock_hz * 1e3
 
 
 def config_objectives(
@@ -136,15 +146,8 @@ def config_objectives(
     wants alongside them; ``include_stall_time`` adds the tile-level
     simulator's stall-aware latency (may raise ``ValueError`` for configs
     whose memories fit no tiling).  ``weights`` repeats each layer (a
-    traffic mix scores unique shapes and multiplies); the stall-aware
-    objective has no weighted form, so combining the two is an error.
+    traffic mix scores unique shapes and multiplies) in every objective.
     """
-    if include_stall_time and weights is not None:
-        raise ValueError(
-            "the 'stall_time' objective replays whole networks through the "
-            "tile-level simulator and has no weighted-mix form; drop "
-            "'stall_time' from the objectives or drop the mix"
-        )
     if energy_model is None:
         energy_model = EnergyModel()
     counts = estimate_counts(layers, per_layer_traffic, weights=weights)
@@ -163,5 +166,7 @@ def config_objectives(
         "waiting_fraction": report.waiting_fraction,
     }
     if include_stall_time:
-        objectives["stall_time"] = stall_aware_time_ms(config, layers, energy_model.dram)
+        objectives["stall_time"] = stall_aware_time_ms(
+            config, layers, energy_model.dram, weights=weights
+        )
     return objectives

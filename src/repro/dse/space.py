@@ -13,19 +13,14 @@ power-of-two ladders around the Table I values, so every paper
 implementation's memory split is itself an enumerable candidate.
 
 Enumeration order is canonical -- the nested cross product of the axis lists
-in declaration order -- and both paths produce the identical list: the
-scalar reference walks nested ``for`` loops (:func:`_enumerate_scalar`), the
-vectorized path materializes the same cross product with
-:func:`repro.dataflows.grid.meshgrid_ravel` and masks it against the budget
-in staged array expressions (:func:`_enumerate_vectorized`).
-:func:`enumerate_splits` takes the vectorized path whenever NumPy imports
-(``benchmarks/bench_dse.py`` asserts the bit-identity at 10^6-candidate
-scale and gates the end-to-end sweep speedup).
+in declaration order -- and :func:`enumerate_splits` walks it in nested
+``for`` loops, skipping a (PE pair, LReg) combo whose Psums alone use up
+the budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.config import AcceleratorConfig
 
@@ -142,28 +137,15 @@ def enumerate_splits(budget_words: int, space: CandidateSpace = None) -> list:
     """All ``(rows, cols, lreg, igbuf, wgbuf)`` splits under the budget.
 
     The list is in canonical enumeration order (PE pairs outermost, WGBuf
-    innermost) and identical on both paths; the budget is applied to the
-    effective on-chip words ``rows*cols*lreg + igbuf + wgbuf``.  NumPy is
-    looked up here, at call time, so importing this module never loads it.
+    innermost); the budget is applied to the effective on-chip words
+    ``rows*cols*lreg + igbuf + wgbuf``.
     """
-    from repro.dataflows.grid import numpy_available
-
     if budget_words < 1:
         raise ValueError(f"budget must be at least one on-chip word, got {budget_words}")
     if space is None:
         space = CandidateSpace()
-    pairs = space.pe_pairs()
-    if not pairs:
-        return []
-    if numpy_available():
-        return _enumerate_vectorized(budget_words, space, pairs)
-    return _enumerate_scalar(budget_words, space, pairs)
-
-
-def _enumerate_scalar(budget_words: int, space: CandidateSpace, pairs: list) -> list:
-    """Reference nested-loop enumeration (always available)."""
     splits = []
-    for rows, cols in pairs:
+    for rows, cols in space.pe_pairs():
         num_pes = rows * cols
         for lreg in space.lreg_words:
             psum = num_pes * lreg
@@ -176,54 +158,14 @@ def _enumerate_scalar(budget_words: int, space: CandidateSpace, pairs: list) -> 
     return splits
 
 
-def _enumerate_vectorized(budget_words: int, space: CandidateSpace, pairs: list) -> list:
-    """NumPy enumeration: staged meshgrids over the candidate cross product.
-
-    Mirrors the scalar loop structure in array form: first the (PE pair,
-    LReg) psum grid is masked against the budget, then only the surviving
-    combos are crossed with the buffer grids and masked on the full
-    footprint.  Flattening in C order keeps flat index ``i`` aligned with
-    the ``i``-th candidate of the scalar nested loops, so the returned list
-    is bit-identical.
-    """
-    from repro.dataflows.grid import meshgrid_ravel, require_numpy
-
-    np = require_numpy()
-
-    num_pes_by_pair = np.asarray([rows * cols for rows, cols in pairs], dtype=np.int64)
-    pair_index, lreg = meshgrid_ravel(range(len(pairs)), space.lreg_words)
-    psum = num_pes_by_pair[pair_index] * lreg
-    stage_one = np.flatnonzero(psum < budget_words)
-    if stage_one.size == 0:
-        return []
-
-    combo_index, igbuf, wgbuf = meshgrid_ravel(
-        range(stage_one.size), space.igbuf_words, space.wgbuf_words
-    )
-    keep = np.flatnonzero(psum[stage_one][combo_index] + igbuf + wgbuf <= budget_words)
-    combo = stage_one[combo_index[keep]]
-    rows = np.asarray([rows for rows, _ in pairs], dtype=np.int64)[pair_index[combo]]
-    cols = np.asarray([cols for _, cols in pairs], dtype=np.int64)[pair_index[combo]]
-    # ``tolist`` + ``zip`` converts survivors to plain-int tuples at C speed.
-    return list(
-        zip(
-            rows.tolist(),
-            cols.tolist(),
-            lreg[combo].tolist(),
-            igbuf[keep].tolist(),
-            wgbuf[keep].tolist(),
-        )
-    )
-
-
 def count_splits(budget_words: int, space: CandidateSpace = None) -> int:
     """``len(enumerate_splits(...))`` without materialising the list.
 
     The smart explorers report the full space size in
     ``config_count_total`` while only ever enumerating windowed sub-spaces;
     at 10^8-point scale the count must not build 10^8 tuples.  Pure
-    arithmetic (a bisect over the sorted WGBuf axis per (pair, LReg,
-    IGBuf) combo), so there is no NumPy path to keep bit-identical.
+    arithmetic: a bisect over the sorted WGBuf axis per (pair, LReg,
+    IGBuf) combo.
     """
     from bisect import bisect_right
 

@@ -341,6 +341,48 @@ def _lock_errors(path: str):
         raise
 
 
+def _open_sqlite(path: str, busy_timeout_s: float) -> sqlite3.Connection:
+    """Connect to the SQLite file at ``path`` as the store and the queue do.
+
+    Creates the file's directory, connects in autocommit mode (every
+    transaction is an explicit :func:`_sqlite_transaction`) for use from
+    any thread, then sets WAL journalling, ``synchronous=NORMAL`` and the
+    busy timeout.  A failing PRAGMA (a locked database, or a file that is
+    not one) closes the connection and propagates.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    connection = sqlite3.connect(
+        path, timeout=busy_timeout_s, check_same_thread=False, isolation_level=None
+    )
+    try:
+        connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute("PRAGMA synchronous=NORMAL")
+        connection.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
+    except BaseException:
+        connection.close()
+        raise
+    return connection
+
+
+@contextlib.contextmanager
+def _sqlite_transaction(path: str, connection, lock):
+    """``BEGIN IMMEDIATE`` .. ``COMMIT``/``ROLLBACK`` with ``lock`` held.
+
+    A lock or a full disk at any statement, the body's included, is the
+    one-line ``ValueError`` of :func:`_lock_errors`.
+    """
+    with _lock_errors(path), lock:
+        connection.execute("BEGIN IMMEDIATE")
+        try:
+            yield connection
+            connection.execute("COMMIT")
+        finally:
+            # SQLite rolls some failed transactions back itself (a full
+            # database does), and a failed COMMIT may leave one open.
+            if connection.in_transaction:
+                connection.execute("ROLLBACK")
+
+
 class SqliteStore:
     """Concurrency-safe persistent entry store backed by one SQLite file.
 
@@ -375,17 +417,10 @@ class SqliteStore:
         # engine work through one thread anyway, but benchmarks and tests
         # may probe the store from several threads of one process.
         self._lock = threading.RLock()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
         self._connection = None
         try:
             with _lock_errors(path):
-                self._connection = sqlite3.connect(
-                    path,
-                    timeout=SQLITE_BUSY_TIMEOUT_S,
-                    check_same_thread=False,
-                    isolation_level=None,  # autocommit; transactions are explicit
-                )
+                self._connection = _open_sqlite(path, SQLITE_BUSY_TIMEOUT_S)
                 self._initialise()
         except sqlite3.DatabaseError as error:
             self.close()
@@ -395,11 +430,7 @@ class SqliteStore:
             raise
 
     def _initialise(self) -> None:
-        connection = self._connection
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
-        connection.execute(f"PRAGMA busy_timeout={int(SQLITE_BUSY_TIMEOUT_S * 1000)}")
-        with self._transaction():
+        with self._transaction() as connection:
             connection.execute(
                 "CREATE TABLE IF NOT EXISTS meta (name TEXT PRIMARY KEY, value TEXT NOT NULL)"
             )
@@ -431,12 +462,8 @@ class SqliteStore:
                     f"{stored.get(name)!r}, not {value!r}; ignoring it"
                 )
 
-    @contextlib.contextmanager
     def _transaction(self):
-        """Immediate write transaction (the lock spans BEGIN..COMMIT); a
-        database locked past the busy timeout is the one-line error."""
-        with _lock_errors(self.path), _SqliteTransaction(self._connection, self._lock) as connection:
-            yield connection
+        return _sqlite_transaction(self.path, self._connection, self._lock)
 
     @staticmethod
     def _next_seq_sql() -> str:
@@ -564,37 +591,6 @@ class SqliteStore:
         if getattr(self, "_connection", None) is not None:
             self._connection.close()
             self._connection = None
-
-
-class _SqliteTransaction:
-    """``BEGIN IMMEDIATE`` .. ``COMMIT``/``ROLLBACK`` with the store's lock held."""
-
-    def __init__(self, connection, lock):
-        self._connection = connection
-        self._lock = lock
-
-    def __enter__(self):
-        self._lock.acquire()
-        try:
-            self._connection.execute("BEGIN IMMEDIATE")
-        except BaseException:
-            self._lock.release()
-            raise
-        return self._connection
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            if exc_type is None:
-                self._connection.execute("COMMIT")
-        finally:
-            try:
-                # SQLite rolls some failed transactions back itself (a full
-                # database does), and a failed COMMIT may leave one open.
-                if self._connection.in_transaction:
-                    self._connection.execute("ROLLBACK")
-            finally:
-                self._lock.release()
-        return False
 
 
 @dataclass

@@ -34,14 +34,12 @@ itself needs no crash-recovery story beyond SQLite's own journal.
 
 from __future__ import annotations
 
-import contextlib
 import os
-import sqlite3
 import threading
 import time
 from dataclasses import dataclass
 
-from repro.engine.cache import SQLITE_BUSY_TIMEOUT_S, _lock_errors, _SqliteTransaction
+from repro.engine.cache import SQLITE_BUSY_TIMEOUT_S, _lock_errors, _open_sqlite, _sqlite_transaction
 
 #: On-disk marker of the queue schema; bump when the table layout changes.
 QUEUE_FORMAT = "repro-fleet-queue-v1"
@@ -95,16 +93,9 @@ class WorkQueue:
         self.path = path
         self._clock = clock
         self._lock = threading.RLock()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
         # A lock held past the busy timeout is one ValueError naming the path.
         with _lock_errors(path):
-            self._connection = sqlite3.connect(
-                path,
-                timeout=SQLITE_BUSY_TIMEOUT_S,
-                check_same_thread=False,
-                isolation_level=None,  # autocommit; transactions are explicit
-            )
+            self._connection = _open_sqlite(path, SQLITE_BUSY_TIMEOUT_S)
             self._initialise()
 
     @classmethod
@@ -122,11 +113,7 @@ class WorkQueue:
         return cls(path, clock=clock)
 
     def _initialise(self) -> None:
-        connection = self._connection
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
-        connection.execute(f"PRAGMA busy_timeout={int(SQLITE_BUSY_TIMEOUT_S * 1000)}")
-        with self._transaction():
+        with self._transaction() as connection:
             connection.execute(
                 "CREATE TABLE IF NOT EXISTS meta (name TEXT PRIMARY KEY, value TEXT NOT NULL)"
             )
@@ -173,10 +160,8 @@ class WorkQueue:
                 f"not {QUEUE_FORMAT!r}"
             )
 
-    @contextlib.contextmanager
     def _transaction(self):
-        with _lock_errors(self.path), _SqliteTransaction(self._connection, self._lock) as connection:
-            yield connection
+        return _sqlite_transaction(self.path, self._connection, self._lock)
 
     # ------------------------------------------------------------ population
 

@@ -24,13 +24,13 @@ buffer by the stream order (inputs first, weights last): of an exposed
 window ``s``, the final ``min(s, weight_load_cycles)`` cycles are WGBuf
 time and the rest IGBuf time.
 
-Two walks produce bit-identical reports: a scalar reference loop that
-advances a clock tile by tile (:func:`_simulate_python`), and a NumPy walk
-that evaluates the same recurrence as a prefix sum over the whole tile
-stream (:func:`_simulate_numpy`).  The simulator picks at call time: the
-NumPy walk whenever NumPy imports, the scalar loop otherwise
-(``tests/test_timing_parity.py`` proves the equivalence, and
-``benchmarks/bench_timing.py`` gates the speedup at >= 10x).
+The walk is a sum over tile groups (:func:`_simulate_groups`).  A tile's
+stall depends only on whether it opens its block, and every block of a
+group runs the same ``iterations`` tiles, so each total is a block count
+times a per-tile integer, summed in exact Python ints.
+:func:`_simulate_python` advances a clock tile by tile instead; it is the
+reference that ``tests/test_timing_parity.py`` and
+``benchmarks/bench_timing.py`` hold the sum to, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,18 +45,12 @@ from repro.arch.mapping import BlockShape, iteration_cost, map_block
 from repro.core.layer import ConvLayer, ceil_div
 from repro.core.tiling import Tiling
 from repro.core.traffic import BYTES_PER_WORD, bytes_per_cycle_fraction, cycles_for_bytes
-# Module level on purpose: NumPy (when installed) loads with the simulator,
-# not inside the first timed walk.
-from repro.dataflows.grid import numpy_available, require_numpy
+# Unused: perfbench's tracer imports the simulator, so NumPy loads here, not in a traced unit.
+import repro.dataflows.grid  # noqa: F401
 from repro.engine.cache import SHAPE_MEMO_SIZE, layer_signature, signature_layer
 
 #: The paper's DRAM bandwidth: 6.4 GB/s (Section VI), i.e. 12.8 B/cycle.
 DEFAULT_DRAM_BANDWIDTH_BYTES_PER_S = 6.4e9
-
-#: Guard for the NumPy walk: if the worst-case total cycle count cannot
-#: be represented comfortably in int64 (absurdly low bandwidths), the
-#: simulator transparently uses the (equally exact) scalar reference.
-_INT64_SAFE_LIMIT = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -332,10 +326,7 @@ class TimingSimulator:
     def _walk(self, layer: ConvLayer, tiling: Tiling) -> LayerTimingReport:
         """The uncached tile-stream walk behind :meth:`run_layer`."""
         groups = tile_groups(layer, tiling, self.config)
-        if numpy_available():
-            stats = _simulate_numpy(groups, self.bytes_per_cycle)
-        else:
-            stats = _simulate_python(groups, self.bytes_per_cycle)
+        stats = _simulate_groups(groups, self.bytes_per_cycle)
         return LayerTimingReport(
             config_name=self.config.name,
             tiling=tiling,
@@ -435,77 +426,28 @@ def _simulate_python(groups, bytes_per_cycle) -> dict:
     return stats
 
 
-def _simulate_numpy(groups, bytes_per_cycle) -> dict:
-    """Vectorized walk: the same recurrence as a tile-stream prefix sum.
+def _simulate_groups(groups, bytes_per_cycle) -> dict:
+    """The walk's totals, one product per tile group, in exact Python ints.
 
-    Per-group durations are computed with exact Python integers (huge
-    denominators from pathological bandwidths never touch int64), then
-    broadcast across the tile stream; the clock is the prefix sum of the
-    per-tile advances and the total is its last element.
+    :func:`_simulate_python`'s clock only ever adds ``stall + compute`` per
+    tile and one drain stall per block.  A block's first tile stalls for
+    its whole load and each of its other ``iterations - 1`` tiles for
+    ``max(0, load - compute)``, so every field the loop accumulates is a
+    repeated integer, and a block count times it gives the same int.
     """
-    np = require_numpy()
-    per_group = [_group_cycles(group, bytes_per_cycle) for group in groups]
-    worst_case = sum(
-        group.count * (group.iterations * (compute + load) + max(0, drain - compute))
-        for group, (compute, load, _, drain) in zip(groups, per_group)
+    stats = dict.fromkeys(
+        ("compute_cycles", "igbuf_fill", "wgbuf_fill", "igbuf_steady", "wgbuf_steady", "drain"),
+        0,
     )
-    if worst_case >= _INT64_SAFE_LIMIT:
-        # Exactness beats speed: int64 could overflow, so use the scalar
-        # reference (bit-identical by the parity suite's definition).
-        return _simulate_python(groups, bytes_per_cycle)
-
-    active = [
-        (group, cycles) for group, cycles in zip(groups, per_group) if group.tiles
-    ]
-    if not active:
-        return _simulate_python(groups, bytes_per_cycle)
-
-    tiles = np.array([group.tiles for group, _ in active], dtype=np.int64)
-    compute = np.repeat(
-        np.array([cycles[0] for _, cycles in active], dtype=np.int64), tiles
-    )
-    load = np.repeat(
-        np.array([cycles[1] for _, cycles in active], dtype=np.int64), tiles
-    )
-    weight_load = np.repeat(
-        np.array([cycles[2] for _, cycles in active], dtype=np.int64), tiles
-    )
-    periods = {group.iterations for group, _ in active}
-    if len(periods) == 1:
-        # Every group of a layer shares ceil(Ci/k) iterations and contributes
-        # a multiple of that many tiles, so one arange over the whole stream
-        # marks each block's first tile.
-        first = np.arange(int(tiles.sum()), dtype=np.int64) % periods.pop() == 0
-    else:
-        first = np.concatenate(
-            [
-                np.arange(group.tiles, dtype=np.int64) % group.iterations == 0
-                for group, _ in active
-            ]
-        )
-
-    stall = np.where(first, load, np.maximum(load - compute, 0))
-    wgbuf = np.minimum(stall, weight_load)
-    igbuf = stall - wgbuf
-    # The double-buffer recurrence: each tile finishes one advance after the
-    # previous, so the stream clock is a prefix sum of the advances.
-    finish = np.cumsum(stall + compute)
-    stream_cycles = int(finish[-1])
-
-    drain_total = sum(
-        group.count * max(0, drain - group_compute)
-        for group, (group_compute, _, _, drain) in zip(groups, per_group)
-    )
-    stall_total = int(stall.sum())
-    igbuf_total = int(igbuf.sum())
-    wgbuf_total = int(wgbuf.sum())
-    igbuf_fill = int(igbuf[first].sum())
-    wgbuf_fill = int(wgbuf[first].sum())
-    return {
-        "compute_cycles": stream_cycles - stall_total,
-        "igbuf_fill": igbuf_fill,
-        "wgbuf_fill": wgbuf_fill,
-        "igbuf_steady": igbuf_total - igbuf_fill,
-        "wgbuf_steady": wgbuf_total - wgbuf_fill,
-        "drain": drain_total,
-    }
+    for group in groups:
+        compute, load, weight_load, drain = _group_cycles(group, bytes_per_cycle)
+        fill_igbuf, fill_wgbuf = _attribute(load, weight_load)
+        steady_igbuf, steady_wgbuf = _attribute(max(0, load - compute), weight_load)
+        steady_tiles = group.count * (group.iterations - 1)
+        stats["compute_cycles"] += group.tiles * compute
+        stats["igbuf_fill"] += group.count * fill_igbuf
+        stats["wgbuf_fill"] += group.count * fill_wgbuf
+        stats["igbuf_steady"] += steady_tiles * steady_igbuf
+        stats["wgbuf_steady"] += steady_tiles * steady_wgbuf
+        stats["drain"] += group.count * max(0, drain - compute)
+    return stats

@@ -2,8 +2,9 @@
 (``tools/check_docs.py``).
 
 A backticked ``repro.x.y`` dotted name must import, a backticked
-``path.py:name`` reference must name a top-level definition and a module-map
-file must exist, so a rename or a deletion cannot leave the documents
+``path.py:name`` reference must name a top-level definition, a backticked
+bare ``_name`` must be defined under ``src/`` and a module-map file must
+exist, so a rename or a deletion cannot leave the documents
 pointing at code that is gone; README's coverage gate must be CI's.
 """
 
@@ -65,6 +66,17 @@ def test_a_stale_reference_is_reported(check_docs, tmp_path):
     assert len(problems) == 2
     assert "`repro.engine.no_such_name` does not resolve" in problems[0]
     assert "`timing/simulator.py:no_such_function` does not resolve" in problems[1]
+
+
+def test_an_undefined_private_name_is_reported(check_docs, tmp_path):
+    document = tmp_path / "doc.md"
+    document.write_text(
+        "The reference walk is `_simulate_python`, the store keeps `_connection`,\n"
+        "and `_simulate_no_such_walk` is gone.\n"
+    )
+    problems = check_docs.check_code_references([str(document)])
+    assert len(problems) == 1
+    assert "`_simulate_no_such_walk` is defined nowhere under src/" in problems[0]
 
 
 def test_the_documents_hold_no_stale_reference(check_docs):

@@ -10,16 +10,16 @@ Three contracts the orchestrated sweeps lean on:
   frontiers reproduces the unsharded frontier bit-identically, for any
   grouping of the merge (associativity).
 
-Plus the same invariances on the real enumerator: candidate spaces and
-budgets drawn at random enumerate identically on both backends and always
-honour the budget.
+Plus the real enumerator: on candidate spaces and budgets drawn at random
+it lists exactly the cross product's in-budget, well-shaped candidates, in
+nested-loop order, and its arithmetic count agrees.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dse.pareto import (
@@ -30,8 +30,6 @@ from repro.dse.pareto import (
 )
 from repro.dse.space import (
     CandidateSpace,
-    _enumerate_scalar,
-    _enumerate_vectorized,
     count_splits,
     enumerate_splits,
 )
@@ -140,10 +138,20 @@ class TestEnumerationProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(space=candidate_spaces(), budget=st.integers(1, 200_000))
-    def test_backends_enumerate_identically(self, space, budget):
-        pytest.importorskip("numpy")
-        pairs = space.pe_pairs()
-        assert _enumerate_vectorized(budget, space, pairs) == _enumerate_scalar(budget, space, pairs)
+    def test_splits_are_the_filtered_cross_product(self, space, budget):
+        # Order and completeness: every candidate of the whole cross
+        # product that is well shaped and in budget, in nested-loop order.
+        expected = [
+            (rows, cols, lreg, igbuf, wgbuf)
+            for rows, cols, lreg, igbuf, wgbuf in itertools.product(
+                space.pe_dims, space.pe_dims, space.lreg_words, space.igbuf_words, space.wgbuf_words
+            )
+            if rows % space.group_rows == 0
+            and cols % space.group_cols == 0
+            and cols <= rows <= space.max_aspect * cols
+            and rows * cols * lreg + igbuf + wgbuf <= budget
+        ]
+        assert enumerate_splits(budget, space) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(space=candidate_spaces(), budget=st.integers(1, 200_000))

@@ -3,11 +3,11 @@
 Three pillars, mirroring ``tests/test_vectorized_parity.py`` for the search
 engine:
 
-* **walk parity** -- the NumPy prefix-sum walk (``_simulate_numpy``)
-  returns the *identical* stall accounting as the scalar clock-walk
-  reference (``_simulate_python``) on the same ``tile_groups``, over
+* **walk parity** -- the per-group sum (``_simulate_groups``) returns the
+  *identical* stall accounting as the scalar clock-walk reference
+  (``_simulate_python``) on the same ``tile_groups``, over
   hypothesis-random layers, implementations and bandwidths (floats, exact
-  Fractions, and infinity), including its scalar int64 fallback;
+  Fractions, and infinity), and stays exact where totals pass int64;
 * **infinite-bandwidth identity** -- with no bandwidth limit the simulator
   must reproduce the analytic :class:`~repro.arch.accelerator.AcceleratorModel`
   bit-identically (zero stalls, equal total cycles) for every workload in
@@ -17,10 +17,6 @@ engine:
   stalls vanish exactly at the rational roofline break-even
   (:func:`repro.timing.steady_breakeven_bytes_per_cycle`), tested in both
   directions with exact ``Fraction`` bandwidths.
-
-The simulator takes the NumPy walk whenever NumPy imports, so without
-NumPy every other test here exercises the scalar reference; the parity
-tests skip themselves there.
 """
 
 import dataclasses
@@ -46,7 +42,7 @@ from repro.timing import (  # noqa: E402
     steady_breakeven_bytes_per_cycle,
     tile_groups,
 )
-from repro.timing.simulator import _simulate_numpy, _simulate_python  # noqa: E402
+from repro.timing.simulator import _simulate_groups, _simulate_python  # noqa: E402
 from repro.workloads.registry import get_workload, workload_names  # noqa: E402
 
 SETTINGS = settings(
@@ -133,33 +129,31 @@ def walk_inputs(config, layer, tiling, bandwidth):
     return groups, TimingSimulator(config, bandwidth).bytes_per_cycle
 
 
-class TestBackendParity:
+class TestWalkParity:
     @SETTINGS
     @given(layer=conv_layers(), index=implementation_indices, bandwidth=bandwidths)
-    def test_numpy_report_is_bit_identical_to_scalar(self, layer, index, bandwidth):
-        pytest.importorskip("numpy")
+    def test_group_sum_is_bit_identical_to_scalar(self, layer, index, bandwidth):
         config = paper_implementation(index)
         tiling = chosen_tiling(config, layer)
         assume(tiling is not None)
         groups, bytes_per_cycle = walk_inputs(config, layer, tiling, bandwidth)
         scalar = _simulate_python(groups, bytes_per_cycle)
-        vectorized = _simulate_numpy(groups, bytes_per_cycle)
+        summed = _simulate_groups(groups, bytes_per_cycle)
         # Every stall category and the compute total, as exact ints.
-        assert vectorized == scalar
-        for value in vectorized.values():
+        assert summed == scalar
+        for value in summed.values():
             assert_exact_int(value)
 
-    def test_int64_overflow_falls_back_to_the_scalar_path(self):
-        pytest.importorskip("numpy")
+    def test_exact_beyond_int64(self):
         config = paper_implementation(1)
         model = AcceleratorModel(config)
         # ~1e-9 B/s makes single transfers take ~1e19+ cycles: far beyond
-        # int64, so the numpy walk must detect it and stay exact.
+        # int64, where Python ints must keep the sum exact.
         for layer in get_workload("tiny"):
             tiling = model.choose_layer_tiling(layer)
             groups, bytes_per_cycle = walk_inputs(config, layer, tiling, 1e-9)
             scalar = _simulate_python(groups, bytes_per_cycle)
-            assert _simulate_numpy(groups, bytes_per_cycle) == scalar
+            assert _simulate_groups(groups, bytes_per_cycle) == scalar
             assert sum(scalar.values()) > 2 ** 62
             assert TimingSimulator(config, 1e-9).run_layer(layer).total_cycles == sum(scalar.values())
 

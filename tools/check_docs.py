@@ -29,9 +29,11 @@ Six checks, all against the working tree:
    backticked ``path.py:name`` reference (```arch/accelerator.py:shape_tiling```,
    the path relative to ``src/repro`` or the repository root) must name a
    file that defines ``name`` at its top level (``Class.attribute`` looks
-   inside the class). This check also reads the verify skill
-   (``.claude/skills/verify/SKILL.md``). Renaming or deleting code means
-   updating the docs that point at it.
+   inside the class), and every backticked bare private name
+   (```_simulate_python```) must be defined -- as a function, class or
+   assigned name or attribute -- somewhere under ``src/``. This check also
+   reads the verify skill (``.claude/skills/verify/SKILL.md``). Renaming
+   or deleting code means updating the docs that point at it.
 5. **Module map.** Every backticked ``name.py`` in a row of the module
    map of docs/architecture.md must exist under ``src/repro/`` or under
    one of the packages (backticked ``pkg/``) that row names. A deleted or
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import importlib
 import os
 import re
@@ -70,6 +73,9 @@ DOTTED_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 #: A backticked ``file:name`` reference: ```engine/cache.py:SHAPE_MEMO_SIZE```.
 FILE_REFERENCE_PATTERN = re.compile(r"`([\w./-]+\.py):([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
+
+#: A backticked bare private name: ```_simulate_python```.
+PRIVATE_NAME_PATTERN = re.compile(r"`(_\w+)`")
 
 #: The verify skill: read by the code-reference check only.
 SKILL_PATH = os.path.join(REPO_ROOT, ".claude", "skills", "verify", "SKILL.md")
@@ -244,6 +250,26 @@ def resolve_file_reference(path: str, name: str) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
+def source_definitions() -> frozenset:
+    """Every function, class, assigned name and assigned attribute under ``src/``."""
+    names = set()
+    for directory, _, files in os.walk(os.path.join(REPO_ROOT, "src")):
+        for file_name in files:
+            if not file_name.endswith(".py"):
+                continue
+            with open(os.path.join(directory, file_name)) as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    names.add(node.attr)
+    return frozenset(names)
+
+
 def check_code_references(paths: list) -> list:
     problems = []
     for path in paths:
@@ -256,6 +282,8 @@ def check_code_references(paths: list) -> list:
         for file_path, name in sorted(set(FILE_REFERENCE_PATTERN.findall(text))):
             if not resolve_file_reference(file_path, name):
                 problems.append(f"{relative}: `{file_path}:{name}` does not resolve")
+        for name in sorted(set(PRIVATE_NAME_PATTERN.findall(text)) - source_definitions()):
+            problems.append(f"{relative}: `{name}` is defined nowhere under src/")
     return problems
 
 
