@@ -16,7 +16,14 @@ These checks ride in CI's perf-smoke step:
   per shape and Fig. 12 baseline) with the co-search result unchanged --
   a deterministic count, unlike the wall clock.  The per-stage candidate
   throughput (Eq. (14) neighbourhood candidates of the paper dataflow,
-  baseline grid candidates) is printed next to it.
+  baseline grid candidates) is printed next to it, with the paper
+  dataflow's distinct seeds and the array passes they took;
+* the stacked-pass gate: the paper dataflow's co-search of a
+  ``llama_decode:32`` serving mix makes at most a quarter as many
+  :func:`~repro.core.optimal_dataflow.exact_traffic_grid` passes as it has
+  distinct shrunken seeds, because seeds whose refinement axes have equal
+  lengths (and that have equally many members) share one pass.  Also a
+  deterministic count.
 
 The config *enumeration* time on a ~10^6-candidate space is also printed
 for visibility, next to a check that it lists as many candidates as the
@@ -29,10 +36,11 @@ import math
 import time
 
 from repro.arch.config import paper_implementation
+from repro.core import optimal_dataflow
 from repro.core.layer import kib_to_words
 from repro.core.optimal_dataflow import _around, _seed_and_fits, choose_tiling_grid_many
 from repro.dataflows.registry import BASELINE_DATAFLOWS
-from repro.dse.explore import co_search_families, design_space_exploration
+from repro.dse.explore import _mix_layers, co_search_families, design_space_exploration
 from repro.dse.pareto import contains_or_dominates
 from repro.dse.space import (
     CandidateSpace,
@@ -77,6 +85,21 @@ SMART_GATE_BUDGET_KIB = 64.0
 #: The per-(family, layer) co-search this replaced made 1 638.
 DEFAULT_SWEEP_MAX_GRID_EVALUATIONS = 72
 
+#: The traffic mix and candidate space of search-sweep's third step in
+#: ``perfbench/run.py`` at its default seed (0): 72 configs, 140 KiB.
+MIX = {"model": "llama_decode:32", "seed": 55125, "requests": 128}
+MIX_SPACE = CandidateSpace(
+    pe_dims=(8, 16, 32),
+    lreg_words=(16, 32, 64),
+    igbuf_words=(1024, 2048),
+    wgbuf_words=(256, 512),
+)
+
+#: Distinct shrunken seeds per ``exact_traffic_grid`` pass that the mix's
+#: co-search must at least reach (1 517 seeds took 188 passes when the
+#: gate was set; one pass per seed is the unstacked kernel).
+MIX_MIN_SEEDS_PER_PASS = 4
+
 #: SHA-256 of the default VGG-16 sweep's co-search (see
 #: :func:`co_search_digest`), as the per-(family, layer) searches computed
 #: it.  Traffic components are exact integers, so the digest is portable;
@@ -106,6 +129,24 @@ def neighbourhood_size(layer, seed) -> int:
     extents = (layer.batch, layer.out_channels, layer.out_height, layer.out_width)
     sizes = (seed.b, seed.z, seed.y, seed.x)
     return math.prod(len(_around(size, extent)) for size, extent in zip(sizes, extents))
+
+
+def count_passes(monkeypatch) -> list:
+    """Record each ``exact_traffic_grid`` pass of ``choose_tiling_grid_many``."""
+    calls = []
+    original = optimal_dataflow.exact_traffic_grid
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(optimal_dataflow, "exact_traffic_grid", counted)
+    return calls
+
+
+def family_constraints(families) -> list:
+    """``choose_tiling_grid_many`` constraints of memory-split families."""
+    return [(sum(family),) + family for family in families]
 
 
 def grid_size(dataflow, layer) -> int:
@@ -285,20 +326,23 @@ def test_dse_vgg16_default_sweep_under_30s(vgg_layers):
     ), "the frontier neither contains nor dominates Implementation 5"
 
 
-def test_dse_co_search_stage_throughput(vgg_layers):
+def test_dse_co_search_stage_throughput(vgg_layers, monkeypatch):
     """Candidates per second of the two co-search stages (printed, not gated).
 
     The paper-dataflow stage evaluates one Eq. (14) neighbourhood per
     distinct shrunken seed of a layer shape, shared by every family split
-    that shrinks to it; the per-(family, layer) search it replaced rebuilt
-    one per pair.  The baseline stage evaluates one candidate grid per
-    (baseline, shape) and answers every family total from one selection.
+    that shrinks to it (the per-(family, layer) search it replaced rebuilt
+    one per pair), and seeds with equally long refinement axes and member
+    counts share one array pass.  The baseline stage evaluates one
+    candidate grid per (baseline, shape) and answers every family total
+    from one selection.
     """
     families = default_sweep_families()
-    constraints = [(sum(family),) + family for family in families]
+    constraints = family_constraints(families)
     capacities = sorted({sum(family) for family in families})
     shapes = list({layer_signature(layer): layer for layer in vgg_layers}.values())
 
+    passes = count_passes(monkeypatch)
     start = time.perf_counter()
     for layer in shapes:
         choose_tiling_grid_many(layer, constraints)
@@ -323,9 +367,43 @@ def test_dse_co_search_stage_throughput(vgg_layers):
         f"{len(capacities)} totals):\n"
         f"  Ours neighbourhoods {len(set(seeds)):5d} seeds  {shared:9d} candidates "
         f"(per pair: {per_pair})  {ours_seconds:6.3f} s  "
-        f"{shared / ours_seconds / 1e6:6.2f} M candidates/s\n"
+        f"{shared / ours_seconds / 1e6:6.2f} M candidates/s  in {len(passes)} passes\n"
         f"  baseline grids      {len(shapes) * len(BASELINE_DATAFLOWS):5d} grids  {grid:9d} candidates "
         f"{'':>{len(str(per_pair)) + 12}}{baseline_seconds:6.3f} s  "
         f"{grid / baseline_seconds / 1e6:6.2f} M candidates/s"
     )
     assert shared < per_pair
+
+
+def test_dse_mix_co_search_stacks_seeds(monkeypatch):
+    """Gate: the mix's ``Ours`` co-search takes at most one array pass per
+    four distinct seeds.
+
+    The co-search of search-sweep's traffic-mix step (the weighted unique
+    shapes of 128 ``llama_decode:32`` requests, 72 configs at 140 KiB):
+    one ``choose_tiling_grid_many`` call per decode shape, every family's
+    split a constraint.  A deterministic count, like the grid-evaluation
+    gate; the wall clock is printed for visibility.
+    """
+    layers, _ = _mix_layers(MIX)
+    configs = enumerate_configs(kib_to_words(140.0), MIX_SPACE)
+    families = sorted({(c.psum_words, c.igbuf_words, c.wgbuf_words) for c in configs})
+    seeds = {
+        (layer_signature(layer), _seed_and_fits(layer, *constraint)[0])
+        for layer in layers
+        for constraint in family_constraints(families)
+    }
+
+    passes = count_passes(monkeypatch)
+    start = time.perf_counter()
+    co_search_families(SearchEngine(workers=1, backend="numpy"), layers, families)
+    seconds = time.perf_counter() - start
+
+    print(
+        f"\nllama_decode:32 mix co-search ({len(layers)} shapes, {len(families)} families): "
+        f"{len(seeds)} distinct seeds in {len(passes)} passes, {seconds:.3f} s"
+    )
+    assert len(passes) * MIX_MIN_SEEDS_PER_PASS <= len(seeds), (
+        f"{len(passes)} exact_traffic_grid passes for {len(seeds)} distinct seeds "
+        f"(gate: at most one per {MIX_MIN_SEEDS_PER_PASS})"
+    )

@@ -164,7 +164,8 @@ class AcceleratorModel:
         The choice depends only on the configuration and the layer's shape,
         so it is memoized per ``(config, layer_signature(layer))`` in the
         bounded :func:`shape_tiling` memo, and computed by
-        :meth:`_choose_tiling_grid` when NumPy is importable, by the scalar
+        :meth:`_choose_tiling_grid` when NumPy is importable and the layer
+        passes :func:`~repro.dataflows.grid.int64_safe`, by the scalar
         reference :meth:`_choose_tiling_scalar` otherwise.
         """
         tiling = shape_tiling(self.config, layer_signature(layer))
@@ -532,13 +533,16 @@ def shape_tiling(config: AcceleratorConfig, signature: tuple):
     ``signature`` is :func:`~repro.engine.cache.layer_signature` of the
     layer, so layers that differ only in ``name`` or ``weight_kind`` share
     one entry; ``None`` records that no tiling fits.  NumPy is looked up
-    here, at call time, so importing this module never loads it.
+    here, at call time, so importing this module never loads it.  A layer
+    too large for the grid's exact ``int64`` terms
+    (:func:`~repro.dataflows.grid.int64_safe`) takes the scalar loop, as
+    the engine's grid groups do.
     """
-    from repro.dataflows.grid import numpy_available
+    from repro.dataflows.grid import int64_safe, numpy_available
 
     model = AcceleratorModel(config)
     layer = signature_layer(signature)
-    if numpy_available():
+    if numpy_available() and int64_safe(layer):
         return model._choose_tiling_grid(layer)
     return model._choose_tiling_scalar(layer)
 

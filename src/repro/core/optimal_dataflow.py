@@ -19,6 +19,7 @@ including boundary (partial-tile) effects.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,11 @@ from repro.core.traffic import TrafficBreakdown
 
 #: The ``ValueError`` message of a capacity that admits no tiling at all.
 _TOO_SMALL = "on-chip capacity too small for any tiling"
+
+#: Entries of the :func:`_around` memo, one per ``(tile size, extent)``
+#: pair.  The four search-sweep steps and a VGG-16 reproduction together
+#: need about 600.
+AROUND_MEMO_SIZE = 4096
 
 
 def dataflow_traffic(layer: ConvLayer, tiling: Tiling, exact: bool = True) -> TrafficBreakdown:
@@ -116,6 +122,16 @@ def analytic_tiling(layer: ConvLayer, on_chip_words: int) -> Tiling:
     possible; the batch dimension is only used when one image's output plane
     is smaller than ``u`` (the paper's ``u = b*x*y`` fallback).
     """
+    b, z, y, x = _analytic_sizes(layer, on_chip_words)
+    return Tiling(b=b, z=z, y=y, x=x, k=1)
+
+
+def _analytic_sizes(layer: ConvLayer, on_chip_words: int) -> tuple:
+    """The ``(b, z, y, x)`` of :func:`analytic_tiling` as plain ints.
+
+    Every size is already within the layer's extents, so clipping the
+    tiling changes nothing.
+    """
     reuse = layer.window_reuse
     z = max(1, min(layer.out_channels, int(round(math.sqrt(on_chip_words / reuse)))))
     u_target = max(1, int(round(math.sqrt(on_chip_words * reuse))))
@@ -130,7 +146,7 @@ def analytic_tiling(layer: ConvLayer, on_chip_words: int) -> Tiling:
         b = min(layer.batch, max(1, u_target // plane))
         y = layer.out_height
         x = layer.out_width
-    return Tiling(b=b, z=z, y=y, x=x, k=1)
+    return b, z, y, x
 
 
 def choose_tiling(
@@ -180,11 +196,11 @@ def _seed_and_fits(
     input_buffer_words,
     weight_buffer_words,
 ):
-    """Shared prelude of both ``choose_tiling`` backends.
+    """The prelude of the scalar reference :func:`choose_tiling`.
 
-    Returns the shrunken analytic seed and the scalar capacity predicate;
-    keeping this in one place is what keeps the scalar and vectorized
-    searches agreeing on which tilings are admissible.
+    Returns the shrunken analytic seed and the scalar capacity predicate.
+    The grid path mirrors it on plain ints (:func:`_integer_seeds`), and
+    the parity suite holds that walk to this one.
     """
     if on_chip_words < 8:
         raise ValueError(_TOO_SMALL)
@@ -241,8 +257,14 @@ def _neighbourhood(layer: ConvLayer, seed: Tiling) -> list:
     return candidates
 
 
-def _around(value: int, limit: int) -> list:
-    """Candidate values near ``value``: scaled, incremented and the extremes."""
+@functools.lru_cache(maxsize=AROUND_MEMO_SIZE)
+def _around(value: int, limit: int) -> tuple:
+    """Candidate values near ``value``: scaled, incremented and the extremes.
+
+    Memoized: a sweep refines seeds on the same ``(value, limit)`` pairs
+    across layers, families and calls.  The tuple keeps a shared entry
+    immutable.
+    """
     raw = {1, limit, value}
     for scale in (0.5, 0.75, 1.25, 1.5, 2.0):
         raw.add(int(round(value * scale)))
@@ -250,7 +272,7 @@ def _around(value: int, limit: int) -> list:
         raw.add(value + delta)
     divisor_candidates = [d for d in range(max(1, value - 4), value + 5) if d >= 1]
     raw.update(divisor_candidates)
-    return sorted({min(limit, max(1, v)) for v in raw})
+    return tuple(sorted({min(limit, max(1, v)) for v in raw}))
 
 
 def traffic_at_capacity(layer: ConvLayer, on_chip_words: int) -> TrafficBreakdown:
@@ -290,98 +312,154 @@ def choose_tiling_grid_many(layer: ConvLayer, constraints) -> list:
     Returns one :class:`TilingChoice` per constraint, bit-identical to the
     scalar search, or ``None`` where the scalar search raises ``ValueError``.
 
-    The analytic seeds and their :func:`_shrink_to_fit` repairs stay scalar
-    (they are O(1) each).  Constraints that shrink to the same seed share
-    its refinement neighbourhood, so each distinct seed costs one
-    :func:`exact_traffic_grid` evaluation on the four :func:`_around` lists
-    as broadcast axes (:func:`~repro.dataflows.grid.grid_axes`, in the
-    scalar loop order ``b, z, y, x``).  The members' caps form a leading
-    axis of the feasibility mask, and one ``argmin`` per member picks the
-    first feasible minimum in loop order.  The seed is one of its own
-    ``_around`` values, so it is located in the grid, not prepended: as in
-    the scalar loop it wins unless a feasible neighbour is strictly
-    smaller.
+    Each constraint's shrunken seed comes from :func:`_integer_seeds`, the
+    scalar prelude's walk on plain ints.  Constraints that shrink to the
+    same seed share its refinement neighbourhood: the four :func:`_around`
+    lists, in the scalar loop order ``b, z, y, x``.  Seeds whose lists have
+    the same lengths and that have the same number of members share one
+    array pass.  Each axis is an ``int64`` array with a leading seed axis
+    (``b`` has shape ``(seeds, 1, nb, 1, 1, 1)``) and the members' caps
+    have shape ``(seeds, members, 1, 1, 1, 1)``, so the footprint terms,
+    the feasibility mask and the :func:`exact_traffic_grid` totals span at
+    most ``(seeds, members, nb, nz, ny, nx)``.  A seed's slice holds what a
+    pass over that seed alone would hold.
+
+    One ``argmin`` per (seed, member) row picks the first feasible minimum
+    in loop order.  The seed is one of its own ``_around`` values, so it is
+    located in the grid, not prepended: as in the scalar loop it wins
+    unless a feasible neighbour is strictly smaller.  Each distinct (seed,
+    winner) pair is read back once, and the members that share it share
+    its :class:`TilingChoice`.
     """
-    from repro.dataflows.grid import capacity_array, grid_axes, require_numpy, values_at
+    from repro.dataflows.grid import capacity_array, grid_index, item_at, require_numpy
 
     np = require_numpy()
     members_by_seed = {}
-    for index, constraint in enumerate(constraints):
-        try:
-            seed, _ = _seed_and_fits(layer, *constraint)
-        except ValueError:
-            continue
-        members_by_seed.setdefault(seed, []).append(index)
+    for index, seed in enumerate(_integer_seeds(layer, constraints)):
+        if seed is not None:
+            members_by_seed.setdefault(seed, []).append(index)
 
-    arounds = {}
-
-    def around(value: int, extent: int) -> tuple:
-        """``_around(value, extent)`` as an array, and the index of ``value``."""
-        if (value, extent) not in arounds:
-            values = _around(value, extent)
-            arounds[value, extent] = np.array(values, dtype=np.int64), values.index(value)
-        return arounds[value, extent]
-
-    def member_caps(caps):
-        """The members' caps as a leading axis of the ``(b, z, y, x)`` grid."""
-        return capacity_array(caps).reshape(-1, 1, 1, 1, 1)
+    extents = (layer.batch, layer.out_channels, layer.out_height, layer.out_width)
+    passes = {}
+    for seed, members in members_by_seed.items():
+        # _around clamps to [1, extent] and the seed lies inside the layer,
+        # so every candidate is already clip(layer)-ed and the seed is
+        # among them.
+        axes = tuple(_around(size, extent) for size, extent in zip(seed, extents))
+        at = 0  # the seed's C-order position in its grid
+        for size, values in zip(seed, axes):
+            at = at * len(values) + values.index(size)
+        passes.setdefault(tuple(map(len, axes)) + (len(members),), []).append((axes, at, members))
 
     choices = [None] * len(constraints)
-    for seed, members in members_by_seed.items():
-        # _around clamps to [1, extent] and the seed is clipped, so every
-        # candidate is already clip(layer)-ed and the seed is among them.
-        (b_values, b_at), (z_values, z_at), (y_values, y_at), (x_values, x_at) = (
-            around(seed.b, layer.batch),
-            around(seed.z, layer.out_channels),
-            around(seed.y, layer.out_height),
-            around(seed.x, layer.out_width),
-        )
-        b, z, y, x = grid_axes(b_values, z_values, y_values, x_values)
-        shape = (len(b_values), len(z_values), len(y_values), len(x_values))
+    for (*cells, count), group in passes.items():
+        seeds = len(group)
+
+        def stacked(values, dimension):
+            """One value list per seed as a grid axis behind the seed axis."""
+            shape = [seeds, 1, 1, 1, 1, 1]
+            shape[2 + dimension] = cells[dimension]
+            return np.array(values, dtype=np.int64).reshape(shape)
+
+        columns = zip(*(axes for axes, _, _ in group))
+        b, z, y, x = (stacked(values, dimension) for dimension, values in enumerate(columns))
+
+        def member_caps(caps):
+            """The members' caps as the axis behind the seed axis."""
+            return capacity_array(caps).reshape(seeds, count, 1, 1, 1, 1)
 
         # Array form of the `fits` predicate from _seed_and_fits, term for
         # term (all candidates have k = 1): Tiling.on_chip_footprint = Psum
         # block (output_block_size) + staged inputs (b * x' * y' * k) +
         # staged weights (z * k), then the optional per-buffer caps on the
-        # same three terms.  The leading axis holds the members' caps.
+        # same three terms.
         rows = (y - 1) * layer.stride + layer.kernel_height
         cols = (x - 1) * layer.stride + layer.kernel_width
         staged_inputs = b * rows * cols
         psum_block = b * x * y * z
-        on_chip, *buffer_caps = zip(*(constraints[index] for index in members))
+        on_chip, *buffer_caps = zip(*(constraints[index] for _, _, members in group for index in members))
         mask = (psum_block + staged_inputs + z) <= member_caps(on_chip)
         for caps, term in zip(buffer_caps, (psum_block, staged_inputs, z)):
             if any(cap is not None for cap in caps):
                 mask &= term <= member_caps(caps)
 
         # Input reads span (z, y, x) and weight reads (b, y, x), so the
-        # totals span the whole grid.
+        # totals span each seed's whole grid.
         input_f, weight_f, totals = exact_traffic_grid(layer, b, z, y, x)
-        masked = np.where(mask, totals, np.inf).reshape(len(members), -1)
-        best = masked.argmin(axis=1)
-        seed_at = (b_at, z_at, y_at, x_at)
-        beats_seed = masked[np.arange(len(members)), best] < totals[seed_at]
-        winners = np.where(beats_seed, best, np.ravel_multi_index(seed_at, shape)).tolist()
+        masked = np.where(mask, totals, np.inf).reshape(seeds, count, -1)
+        best = masked.argmin(axis=2)
+        best_totals = np.take_along_axis(masked, best[:, :, None], axis=2)[:, :, 0]
+        seed_at = np.array([at for _, at, _ in group])
+        seed_totals = totals.reshape(seeds, -1)[np.arange(seeds), seed_at]
+        winners = np.where(best_totals < seed_totals[:, None], best, seed_at[:, None]).tolist()
 
-        columns = sorted(set(winners))
-        positions = np.unravel_index(columns, shape)
-        tilings = zip(*(values_at(axis, positions) for axis in (b, z, y, x)))
-        traffics = zip(values_at(input_f, positions), values_at(weight_f, positions))
-        found = {
-            column: TilingChoice(
-                Tiling(*sizes, k=1),
-                TrafficBreakdown(
-                    input_reads=input_reads,
-                    weight_reads=weight_reads,
-                    output_reads=0.0,
-                    output_writes=float(layer.num_outputs),
-                ),
-            )
-            for column, sizes, (input_reads, weight_reads) in zip(columns, tilings, traffics)
-        }
-        for index, column in zip(members, winners):
-            choices[index] = found[column]
+        for slot, ((axes, _, members), row) in enumerate(zip(group, winners)):
+            found = {}
+            for index, cell in zip(members, row):
+                if cell not in found:
+                    position = grid_index(cell, cells)
+                    at = (slot, 0) + position
+                    found[cell] = TilingChoice(
+                        Tiling(*(values[i] for values, i in zip(axes, position)), k=1),
+                        TrafficBreakdown(
+                            input_reads=item_at(input_f, at),
+                            weight_reads=item_at(weight_f, at),
+                            output_reads=0.0,
+                            output_writes=float(layer.num_outputs),
+                        ),
+                    )
+                choices[index] = found[cell]
     return choices
+
+
+def _integer_seeds(layer: ConvLayer, constraints) -> list:
+    """``_seed_and_fits(layer, *constraint)[0]`` of each constraint, as ints.
+
+    Returns one ``(b, z, y, x)`` tuple per constraint, or ``None`` for a
+    total under 8 words, where ``_seed_and_fits`` raises.  The analytic
+    seed (:func:`_analytic_sizes`) is computed once per distinct total and
+    then walked by :func:`_shrink_to_fit`'s halving rule, with the `fits`
+    predicate's terms written out: the Psum block ``b*x*y*z``, the staged
+    inputs ``b*((y-1)*D + Hk)*((x-1)*D + Wk)`` and the staged weights
+    ``z``.  Every tiling on the walk lies inside the layer (the analytic
+    seed does, and halving only shrinks), so clipping is a no-op there.
+    Like the reference, the walk stops after 64 halvings and returns the
+    65th tiling unchecked.
+    """
+    stride, kernel_height, kernel_width = layer.stride, layer.kernel_height, layer.kernel_width
+    analytic = {}
+    seeds = []
+    for on_chip_words, psum_words, input_buffer_words, weight_buffer_words in constraints:
+        if on_chip_words < 8:
+            seeds.append(None)
+            continue
+        if on_chip_words not in analytic:
+            analytic[on_chip_words] = _analytic_sizes(layer, on_chip_words)
+        b, z, y, x = analytic[on_chip_words]
+        for _ in range(64):
+            psum_block = b * x * y * z
+            staged_inputs = b * ((y - 1) * stride + kernel_height) * ((x - 1) * stride + kernel_width)
+            if (
+                psum_block + staged_inputs + z <= on_chip_words
+                and (psum_words is None or psum_block <= psum_words)
+                and (input_buffer_words is None or staged_inputs <= input_buffer_words)
+                and (weight_buffer_words is None or z <= weight_buffer_words)
+            ):
+                break
+            # A halved size is at least 2 beforehand, so it stays >= 1.
+            if x * y * b > z and (x > 1 or y > 1 or b > 1):
+                if b > 1:
+                    b //= 2
+                elif y >= x:
+                    y //= 2
+                else:
+                    x //= 2
+            elif z > 1:
+                z //= 2
+            else:
+                break
+        seeds.append((b, z, y, x))
+    return seeds
 
 
 def exact_traffic_grid(layer: ConvLayer, b, z, y, x) -> tuple:

@@ -101,12 +101,15 @@ def int64_safe(layer: ConvLayer) -> bool:
     """Whether every ``int64`` term a grid evaluation of ``layer`` computes fits.
 
     Bounds, in Python ints, the largest footprint, traffic component and
-    partial product of every grid dataflow (the Fig. 12 baselines'
-    ``grid_arrays`` and ``Ours``' :func:`~repro.core.optimal_dataflow.
-    exact_traffic_grid`): each factor is at most its tile count or tile
+    partial product of every grid search: the Fig. 12 baselines'
+    ``grid_arrays``, ``Ours``' :func:`~repro.core.optimal_dataflow.
+    exact_traffic_grid`, the tile model's ``_choose_tiling_grid`` (with
+    :func:`~repro.arch.mapping.map_block_grid`) and the Eyeriss
+    ``_best_tile_grid``.  Each factor is at most its tile count or tile
     size at the extreme candidate, and all factors are >= 1.  A layer past
     the bound would wrap around or overflow, so the engine sends its grid
-    groups to the scalar reference instead.
+    groups to the scalar reference instead, and so do the tile model's and
+    the Eyeriss model's shape memos.
     """
     batch, ci, co = layer.batch, layer.in_channels, layer.out_channels
     ho, wo, hk, wk = layer.out_height, layer.out_width, layer.kernel_height, layer.kernel_width
@@ -124,6 +127,12 @@ def int64_safe(layer: ConvLayer) -> bool:
         layer.num_outputs * ci,  # Psum spills
         outputs * co + batch * rows * cols + co,  # Ours on-chip footprint
         ci * layer.in_height * layer.in_width,  # InR-B footprint
+        # map_block_grid's halo volume: a per-PE count times its per-PE
+        # size is under twice the block size, and ceil(y / r) * ((r - 1) *
+        # stride + Hk) < y * (2 * stride + Hk).
+        2 * outputs * (2 * stride + hk) * (2 * stride + wk),
+        16 * outputs * co,  # the tile model's used PEs x Psums per PE
+        batch * ci * rows * layer.in_width + outputs * co,  # Eyeriss GBuf footprint
     )
     return largest <= NO_CAP
 
@@ -167,20 +176,27 @@ def lexicographic_argmin(keys, mask=None):
     return mask.argmax(axis=-1)
 
 
-def values_at(array, positions) -> list:
-    """``array``, broadcast against a grid, read at grid ``positions``.
+def grid_index(flat: int, shape) -> tuple:
+    """The index in a grid of ``shape`` of its C-order position ``flat``.
 
-    ``positions`` is what ``numpy.unravel_index`` returns for the grid's
-    shape; the result holds one Python number per position.  Along a
-    dimension where ``array`` has size 1 it is read at index 0, as
-    broadcasting reads it.
+    ``numpy.unravel_index`` of one position, in Python ints.
     """
-    index = tuple(
-        position if size > 1 else 0
-        for position, size in zip(positions[len(positions) - array.ndim:], array.shape)
-    )
-    values = array[index]
-    return values.tolist() if values.ndim else [values.item()] * len(positions[0])
+    index = []
+    for size in reversed(shape):
+        flat, position = divmod(flat, size)
+        index.append(position)
+    return tuple(reversed(index))
+
+
+def item_at(array, index):
+    """``array``, broadcast against a grid, read at the grid ``index``.
+
+    ``index`` has one position per grid dimension, and the result is a
+    Python number.  Along a dimension where ``array`` has size 1 it is read
+    at 0, as broadcasting reads it.
+    """
+    index = index[len(index) - array.ndim:]
+    return array.item(tuple([position if size > 1 else 0 for position, size in zip(index, array.shape)]))
 
 
 def _ravel_to(array, shape):
@@ -219,7 +235,9 @@ def grid_search(dataflow, layer: ConvLayer, capacities) -> list:
     running minimum over the buckets in ascending capacity order gives each
     capacity the first minimum among every candidate it admits -- what
     ``argmin`` over that capacity's mask returns.  Each distinct winner's
-    tiling and traffic are read back once, at its ``unravel_index``.
+    tiling and traffic are read back once, as Python numbers: its flat
+    index is split by :func:`grid_index`, and each axis and component is
+    read by :func:`item_at`.
     """
     np = require_numpy()
     axes, footprint, components = dataflow.grid_arrays(layer)
@@ -248,15 +266,13 @@ def grid_search(dataflow, layer: ConvLayer, capacities) -> list:
             incumbent = (total, first)
         winners[capacity] = None if incumbent is None else incumbent[1]
 
-    columns = sorted(set(winners.values()) - {None})
-    positions = np.unravel_index(np.asarray(columns, dtype=np.intp), shape)
-    names = [name for name, _ in axes]
-    tilings = zip(*(values_at(values, positions) for _, values in axes))
-    traffics = zip(*(values_at(values, positions) for values in floats))
-    found = {
-        column: (dict(zip(names, tiling)), TrafficBreakdown(*traffic))
-        for column, tiling, traffic in zip(columns, tilings, traffics)
-    }
+    found = {}
+    for column in set(winners.values()) - {None}:
+        index = grid_index(column, shape)
+        found[column] = (
+            {name: item_at(values, index) for name, values in axes},
+            TrafficBreakdown(*(item_at(values, index) for values in floats)),
+        )
 
     results = []
     for capacity in requested:

@@ -78,8 +78,10 @@ class OptimalDataflow(Dataflow):
 
         Every request becomes one constraint of a single
         :func:`~repro.core.optimal_dataflow.choose_tiling_grid_many` call on
-        ``layer``, which evaluates each distinct shrunken seed's
-        neighbourhood once for all the requests that share it.  Results are
+        ``layer``, which evaluates one refinement neighbourhood per distinct
+        shrunken seed, for all the requests that share it, and stacks the
+        seeds whose neighbourhoods have the same shape and that serve
+        equally many requests into one array pass.  Results are
         bit-identical to the scalar :func:`choose_tiling` of each request's
         own dataflow.
         """

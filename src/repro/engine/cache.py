@@ -231,7 +231,9 @@ class CacheStats:
     (the free split and each fixed one); its invocation evaluates one
     refinement neighbourhood per distinct shrunken seed, shared by every
     task whose capacity and split shrink to it (its candidate set is
-    analytic, not a shared dense grid).
+    analytic, not a shared dense grid), in one array pass per group of
+    seeds whose neighbourhoods have the same shape and that serve equally
+    many tasks.
 
     ``coalesced`` and ``batched`` are the serving counters (zero outside
     the daemon of :mod:`repro.server`): a *coalesced* request attached to

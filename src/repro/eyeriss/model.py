@@ -246,13 +246,18 @@ def shape_best_tile(config: EyerissConfig, signature: tuple):
     layer, so layers that differ only in ``name`` or ``weight_kind`` share
     one entry.  The tile is computed by :meth:`EyerissModel._best_tile_grid`
     when NumPy is importable (looked up at call time, so importing this
-    module never loads it) and by the scalar loop otherwise.
+    module never loads it) and the layer passes
+    :func:`~repro.dataflows.grid.int64_safe`, and by the scalar loop
+    otherwise.
     """
-    from repro.dataflows.grid import numpy_available
+    from repro.dataflows.grid import int64_safe, numpy_available
 
     model = EyerissModel(config)
     layer = signature_layer(signature)
-    best = model._best_tile_grid(layer) if numpy_available() else model._best_tile_scalar(layer)
+    if numpy_available() and int64_safe(layer):
+        best = model._best_tile_grid(layer)
+    else:
+        best = model._best_tile_scalar(layer)
     if best is None:
         return None
     tile, dram = best

@@ -14,13 +14,16 @@ Hypothesis generates random layers and random capacity lists; every dataflow
 The batched paths are checked the same way: every constraint of one
 ``choose_tiling_grid_many`` call against its own scalar ``choose_tiling``,
 and each baseline's one-selection grid search on up to 300 unsorted,
-duplicated or zero capacities against ``Dataflow.search``.  Layers with one
-extent past 48 check the broadcast candidate grid where ``candidate_extents``
-is sparse: its enumeration order against ``tiling_space`` and its results
-against the scalar searches.
+duplicated or zero capacities against ``Dataflow.search``.  Decode-step
+layers under up to 150 DSE families make many seeds share one stacked array
+pass, and the grid path's integer seed walk is held to the scalar prelude
+``_seed_and_fits``.  Layers with one extent past 48 check the broadcast
+candidate grid where ``candidate_extents`` is sparse: its enumeration order
+against ``tiling_space`` and its results against the scalar searches.
 The tile-exact accelerator model's tiling choice and the Eyeriss tile search
 are checked the same way against their scalar loops, on the paper's
-workloads and on random layers and configurations.
+workloads and on random layers and configurations, and their memos take the
+scalar loop for a layer too large for ``int64``.
 """
 
 import pytest
@@ -35,11 +38,14 @@ from repro.arch.accelerator import AcceleratorModel  # noqa: E402
 from repro.arch.config import PAPER_IMPLEMENTATIONS, AcceleratorConfig  # noqa: E402
 from repro.core.layer import ConvLayer, kib_to_words  # noqa: E402
 from repro.core.optimal_dataflow import (  # noqa: E402
+    _integer_seeds,
     _seed_and_fits,
     choose_tiling,
     choose_tiling_grid,
     choose_tiling_grid_many,
 )
+from repro.core.tiling import Tiling  # noqa: E402
+from repro.dataflows.grid import int64_safe  # noqa: E402
 from repro.dataflows.ours import OptimalDataflow  # noqa: E402
 from repro.dataflows.registry import ALL_DATAFLOWS, BASELINE_DATAFLOWS  # noqa: E402
 from repro.engine import SearchEngine, layer_signature  # noqa: E402
@@ -296,6 +302,105 @@ class TestChooseTilingGridMany:
             choose_tiling(layer, 7)
 
 
+@st.composite
+def decode_layers(draw):
+    """Decode-step matrix products: batch 1-64, up to 4 096 channels each way."""
+    return ConvLayer.from_fc(
+        "decode",
+        draw(st.integers(1, 64)),
+        draw(st.integers(1, 4_096)),
+        draw(st.integers(1, 4_096)),
+    )
+
+
+@st.composite
+def family_constraints(draw):
+    """20-150 DSE family constraints ``(psum + igbuf + wgbuf, psum, igbuf, wgbuf)``.
+
+    Each buffer size comes from a small pool, as a candidate space's
+    products do, so families share totals and seeds and many seeds share
+    the lengths of their refinement axes.
+    """
+    psums = st.sampled_from(draw(st.lists(st.integers(8, 1 << 16), min_size=1, max_size=8)))
+    igbufs = st.sampled_from(draw(st.lists(st.integers(1, 4_096), min_size=1, max_size=4)))
+    wgbufs = st.sampled_from(draw(st.lists(st.integers(1, 1_024), min_size=1, max_size=4)))
+    splits = draw(st.lists(st.tuples(psums, igbufs, wgbufs), min_size=20, max_size=150))
+    return [(psum + igbuf + wgbuf, psum, igbuf, wgbuf) for psum, igbuf, wgbuf in splits]
+
+
+def count_passes(monkeypatch) -> list:
+    """Record each ``exact_traffic_grid`` call of ``choose_tiling_grid_many``."""
+    from repro.core import optimal_dataflow
+
+    calls = []
+    original = optimal_dataflow.exact_traffic_grid
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(optimal_dataflow, "exact_traffic_grid", counted)
+    return calls
+
+
+class TestStackedPasses:
+    """Seeds with equally long refinement axes and member counts share one
+    array pass, and each seed's slice chooses what the scalar search does."""
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layer=decode_layers(), constraints=family_constraints())
+    def test_decode_layers_under_many_families(self, layer, constraints):
+        reference = {constraint: scalar_choice(layer, constraint) for constraint in set(constraints)}
+        assert choose_tiling_grid_many(layer, constraints) == [
+            reference[constraint] for constraint in constraints
+        ]
+
+    def test_seeds_share_passes(self, monkeypatch):
+        layer = ConvLayer.from_fc("decode", 32, 4_096, 4_096)
+        constraints = [
+            (psum + igbuf + wgbuf, psum, igbuf, wgbuf)
+            for psum in (4_096, 8_192, 16_384, 32_768)
+            for igbuf in (1_024, 2_048)
+            for wgbuf in (128, 256, 512)
+        ]
+        seeds = {_seed_and_fits(layer, *constraint)[0] for constraint in constraints}
+        passes = count_passes(monkeypatch)
+        choices = choose_tiling_grid_many(layer, constraints)
+        assert len(passes) < len(seeds)
+        assert choices == [scalar_choice(layer, constraint) for constraint in constraints]
+
+
+def reference_seed(layer, constraint):
+    """``_seed_and_fits``' shrunken seed as ``(b, z, y, x)``, or None."""
+    try:
+        seed, _ = _seed_and_fits(layer, *constraint)
+    except ValueError:
+        return None
+    assert seed.k == 1
+    return (seed.b, seed.z, seed.y, seed.x)
+
+
+class TestIntegerSeeds:
+    """The grid path's integer walk finds ``_seed_and_fits``' seeds."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layer=st.one_of(conv_layers(), sparse_layers()), constraints=split_constraints())
+    def test_equal_to_the_scalar_prelude(self, layer, constraints):
+        assert _integer_seeds(layer, constraints) == [
+            reference_seed(layer, constraint) for constraint in constraints
+        ]
+
+    def test_walk_stops_after_64_halvings(self):
+        """A Psum cap of 0 admits nothing, so this walk would take 76
+        halvings; both walks return the 65th tiling without checking it."""
+        layer = ConvLayer("deep", 1 << 12, 1, 1 << 12, 1 << 12, 1 << 40, 1, 1)
+        constraint = (1 << 80, 0, None, None)
+        seed, fits = _seed_and_fits(layer, *constraint)
+        assert seed == Tiling(b=1, z=64, y=8, x=8)
+        assert not fits(seed)
+        assert _integer_seeds(layer, [constraint]) == [(1, 64, 8, 8)]
+
+
 class TestGridSearchManyCapacities:
     """One selection answers hundreds of capacities like per-capacity searches."""
 
@@ -349,7 +454,6 @@ class TestEngineBackendParity:
         assert vectorized.stats.grid_evaluations == 0  # every group ran scalar
 
     def test_int64_guard_admits_every_registered_workload(self):
-        from repro.dataflows.grid import int64_safe
         from repro.workloads.registry import list_workloads
 
         for workload in list_workloads():
@@ -463,6 +567,16 @@ class TestTileModelParity:
         with pytest.raises(ValueError, match="'big'"):
             model.choose_layer_tiling(layer)
 
+    def test_layer_past_int64_takes_the_scalar_loop(self):
+        """Regression: the memo took the grid for a layer that fails
+        ``int64_safe``, whose wrapped totals chose ``Tiling(1, 1, 1, 1)``."""
+        layer = ConvLayer("huge", 1, 1 << 20, 1024, 1024, 1 << 20, 3, 3, padding=1)
+        assert not int64_safe(layer)
+        model = AcceleratorModel(PAPER_IMPLEMENTATIONS[4])
+        expected = model._choose_tiling_scalar(layer)
+        assert expected == Tiling(b=1, z=64, y=32, x=32)
+        assert model.choose_layer_tiling(layer) == expected
+
 
 class TestEyerissParity:
     """``_best_tile_grid`` returns the scalar loop's tile, in key order."""
@@ -479,3 +593,14 @@ class TestEyerissParity:
     def test_random_layers_and_configs(self, layer, config):
         model = EyerissModel(config)
         assert model._best_tile_grid(layer) == model._best_tile_scalar(layer)
+
+    def test_layer_past_int64_takes_the_scalar_loop(self):
+        """Regression: the memo took the grid for a layer that fails
+        ``int64_safe``, whose wrapped totals chose a tile 25x worse."""
+        layer = ConvLayer("huge3", 1, 1 << 20, 1024, 1024, 1 << 23, 3, 3, padding=1)
+        assert not int64_safe(layer)
+        model = EyerissModel()
+        tile, dram = model._best_tile_scalar(layer)
+        assert tile == {"n": 1, "m": 32, "c": 1, "e": 1}
+        result = model.run_layer(layer)
+        assert (dict(result.tile), result.dram) == (tile, dram)
